@@ -316,10 +316,10 @@ void BM_ThresholdBatchSerial(benchmark::State& state) {
 BENCHMARK(BM_ThresholdBatchSerial)->Arg(32)->Arg(128);
 
 // Certified-mode evaluation: the escalation ladder on top of the symmetric
-// Theorem 5.1 kernel. Small n settles on the compensated-double tier (~1x
-// the plain kernel plus the tracked error bookkeeping); n = 24 is past the
-// cancellation cliff and pays for a full interval-tier evaluation — keeping
-// both in BENCH_kernels.json tracks the cost of certification in each regime.
+// Theorem 5.1 kernel. Small n settles on the long-double tier 0 (the O(n²)
+// sum plus the tracked error bookkeeping); n = 24 is past the cancellation
+// cliff and pays for the exact rational rung — keeping both in
+// BENCH_kernels.json tracks the cost of certification in each regime.
 void BM_CertifiedSymmetricThreshold(benchmark::State& state) {
   const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));
   const Rational beta{3, 8};
@@ -520,9 +520,10 @@ BENCHMARK(BM_SweepCompiledSimd)->Arg(1024)->Arg(10000)->UseRealTime()->MinTime(1
 // symmetric instances spanning the static rule's blind spot. At request
 // tolerance 1e-5 the compiled plan's certificate clears every instance
 // (n = 10: 5.2e-8, n = 12: 3.3e-6), but the static auto rule holds compiled
-// to its fixed 1e-9 bound and pays the batch kernel for n = 10 and n = 12 —
-// three orders of magnitude more per point. A calibrated CostModel routes
-// all four to the compiled plan; run_bench.sh --check gates
+// to its fixed 1e-9 bound and sends n = 10 and n = 12 to the certified
+// ladder — microseconds per point instead of nanoseconds. A calibrated
+// CostModel holds the (pre-lowered, resident) plans to the request tolerance
+// and routes all four to them; run_bench.sh --check gates
 // static/calibrated >= 1.5x and forced-best/calibrated >= 0.9x.
 
 /// The four workload instances with 2048-point beta grids and tolerance
@@ -582,6 +583,31 @@ void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePol
   }
   state.SetItemsProcessed(points);
 }
+
+// The paper's workload past the lowering cap: `auto` on a cold plan cache
+// over the 33-point t = n/3 grid of the end-to-end sweep benchmark (beta in
+// [0.31, 0.70]). Symmetric requests never touch the O(3^n) kernel: n = 16
+// settles on the certified ladder's long-double tier 0, n = 24 and n = 48
+// escalate to its exact O(n²) rung. No plan is lowered at any of them.
+void BM_SweepSymmetric(benchmark::State& state) {
+  ddm::engine::CostModel::set_configured(nullptr);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<double> betas(33);
+  for (std::size_t k = 0; k < betas.size(); ++k) {
+    betas[k] = 0.31 + 0.39 * static_cast<double>(k) / 32.0;
+  }
+  const auto request = ddm::engine::EvalRequest::symmetric(
+      n, Rational{static_cast<std::int64_t>(n), 3}, betas);
+  for (auto _ : state) {
+    ddm::engine::PlanCache::instance().clear();
+    const ddm::engine::Selection selection =
+        ddm::engine::select(ddm::engine::EnginePolicy{}, request);
+    benchmark::DoNotOptimize(selection.evaluator->evaluate(request).values.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(betas.size()));
+}
+BENCHMARK(BM_SweepSymmetric)->Arg(16)->Arg(24)->Arg(48)->UseRealTime();
 
 void BM_AutoDispatchStatic(benchmark::State& state) {
   ddm::engine::CostModel::set_configured(nullptr);  // pin the static rule

@@ -34,8 +34,9 @@ int main() {
               << outcome.values[2] << "\n";
   }
 
-  // 3. The auto policy: compiled plan when its certificate meets the
-  //    tolerance, batch kernel otherwise — and it says which it chose.
+  // 3. The auto policy: compiled plan when it is cheap and its certificate
+  //    meets the tolerance, the certified ladder otherwise — and it says
+  //    which it chose.
   const auto selection = engine::select(engine::EnginePolicy{}, request);
   std::cout << "\nAuto policy chose '" << selection.id() << "'"
             << " (compiled certificate bound " << selection.compiled_bound << ")\n";

@@ -50,9 +50,9 @@ grep -q "wrote" "$TMP/calibrate.err" || fail "calibrate did not report its outpu
 
 # --- the table never changes the numbers ----------------------------------
 # n=6: the compiled certificate clears the default tolerance, so compiled is
-# admissible both ways. n=12, t=4: the certificate (~3e-6) EXCLUDES compiled
-# at the default 1e-9 tolerance, so the model ranks only the bitwise-equal
-# double kernels. Both sweeps must be byte-identical with the table loaded.
+# admissible both ways. n=12, t=4: past the lowering cap with no resident
+# plan, so the certified ladder answers both ways. Both sweeps must be
+# byte-identical with the table loaded.
 for args in "6 2 0 1 64" "12 4 0 1 32"; do
   # shellcheck disable=SC2086
   ref="$("$CLI" sweep $args)"

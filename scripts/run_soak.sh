@@ -82,12 +82,13 @@ field() {
 
 # --- saturation + degradation under injected faults ----------------------
 # Tiny queue, one worker, and a fault plan that outlasts every retry layer
-# in front of the first evaluation's fallback: auto's select-time lowering
-# probe eats one throw, then each batch-region attempt absorbs up to 3 via
-# in-region retries and the service grants one request-level retry (1 + 3 +
-# 3 = 7; 9 leaves margin), so the first threshold evaluation must walk the
-# degradation chain; meanwhile the concurrent clients must overflow the
-# queue. Nothing may hang or fail the protocol.
+# in front of the first evaluation's fallback: auto sends n = 12 to the
+# certified ladder without lowering a plan, each ladder-region attempt
+# absorbs up to 3 throws via in-region retries, and the service grants one
+# request-level retry (3 + 3 = 6; 9 leaves margin), so the first threshold
+# evaluation must walk the degradation chain (certified -> mc); meanwhile
+# the concurrent clients must overflow the queue. Nothing may hang or fail
+# the protocol.
 start_server soak1 DDM_FAULT_PLAN=throw@0x9 DDM_SERVE_QUEUE=2 DDM_SERVE_WORKERS=1
 pid1=$SERVER_PID port1=$SERVER_PORT
 summary="$("$LOAD" "$port1" 12 25 --n=12 --t=4)" || fail "soak load failed: $summary"

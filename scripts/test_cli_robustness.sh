@@ -212,8 +212,8 @@ fi
 # --- certified mode ------------------------------------------------------
 cert="$("$CLI" threshold 24 8 3/8 --certify)"
 case "$cert" in
-  *"tier = interval"*) ;;
-  *) fail "certified n=24 run did not escalate to the interval tier: $cert" ;;
+  *"tier = exact"*) ;;
+  *) fail "certified n=24 run did not escalate to the exact tier: $cert" ;;
 esac
 case "$cert" in
   *" met"*) ;;
@@ -282,14 +282,15 @@ expect_reject "cannot read" "$CLI" merge "$TMP/no_such.ckpt"
 # --- engine selection ----------------------------------------------------
 # Auto must pick the compiled plan on a small symmetric sweep (the certified
 # bound is far below the auto tolerance): every row reports the chosen
-# engine, and stripping that field leaves output byte-identical to forcing
-# --engine=compiled; forcing the kernel must also succeed.
+# engine and the plan's bound, and stripping those fields leaves output
+# byte-identical to forcing --engine=compiled; forcing the kernel must also
+# succeed.
 auto_out="$("$CLI" sweep 6 2 0 1 24)"
 case "$auto_out" in
-  *'"engine": "compiled"'*) ;;
-  *) fail "auto sweep rows do not report the compiled engine: $auto_out" ;;
+  *'"engine": "compiled", "bound": '*) ;;
+  *) fail "auto sweep rows do not report the compiled engine and its bound: $auto_out" ;;
 esac
-auto_stripped="$(printf '%s\n' "$auto_out" | sed 's/, "engine": "compiled"//')"
+auto_stripped="$(printf '%s\n' "$auto_out" | sed 's/, "engine": "compiled", "bound": [^}]*//')"
 compiled_out="$("$CLI" sweep 6 2 0 1 24 --engine=compiled)"
 [ "$auto_stripped" = "$compiled_out" ] || fail "auto engine output (engine field stripped) differs from --engine=compiled at n=6"
 "$CLI" sweep 6 2 0 1 24 --engine=kernel >/dev/null || fail "--engine=kernel sweep failed"
@@ -299,46 +300,70 @@ for eng in batch certified compiled exact kernel mc; do
   "$CLI" sweep 3 1 0 1 4 --engine="$eng" >/dev/null || fail "--engine=$eng sweep failed"
 done
 
-# Auto past the lowering cap (n > 16) must use the batch kernel and say so
-# in the rows; no fallback note (the cap is policy, not a failed promise).
-big_auto="$("$CLI" sweep 18 6 0.3 0.4 2 2>"$TMP/big_auto.err")"
-case "$big_auto" in
-  *'"engine": "batch"'*) ;;
-  *) fail "auto sweep at n=18 did not report the batch engine: $big_auto" ;;
-esac
-[ ! -s "$TMP/big_auto.err" ] || fail "auto sweep at n=18 emitted an unexpected note: $(cat "$TMP/big_auto.err")"
+# Auto past the lowering cap (n > 8) answers from the certified O(n²)
+# ladder and says so in the rows, with the bound each answer carries; no
+# fallback note (the cap is policy, not a failed promise). n = 24, past the
+# O(3^n) kernels' reach, is answered the same way.
+for args in "18 6 0.3 0.4 2" "24 8 0.3 0.45 1"; do
+  # shellcheck disable=SC2086
+  big_auto="$("$CLI" sweep $args 2>"$TMP/big_auto.err")" || fail "auto sweep $args failed"
+  case "$big_auto" in
+    *'"engine": "certified", "bound": '*) ;;
+    *) fail "auto sweep $args did not report the certified engine and a bound: $big_auto" ;;
+  esac
+  [ ! -s "$TMP/big_auto.err" ] || fail "auto sweep $args emitted an unexpected note: $(cat "$TMP/big_auto.err")"
+done
+
+# Every auto row's value lies within its bound of the exact value (the
+# exact engine's rows; both grids are identical doubles).
+within_bound() {
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+from fractions import Fraction
+auto_rows, exact_rows = json.loads(open(sys.argv[1]).read()), json.loads(open(sys.argv[2]).read())
+assert len(auto_rows) == len(exact_rows)
+for row, ref in zip(auto_rows, exact_rows):
+    assert row["beta"] == ref["beta"], (row, ref)
+    # The exact engine's double is within a couple of ulps of the exact value.
+    slack = Fraction(row["bound"]) + Fraction(abs(ref["p_win"])) * Fraction(1, 2**51)
+    assert abs(Fraction(row["p_win"]) - Fraction(ref["p_win"])) <= slack, (row, ref)
+PY
+}
 
 # Satellite regression: when auto *declines* the compiled plan the fallback
 # must be visible — a stderr note plus the winning engine in every row.
 # A deterministic lowering failure is injected through the plan-cache fault
 # hook (throw@0 strikes the lowering, is spent there, and the sweep then
-# completes on the batch kernel).
-fallback_out="$(DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 2>"$TMP/fallback.err")"
-case "$fallback_out" in
-  *'"engine": "batch"'*) ;;
-  *) fail "auto fallback sweep rows do not report the batch engine: $fallback_out" ;;
+# completes on the certified ladder).
+DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 >"$TMP/fallback.out" 2>"$TMP/fallback.err"
+case "$(cat "$TMP/fallback.out")" in
+  *'"engine": "certified", "bound": '*) ;;
+  *) fail "auto fallback sweep rows do not report the certified engine: $(cat "$TMP/fallback.out")" ;;
 esac
 grep -q "note: --engine=auto:" "$TMP/fallback.err" || fail "auto fallback did not leave a stderr note: $(cat "$TMP/fallback.err")"
 grep -q "compiled lowering failed" "$TMP/fallback.err" || fail "fallback note does not name the cause: $(cat "$TMP/fallback.err")"
-# Values must match the kernel path exactly (the fallback changes the
-# reporting, never the numbers).
-fallback_stripped="$(printf '%s\n' "$fallback_out" | sed 's/, "engine": "batch"//')"
-kernel_out="$("$CLI" sweep 6 2 0 1 4 --engine=kernel)"
-[ "$fallback_stripped" = "$kernel_out" ] || fail "fallback sweep values differ from --engine=kernel"
+grep -q "certified ladder" "$TMP/fallback.err" || fail "fallback note does not name the certified ladder: $(cat "$TMP/fallback.err")"
+# The fallback's values are proven: each lies within its bound of exact.
+"$CLI" sweep 6 2 0 1 4 --engine=exact >"$TMP/fallback.exact"
+within_bound "$TMP/fallback.out" "$TMP/fallback.exact" || fail "fallback sweep values are not within their bounds of exact"
 # Forcing --engine=compiled under the same fault must surface the error
 # (exit 2), not fall back.
 expect_reject "injected" env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled
 
-# The certificate-miss branch of the same regression: at n=16, t=6 the
-# lowering succeeds but its certified bound (~7e-2) blows the 1e-9 auto
-# tolerance — the pre-engine CLI fell back to the kernel *silently* here.
-miss_out="$("$CLI" sweep 16 6 0.3 0.45 2 2>"$TMP/miss.err")"
-case "$miss_out" in
-  *'"engine": "batch"'*) ;;
-  *) fail "certificate-miss sweep rows do not report the batch engine: $miss_out" ;;
+# n=16, t=6: its plan would take seconds of exact algebra to lower and
+# certify only ~7e-2. Past the lowering cap nothing is lowered: the rows
+# come from the certified ladder, no note is printed, and no plan was built.
+"$CLI" sweep 16 6 0.3 0.45 2 --metrics >"$TMP/miss.out" 2>"$TMP/miss.err"
+case "$(cat "$TMP/miss.out")" in
+  *'"engine": "certified", "bound": '*) ;;
+  *) fail "n=16 sweep rows do not report the certified engine: $(cat "$TMP/miss.out")" ;;
 esac
-grep -q "compiled plan certificate .* exceeds tolerance" "$TMP/miss.err" \
-  || fail "certificate-miss fallback left no stderr note: $(cat "$TMP/miss.err")"
+if grep -q "note:" "$TMP/miss.err"; then fail "n=16 sweep printed a fallback note: $(cat "$TMP/miss.err")"; fi
+if grep -Eq "^(compiled\.lowerings|engine\.cache\.misses) [1-9]" "$TMP/miss.err"; then
+  fail "n=16 sweep lowered a plan: $(grep -E 'lowerings|cache' "$TMP/miss.err")"
+fi
+"$CLI" sweep 16 6 0.3 0.45 2 --engine=exact >"$TMP/miss.exact"
+within_bound "$TMP/miss.out" "$TMP/miss.exact" || fail "n=16 sweep values are not within their bounds of exact"
 
 # --- scenario descriptors (engine/scenario.hpp) --------------------------
 # The value set is closed, the flag grammar is strict, and every malformed

@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "combinat/binomial.hpp"
@@ -31,135 +34,191 @@ using Tracked = util::TrackedDouble;
 RationalInterval point(const Rational& r) { return RationalInterval{r}; }
 
 // ---------------------------------------------------------------------------
-// Symmetric Theorem 5.1, tier 0: the O(n²) double evaluator of
-// core/nonoblivious.cpp with a running error bound alongside every
-// operation. The indicator base > 0 is decided in rounded arithmetic; when
-// the rounded base lies within its own error bound of zero the true
-// indicator is unknown, so the possibly-present term is added to the error
-// instead of the sum.
-Tracked sym_zero_bracket_t0(std::uint32_t m, double beta, double t) {
-  if (m == 0) return {1.0, 0.0};
-  KahanSum sum;
-  double abs_sum = 0.0;
-  double err = 0.0;
+// Symmetric Theorem 5.1, tier 0: the O(n²) evaluator of core/nonoblivious.cpp
+// in long double with a running error bound alongside every operation. The
+// indicator base > 0 is decided in rounded arithmetic; when the rounded base
+// lies within its own error bound of zero the true indicator is unknown, so
+// the possibly-present term is added to the error instead of the sum.
+//
+// The inputs need not be representable: β and t are rounded to long double
+// and each rounding gap, computed exactly from the rationals, is charged to
+// every quantity that uses it — |t − t̃| + l·|β − β̃| to each bracket base,
+// k·|β − β̃| to the (1 − β)^k lead (both factors lie in [0, 1]).
+using Real = long double;
+
+// Unit roundoff of long double. epsilon()/2 keeps the bound honest where
+// long double is plain double.
+constexpr Real kUR = std::numeric_limits<Real>::epsilon() / 2;
+
+// Largest n whose binomial row is exact in 64-bit integers:
+// C(67, 33) < 2^64 <= C(68, 34).
+constexpr std::uint32_t kSymTier0MaxN = 67;
+
+struct TrackedReal {
+  Real value = 0;
+  Real error = 0;
+};
+
+// An input rounded to Real, with an upper bound on |exact − value|.
+struct RoundedInput {
+  Real value = 0;
+  Real gap = 0;
+};
+
+struct SymInputs {
+  RoundedInput beta;
+  RoundedInput t;
+};
+
+// Binomials (exact integers, converted once) and 1/m! (by repeated division,
+// so within a relative m·u of the truth) for m <= kSymTier0MaxN.
+class SymTables {
+ public:
+  static const SymTables& get() {
+    static const SymTables tables;
+    return tables;
+  }
+
+  [[nodiscard]] Real binomial(std::uint32_t n, std::uint32_t k) const { return binom_[row(n) + k]; }
+  [[nodiscard]] Real inverse_factorial(std::uint32_t m) const { return inv_fact_[m]; }
+
+ private:
+  SymTables() : binom_(row(kSymTier0MaxN + 1)), inv_fact_(kSymTier0MaxN + 1) {
+    std::vector<std::uint64_t> previous{1};
+    for (std::uint32_t n = 0; n <= kSymTier0MaxN; ++n) {
+      std::vector<std::uint64_t> current(n + 1, 1);
+      for (std::uint32_t k = 1; k < n; ++k) current[k] = previous[k - 1] + previous[k];
+      for (std::uint32_t k = 0; k <= n; ++k) binom_[row(n) + k] = static_cast<Real>(current[k]);
+      previous = std::move(current);
+    }
+    inv_fact_[0] = 1;
+    for (std::uint32_t m = 1; m <= kSymTier0MaxN; ++m) {
+      inv_fact_[m] = inv_fact_[m - 1] / static_cast<Real>(m);
+    }
+  }
+
+  static std::size_t row(std::uint32_t n) { return std::size_t{n} * (n + 1) / 2; }
+
+  std::vector<Real> binom_;
+  std::vector<Real> inv_fact_;
+};
+
+Real pow_real(Real base, std::uint32_t exp) {
+  Real result = 1;
+  while (exp != 0) {
+    if (exp & 1u) result *= base;
+    base *= base;
+    exp >>= 1;
+  }
+  return result;
+}
+
+RoundedInput round_input(const Rational& exact) {
+  const double head = exact.to_double();
+  const double tail = (exact - util::exact_rational(head)).to_double();
+  const Real value = static_cast<Real>(head) + static_cast<Real>(tail);
+  // A long double splits exactly into a double and a short remainder, so the
+  // gap below is the exact distance, rounded up once.
+  const double value_head = static_cast<double>(value);
+  const double value_tail = static_cast<double>(value - static_cast<Real>(value_head));
+  const Rational gap =
+      (exact - util::exact_rational(value_head) - util::exact_rational(value_tail)).abs();
+  return {value, static_cast<Real>(util::round_up(gap))};
+}
+
+// Bound on |(b ± e)^m − b^m| for b > 0: m·e·(b + e)^(m−1) by the mean
+// value theorem.
+Real pow_perturbation(Real base, Real err_base, std::uint32_t m) {
+  return static_cast<Real>(m) * pow_real(base + err_base, m - 1) * err_base;
+}
+
+TrackedReal sym_zero_bracket_t0(std::uint32_t m, const SymInputs& in) {
+  if (m == 0) return {1, 0};
+  const SymTables& tables = SymTables::get();
+  util::BasicKahanSum<Real> sum;
+  Real abs_sum = 0;
+  Real err = 0;
   for (std::uint32_t l = 0; l <= m; ++l) {
-    const double lb = static_cast<double>(l) * beta;
-    const double base = t - lb;
-    const double err_base = kU * (std::abs(lb) + std::abs(base));
-    const double binom = combinat::binomial_double(m, l);
+    const Real lb = static_cast<Real>(l) * in.beta.value;
+    const Real base = in.t.value - lb;
+    const Real err_base = kUR * (std::abs(lb) + std::abs(base)) + in.t.gap +
+                          static_cast<Real>(l) * in.beta.gap;
+    const Real binom = tables.binomial(m, l);
     if (base <= err_base) {
-      if (base > -err_base) err += binom * combinat::pow_uint(std::abs(base) + err_base, m);
+      if (base > -err_base) err += binom * pow_real(std::abs(base) + err_base, m);
       continue;
     }
-    const double p1 = combinat::pow_uint(base, m - 1);
-    const double term = binom * p1 * base;
-    err += binom * static_cast<double>(m) * p1 * err_base + (pow_mults(m) + 2.0) * kU * term;
+    const Real term = binom * pow_real(base, m - 1) * base;
+    // pow_mults(m) + 3: the power, the binomial's conversion, two products.
+    err += binom * pow_perturbation(base, err_base, m) + (pow_mults(m) + 3) * kUR * term;
     sum.add(l % 2 == 0 ? term : -term);
     abs_sum += term;
   }
-  const double inv = combinat::inverse_factorial_double(m);
-  const double value = sum.get() * inv;
-  return {value, inv * (err + 2.0 * kU * abs_sum) + 2.0 * kU * std::abs(value)};
+  const Real value = sum.get() * tables.inverse_factorial(m);
+  return {value, tables.inverse_factorial(m) * (err + 2 * kUR * abs_sum) +
+                     static_cast<Real>(m + 1) * kUR * std::abs(value)};
 }
 
-Tracked sym_one_bracket_t0(std::uint32_t k, double beta, double t) {
-  if (k == 0) return {1.0, 0.0};
-  const double lead = combinat::pow_uint(1.0 - beta, k);
-  const double err_lead = (static_cast<double>(k) + pow_mults(k)) * kU * lead;
-  KahanSum sum;
-  double abs_sum = 0.0;
-  double err = 0.0;
+TrackedReal sym_one_bracket_t0(std::uint32_t k, const SymInputs& in) {
+  if (k == 0) return {1, 0};
+  const SymTables& tables = SymTables::get();
+  const Real lead = pow_real(1 - in.beta.value, k);
+  const Real err_lead = (static_cast<Real>(k) + pow_mults(k)) * kUR * lead +
+                        static_cast<Real>(k) * in.beta.gap;
+  const Real x1 = static_cast<Real>(k) - in.t.value;
+  util::BasicKahanSum<Real> sum;
+  Real abs_sum = 0;
+  Real err = 0;
   for (std::uint32_t l = 0; l <= k; ++l) {
-    const double x1 = static_cast<double>(k) - t;
-    const double x2 = x1 - static_cast<double>(l);
-    const double lb = static_cast<double>(l) * beta;
-    const double base = x2 + lb;
-    const double err_base = kU * (std::abs(x1) + std::abs(x2) + 2.0 * std::abs(lb) +
-                                  std::abs(base));
-    const double binom = combinat::binomial_double(k, l);
+    const Real x2 = x1 - static_cast<Real>(l);
+    const Real lb = static_cast<Real>(l) * in.beta.value;
+    const Real base = x2 + lb;
+    const Real err_base =
+        kUR * (std::abs(x1) + std::abs(x2) + 2 * std::abs(lb) + std::abs(base)) + in.t.gap +
+        static_cast<Real>(l) * in.beta.gap;
+    const Real binom = tables.binomial(k, l);
     if (base <= err_base) {
-      if (base > -err_base) err += binom * combinat::pow_uint(std::abs(base) + err_base, k);
+      if (base > -err_base) err += binom * pow_real(std::abs(base) + err_base, k);
       continue;
     }
-    const double p1 = combinat::pow_uint(base, k - 1);
-    const double term = binom * p1 * base;
-    err += binom * static_cast<double>(k) * p1 * err_base + (pow_mults(k) + 2.0) * kU * term;
+    const Real term = binom * pow_real(base, k - 1) * base;
+    err += binom * pow_perturbation(base, err_base, k) + (pow_mults(k) + 3) * kUR * term;
     sum.add(l % 2 == 0 ? term : -term);
     abs_sum += term;
   }
-  const double inv = combinat::inverse_factorial_double(k);
-  const double tail = sum.get() * inv;
-  const double value = lead - tail;
-  return {value, err_lead + inv * (err + 2.0 * kU * abs_sum) + 2.0 * kU * std::abs(tail) +
-                     kU * std::abs(value)};
+  const Real tail = sum.get() * tables.inverse_factorial(k);
+  const Real value = lead - tail;
+  return {value, err_lead + tables.inverse_factorial(k) * (err + 2 * kUR * abs_sum) +
+                     static_cast<Real>(k + 1) * kUR * std::abs(tail) + kUR * std::abs(value)};
 }
 
-Tracked sym_total_t0(std::uint32_t n, double beta, double t) {
+TrackedReal sym_total_t0(std::uint32_t n, const SymInputs& in) {
   DDM_SPAN("kernel.sym_tracked", {{"n", static_cast<std::int64_t>(n)}});
-  KahanSum total;
-  double abs_total = 0.0;
-  double err = 0.0;
+  const SymTables& tables = SymTables::get();
+  util::BasicKahanSum<Real> total;
+  Real abs_total = 0;
+  Real err = 0;
   for (std::uint32_t k = 0; k <= n; ++k) {
-    const Tracked zb = sym_zero_bracket_t0(n - k, beta, t);
-    const Tracked ob = sym_one_bracket_t0(k, beta, t);
-    const double binom = combinat::binomial_double(n, k);
-    const double product = binom * zb.value * ob.value;
+    const TrackedReal zb = sym_zero_bracket_t0(n - k, in);
+    const TrackedReal ob = sym_one_bracket_t0(k, in);
+    const Real binom = tables.binomial(n, k);
+    const Real product = binom * zb.value * ob.value;
     total.add(product);
     abs_total += std::abs(product);
     err += binom * (std::abs(zb.value) * ob.error + std::abs(ob.value) * zb.error +
-                    zb.error * ob.error + 2.0 * kU * std::abs(zb.value * ob.value));
+                    zb.error * ob.error + 3 * kUR * std::abs(zb.value * ob.value));
   }
-  return {total.get(), err + 2.0 * kU * abs_total};
+  return {total.get(), err + 2 * kUR * abs_total};
 }
 
-// ---------------------------------------------------------------------------
-// Symmetric Theorem 5.1, tier 1: dyadic-interval arithmetic. The bracket
-// bases t − lβ and k − t − l + lβ are exact rationals, so every indicator
-// decision is exact; rounding enters only through pow_outward and the
-// rounded sums, keeping endpoint sizes bounded by `bits` fractional bits.
-RationalInterval sym_zero_bracket_i(std::uint32_t m, const Rational& beta, const Rational& t,
-                                    unsigned bits) {
-  if (m == 0) return point(Rational{1});
-  RationalInterval sum{Rational{0}};
-  for (std::uint32_t l = 0; l <= m; ++l) {
-    const Rational base = t - Rational{static_cast<std::int64_t>(l)} * beta;
-    if (base.signum() <= 0) continue;
-    RationalInterval term = pow_outward(point(base), m, bits);
-    term = outward_round(term * point(Rational{combinat::binomial(m, l), util::BigInt{1}}), bits);
-    sum = outward_round(l % 2 == 0 ? sum + term : sum - term, bits);
-  }
-  return outward_round(sum * point(combinat::inverse_factorial(m)), bits);
-}
-
-RationalInterval sym_one_bracket_i(std::uint32_t k, const Rational& beta, const Rational& t,
-                                   unsigned bits) {
-  if (k == 0) return point(Rational{1});
-  const Rational kk{static_cast<std::int64_t>(k)};
-  RationalInterval sum{Rational{0}};
-  for (std::uint32_t l = 0; l <= k; ++l) {
-    const Rational ll{static_cast<std::int64_t>(l)};
-    const Rational base = kk - t - ll + ll * beta;
-    if (base.signum() <= 0) continue;
-    RationalInterval term = pow_outward(point(base), k, bits);
-    term = outward_round(term * point(Rational{combinat::binomial(k, l), util::BigInt{1}}), bits);
-    sum = outward_round(l % 2 == 0 ? sum + term : sum - term, bits);
-  }
-  const RationalInterval lead = pow_outward(point(Rational{1} - beta), k, bits);
-  return outward_round(lead - outward_round(sum * point(combinat::inverse_factorial(k)), bits),
-                       bits);
-}
-
-RationalInterval sym_total_i(std::uint32_t n, const Rational& beta, const Rational& t,
-                             unsigned bits) {
-  DDM_SPAN("kernel.sym_interval", {{"n", static_cast<std::int64_t>(n)}});
-  RationalInterval total{Rational{0}};
-  for (std::uint32_t k = 0; k <= n; ++k) {
-    RationalInterval term = outward_round(
-        sym_zero_bracket_i(n - k, beta, t, bits) * sym_one_bracket_i(k, beta, t, bits), bits);
-    term = outward_round(term * point(Rational{combinat::binomial(n, k), util::BigInt{1}}), bits);
-    total = outward_round(total + term, bits);
-  }
-  return total;
+// Rounds the centre to double and adds that shift to the bound, rounded up
+// (a non-finite value or bound stays non-finite, which tracked_enclosure
+// turns into the escalation signal).
+Tracked to_tracked_double(const TrackedReal& tracked) {
+  const double centre = static_cast<double>(tracked.value);
+  const Real shift = std::abs(tracked.value - static_cast<Real>(centre));
+  const double error = static_cast<double>(tracked.error + shift);
+  return {centre, std::nextafter(error, std::numeric_limits<double>::infinity())};
 }
 
 // ---------------------------------------------------------------------------
@@ -456,24 +515,24 @@ CertifiedValue certified_symmetric_threshold_winning_probability(std::uint32_t n
     return zero;
   }
 
+  // No interval rung: in O(n²) the exact rung is cheaper than 320-bit
+  // intervals at every n measured (docs/robustness.md), so a tier-0 miss
+  // escalates straight to the exact rational sum.
   const TierSpec tiers[] = {
       {EvalTier::kCompensatedDouble,
        [&]() -> RationalInterval {
-         // binomial_double is exact only while C(n, k) fits the mantissa.
-         if (n > 56 || !util::representable_as_double(beta) ||
-             !util::representable_as_double(t)) {
+         if (n > kSymTier0MaxN) {
            throw NumericError(
-               "certified_symmetric_threshold_winning_probability: double tier unavailable "
-               "(inputs not representable or n > 56)");
+               "certified_symmetric_threshold_winning_probability: double tier limited to "
+               "n <= " + std::to_string(kSymTier0MaxN));
          }
-         return util::tracked_enclosure(sym_total_t0(n, beta.to_double(), t.to_double()),
-                                  "certified_symmetric_threshold_winning_probability");
+         const SymInputs inputs{round_input(beta), round_input(t)};
+         return util::tracked_enclosure(to_tracked_double(sym_total_t0(n, inputs)),
+                                        "certified_symmetric_threshold_winning_probability");
        }},
-      {EvalTier::kInterval,
-       [&]() -> RationalInterval { return sym_total_i(n, beta, t, policy.interval_bits); }},
       {EvalTier::kExact,
        [&]() -> RationalInterval {
-         return point(symmetric_threshold_winning_probability(n, beta, t));
+         return point(symmetric_threshold_winning_probability(n, beta, t, policy.control));
        }},
   };
   return run_escalation_ladder(policy, "certified_symmetric_threshold_winning_probability",

@@ -29,7 +29,10 @@ namespace ddm::core {
 
 /// Certified symmetric Theorem 5.1 (all thresholds equal beta): O(n²) terms
 /// in every tier, so even the exact tier is cheap — this is the evaluator
-/// the ill-conditioned large-n demonstrations use.
+/// the ill-conditioned large-n demonstrations use, and the one `auto` sends
+/// symmetric requests to. Two rungs: a long-double tier 0 that accepts any
+/// rational beta and t (n <= 67), then the exact rational sum, which polls
+/// policy.control once per outer term.
 [[nodiscard]] CertifiedValue certified_symmetric_threshold_winning_probability(
     std::uint32_t n, const util::Rational& beta, const util::Rational& t,
     const EvalPolicy& policy = {});

@@ -515,7 +515,8 @@ Rational symmetric_one_bracket(std::uint32_t k, const Rational& beta, const Rati
 }
 
 Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational& beta,
-                                                 const Rational& t) {
+                                                 const Rational& t,
+                                                 const util::RunControl& control) {
   if (n == 0) throw std::invalid_argument("symmetric_threshold_winning_probability: n == 0");
   if (beta < Rational{0} || beta > Rational{1}) {
     throw std::invalid_argument("symmetric_threshold_winning_probability: beta outside [0, 1]");
@@ -524,6 +525,14 @@ Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational
   DDM_SPAN("kernel.sym_exact", {{"n", static_cast<std::int64_t>(n)}});
   Rational total{0};
   for (std::uint32_t k = 0; k <= n; ++k) {
+    switch (control.should_stop()) {
+      case util::StopReason::kNone:
+        break;
+      case util::StopReason::kCancelled:
+        throw Cancelled("symmetric_threshold_winning_probability", k, n + 1);
+      case util::StopReason::kDeadline:
+        throw DeadlineExceeded("symmetric_threshold_winning_probability", k, n + 1);
+    }
     total += Rational{combinat::binomial(n, k), util::BigInt{1}} *
              symmetric_zero_bracket(n - k, beta, t) * symmetric_one_bracket(k, beta, t);
   }

@@ -61,9 +61,12 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
 
 /// Symmetric Theorem 5.1: all thresholds equal β; O(n²) exact terms
 ///   P(β) = Σ_k C(n,k) · B0_{n−k}(β) · B1_k(β).
-[[nodiscard]] util::Rational symmetric_threshold_winning_probability(std::uint32_t n,
-                                                                     const util::Rational& beta,
-                                                                     const util::Rational& t);
+/// `control` is polled once per outer k: a fired deadline or cancellation
+/// surfaces as ddm::DeadlineExceeded / ddm::Cancelled counting the k-terms
+/// finished, so a large-n exact sum cannot outlive its budget.
+[[nodiscard]] util::Rational symmetric_threshold_winning_probability(
+    std::uint32_t n, const util::Rational& beta, const util::Rational& t,
+    const util::RunControl& control = {});
 [[nodiscard]] double symmetric_threshold_winning_probability(std::uint32_t n, double beta,
                                                              double t);
 

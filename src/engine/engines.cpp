@@ -274,8 +274,10 @@ class CompiledEvaluator final : public Evaluator {
 };
 
 /// certified — the escalation ladder on the exact grid: every value carries
-/// a rigorous enclosure, escalating double → interval → exact until the
-/// request tolerance is met.
+/// a rigorous enclosure, escalating until the request tolerance is met (for
+/// the symmetric game: long-double tier 0, then the exact O(n²) sum).
+/// certificate_bound is the largest per-point error_bound(), so the outcome
+/// states how far any value may be from exact.
 class CertifiedEvaluator final : public Evaluator {
  public:
   std::string_view id() const noexcept override { return "certified"; }
@@ -324,13 +326,14 @@ class CertifiedEvaluator final : public Evaluator {
     }
     EvalPolicy policy;
     policy.tolerance = request.tolerance;
-    // The ladder polls the same control mid-escalation, so a deadline cuts a
-    // point before its interval/exact rungs, not just between points.
+    // The ladder polls the same control between rungs and inside the exact
+    // sum, so a deadline cuts a point mid-evaluation, not just between points.
     policy.control = request.control;
     EvalOutcome outcome;
     outcome.engine_id = "certified";
     outcome.values.resize(request.size(), 0.0);
     outcome.certificates.resize(request.size());
+    std::vector<double> bounds(request.size(), 0.0);
     util::ParallelOptions options;
     options.grain = 1;
     options.label = "engine.certified";
@@ -344,11 +347,14 @@ class CertifiedEvaluator final : public Evaluator {
             outcome.certificates[k] = core::certified_symmetric_threshold_winning_probability(
                 request.n, exact_point(request, k), request.t, policy);
             outcome.values[k] = outcome.certificates[k].value();
+            bounds[k] = outcome.certificates[k].error_bound();
           }
         },
         options);
-    for (const CertifiedValue& certificate : outcome.certificates) {
-      outcome.stats += certificate.stats;
+    outcome.certificate_bound = 0.0;
+    for (std::size_t k = 0; k < request.size(); ++k) {
+      outcome.stats += outcome.certificates[k].stats;
+      outcome.certificate_bound = std::max(outcome.certificate_bound, bounds[k]);
     }
     return outcome;
   }

@@ -133,8 +133,9 @@ struct EvalOutcome {
   /// Registry id of the engine that actually produced the values.
   std::string engine_id;
   /// Uniform bound on |values[k] − exact| when the engine carries one:
-  /// 0 for exact evaluation, the plan certificate for compiled plans,
-  /// +inf when no a-priori bound exists (double kernels, Monte Carlo).
+  /// 0 for exact evaluation, the plan certificate for compiled plans, the
+  /// largest per-point CertifiedValue::error_bound() for the certified
+  /// ladder, +inf when no a-priori bound exists (double kernels, Monte Carlo).
   double certificate_bound = std::numeric_limits<double>::infinity();
   /// Escalation-ladder counters accumulated across the request (certified
   /// engine only; zero elsewhere).
@@ -146,6 +147,14 @@ struct EvalOutcome {
   /// batch". Plain Evaluator::evaluate never sets these.
   bool degraded = false;
   std::string degradation_note;
+
+  /// Bound on |values[k] − exact| for point k alone: its own certificate when
+  /// the engine returned per-point enclosures, else certificate_bound. A
+  /// per-point figure does not depend on which other points shared the
+  /// request, so sweep rows and coalesced replies can print it.
+  [[nodiscard]] double bound_at(std::size_t k) const {
+    return k < certificates.size() ? certificates[k].error_bound() : certificate_bound;
+  }
 };
 
 /// One evaluation backend. Implementations are stateless (any per-instance

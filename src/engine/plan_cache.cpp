@@ -61,6 +61,16 @@ PlanCache& PlanCache::instance() {
 
 std::shared_ptr<const poly::CompiledPiecewise> PlanCache::get_or_lower(
     std::uint32_t n, const util::Rational& t, std::string_view scenario_digest) {
+  return acquire(n, t, scenario_digest, true);
+}
+
+std::shared_ptr<const poly::CompiledPiecewise> PlanCache::find_resident(
+    std::uint32_t n, const util::Rational& t, std::string_view scenario_digest) {
+  return acquire(n, t, scenario_digest, false);
+}
+
+std::shared_ptr<const poly::CompiledPiecewise> PlanCache::acquire(
+    std::uint32_t n, const util::Rational& t, std::string_view scenario_digest, bool lower) {
   const bool default_scenario = scenario_digest.empty() || scenario_digest == "homogeneous";
   const CacheMetrics& metrics = CacheMetrics::get();
   const std::string key = cache_key(n, t, scenario_digest);
@@ -109,6 +119,9 @@ std::shared_ptr<const poly::CompiledPiecewise> PlanCache::get_or_lower(
   }
 
   if (plan == nullptr) {
+    // Neither cached nor stored: a resident-only lookup stops here, with
+    // nothing counted (no plan was produced).
+    if (!lower) return nullptr;
     // Lower outside the lock. The fault hook runs first so injected
     // transient faults strike before any state changes — a throw here leaves
     // the cache exactly as it was. Unconditional: before_chunk is the call

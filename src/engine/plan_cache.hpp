@@ -92,6 +92,14 @@ class PlanCache {
   [[nodiscard]] std::shared_ptr<const poly::CompiledPiecewise> get_or_lower(
       std::uint32_t n, const util::Rational& t, std::string_view scenario_digest = {});
 
+  /// The plan for (n, t) if it is resident — cached, or loadable from the
+  /// configured plan store (a store load is inserted and counted exactly as
+  /// in get_or_lower) — else nullptr. Never lowers, so it costs no more than
+  /// a lookup; the auto policy uses it to admit pre-warmed and precompiled
+  /// plans past the lowering cap. A nullptr answer counts no miss.
+  [[nodiscard]] std::shared_ptr<const poly::CompiledPiecewise> find_resident(
+      std::uint32_t n, const util::Rational& t, std::string_view scenario_digest = {});
+
   /// Entries currently held.
   [[nodiscard]] std::size_t size() const;
 
@@ -113,6 +121,11 @@ class PlanCache {
     std::shared_ptr<const poly::CompiledPiecewise> plan;
   };
 
+  /// Shared lookup path: cache, then store, then (when `lower`) lowering.
+  std::shared_ptr<const poly::CompiledPiecewise> acquire(std::uint32_t n,
+                                                         const util::Rational& t,
+                                                         std::string_view scenario_digest,
+                                                         bool lower);
   void evict_excess_locked();
 
   mutable std::mutex mutex_;

@@ -36,86 +36,81 @@ struct SelectMetrics {
   }
 };
 
-/// The model-consulting auto rule. Candidates are the interchangeable-value
-/// engines: compiled joins only when its certificate clears the REQUEST
-/// tolerance (that is the accuracy contract — the static rule's fixed
-/// compiled_tolerance does not apply here), batch and kernel compute the
-/// inclusion-exclusion sum in plain doubles and always qualify. The
-/// predicted-fastest candidate wins; engines the table has no data for
-/// predict +infinity and drop out; when NO candidate has data the choice
-/// degrades to exactly what the static rule would have picked, so a sparse
-/// table can only ever refine dispatch, not break it.
-void apply_model(const CostModel& model, const EnginePolicy& policy, const EvalRequest& request,
-                 Registry& registry, Selection& selection) {
-  const SelectMetrics& metrics = SelectMetrics::get();
-  selection.model_consulted = true;
-  metrics.policy_consults.add();
-
-  const Evaluator* compiled = nullptr;
-  bool static_compiled = false;
-  if (request.scenario.is_default() && request.is_symmetric() && request.n >= 1 &&
-      request.n <= policy.compiled_max_n) {
-    BoundMemo& memo = BoundMemo::get();
-    const std::string& digest = request.scenario.digest();
-    std::optional<double> bound = memo.lookup(request.n, request.t, digest);
-    if (!bound.has_value()) {
-      try {
-        const auto plan = PlanCache::instance().get_or_lower(request.n, request.t, digest);
-        bound = plan->max_error_bound();
-        memo.store(request.n, request.t, digest, *bound);
-      } catch (const std::exception& error) {
-        selection.fallback = true;
-        selection.note = std::string("compiled lowering failed (") + error.what() +
-                         "); ranking the double kernels";
-      }
-    }
-    if (bound.has_value()) {
-      selection.compiled_bound = *bound;
-      static_compiled = *bound <= policy.compiled_tolerance;
-      const double tolerance = request.tolerance.to_double();
-      if (*bound <= tolerance) {
-        compiled = &registry.require("compiled");
-      } else {
-        selection.fallback = true;
-        std::ostringstream note;
-        note << "compiled plan certificate " << *bound << " exceeds request tolerance "
-             << tolerance << "; ranking the double kernels";
-        selection.note = note.str();
-      }
-    }
+/// The certificate of the compiled plan auto may use for a symmetric
+/// request: lowered through the cache when n <= compiled_max_n, otherwise
+/// only a resident plan (plan cache or plan store) — never a fresh lowering
+/// past the cap. nullopt when there is no such plan; a lowering failure also
+/// leaves a note. `use_memo` lets the model path skip the cache round trip
+/// for small n (engine/bound_memo.hpp).
+std::optional<double> usable_plan_bound(const EnginePolicy& policy, const EvalRequest& request,
+                                        bool use_memo, Selection& selection) {
+  const std::string& digest = request.scenario.digest();
+  if (request.n > policy.compiled_max_n) {
+    const auto plan = PlanCache::instance().find_resident(request.n, request.t, digest);
+    if (plan == nullptr) return std::nullopt;
+    return plan->max_error_bound();
   }
+  std::optional<double> bound;
+  if (use_memo) bound = BoundMemo::get().lookup(request.n, request.t, digest);
+  if (bound.has_value()) return bound;
+  try {
+    bound = PlanCache::instance().get_or_lower(request.n, request.t, digest)->max_error_bound();
+  } catch (const std::exception& error) {
+    selection.fallback = true;
+    selection.note = std::string("compiled lowering failed (") + error.what() +
+                     "); using the certified ladder";
+    return std::nullopt;
+  }
+  if (use_memo) BoundMemo::get().store(request.n, request.t, digest, *bound);
+  return bound;
+}
 
-  // One ranking call for all candidates: CostModel::cheapest takes the table
-  // lock once and compares in log space, so the per-request model overhead
-  // stays a small fraction of even the fastest engine's evaluation.
-  std::array<const Evaluator*, 3> pool;  // compiled, batch, kernel — never more
-  std::array<std::string_view, 3> ids;
+/// The symmetric auto rule, shared by the static rule and the model path
+/// (they differ only in the tolerance the plan certificate must clear): the
+/// compiled plan when usable and certified, else the certified O(n²) ladder
+/// up to kCertifiedAutoMaxN, else batch — which declines any n past the
+/// double kernels' cap with a named error before work starts.
+const Evaluator& select_symmetric(const EnginePolicy& policy, const EvalRequest& request,
+                                  double tolerance, bool use_memo, Registry& registry,
+                                  Selection& selection) {
+  if (const std::optional<double> bound = usable_plan_bound(policy, request, use_memo, selection)) {
+    selection.compiled_bound = *bound;
+    if (*bound <= tolerance) return registry.require("compiled");
+    selection.fallback = true;
+    std::ostringstream note;
+    note << "compiled plan certificate " << *bound << " exceeds tolerance " << tolerance
+         << "; using the certified ladder";
+    selection.note = note.str();
+  }
+  return registry.require(request.n <= kCertifiedAutoMaxN ? "certified" : "batch");
+}
+
+/// The model-consulting rule for general per-player points: the
+/// predicted-fastest of the interchangeable double kernels (batch, kernel).
+/// Engines the table has no data for predict +infinity and drop out; when
+/// neither has data the choice degrades to the static rule's batch, so a
+/// sparse table can only ever refine dispatch, not break it.
+const Evaluator& rank_general(const CostModel& model, const EvalRequest& request,
+                              Registry& registry) {
+  const SelectMetrics& metrics = SelectMetrics::get();
+  // One ranking call for both candidates: CostModel::cheapest takes the
+  // table lock once and compares in log space.
+  std::array<const Evaluator*, 2> pool;
+  std::array<std::string_view, 2> ids;
   std::size_t pool_count = 0;
-  const auto consider = [&](const Evaluator* evaluator) {
-    if (evaluator == nullptr || !evaluator->supports(request)) return;
+  for (const char* id : {"batch", "kernel"}) {
+    const Evaluator* evaluator = registry.find(id);
+    if (evaluator == nullptr || !evaluator->supports(request)) continue;
     pool[pool_count] = evaluator;
     ids[pool_count] = evaluator->id();
     ++pool_count;
-  };
-  consider(compiled);
-  consider(registry.find("batch"));
-  consider(registry.find("kernel"));
-
-  const Evaluator& static_choice =
-      static_compiled && compiled != nullptr ? *compiled : registry.require("batch");
+  }
+  const Evaluator& static_choice = registry.require("batch");
   const std::size_t best = model.cheapest(ids.data(), pool_count, request.n, request.size(),
                                           request.scenario.digest());
-  if (best == pool_count) {
-    selection.evaluator = &static_choice;  // no data: degrade to the static rule
-    metrics.policy_static_wins.add();
-    return;
-  }
-  selection.evaluator = pool[best];
-  if (selection.evaluator == &static_choice) {
-    metrics.policy_static_wins.add();
-  } else {
-    metrics.policy_model_wins.add();
-  }
+  const Evaluator& chosen = best == pool_count ? static_choice : *pool[best];
+  (&chosen == &static_choice ? metrics.policy_static_wins : metrics.policy_model_wins).add();
+  return chosen;
 }
 
 }  // namespace
@@ -229,43 +224,34 @@ Selection select(const EnginePolicy& policy, const EvalRequest& request) {
     return selection;
   }
   // A loaded policy table (strictly resolved: a bad DDM_POLICY throws here
-  // rather than silently dispatching cold) reroutes auto through the model.
+  // rather than silently dispatching cold) holds the compiled plan to the
+  // REQUEST tolerance and ranks the double kernels for general points. With
+  // no table the plan must also clear the fixed compiled_tolerance.
   const std::shared_ptr<CostModel> model = CostModel::configured();
-  if (model != nullptr && !model->empty()) {
-    apply_model(*model, policy, request, registry, selection);
-    metrics.selects.add();
-    if (selection.fallback) metrics.fallbacks.add();
-    DDM_SPAN("engine.select",
-             {{"requested", "auto"},
-              {"chosen", selection.evaluator->id().data()},
-              {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
-    return selection;
+  const bool consult = model != nullptr && !model->empty();
+  const double request_tolerance = request.tolerance.to_double();
+  if (consult) {
+    selection.model_consulted = true;
+    metrics.policy_consults.add();
   }
-  // The auto rule, byte-compatible with the pre-engine CLI: try the compiled
-  // plan for small symmetric grids, hold its certificate to the tolerance,
-  // fall back to the batch kernel otherwise — visibly, via Selection::note.
-  if (request.is_symmetric() && request.n >= 1 && request.n <= policy.compiled_max_n) {
-    try {
-      const auto plan =
-          PlanCache::instance().get_or_lower(request.n, request.t, request.scenario.digest());
-      selection.compiled_bound = plan->max_error_bound();
-      if (selection.compiled_bound <= policy.compiled_tolerance) {
-        selection.evaluator = &registry.require("compiled");
-      } else {
-        selection.fallback = true;
-        std::ostringstream note;
-        note << "compiled plan certificate " << selection.compiled_bound
-             << " exceeds tolerance " << policy.compiled_tolerance
-             << "; using the batch kernel";
-        selection.note = note.str();
-      }
-    } catch (const std::exception& error) {
-      selection.fallback = true;
-      selection.note = std::string("compiled lowering failed (") + error.what() +
-                       "); using the batch kernel";
+  if (request.is_symmetric() && request.n >= 1) {
+    const double static_tolerance = std::min(policy.compiled_tolerance, request_tolerance);
+    selection.evaluator = &select_symmetric(policy, request,
+                                            consult ? request_tolerance : static_tolerance,
+                                            consult, registry, selection);
+    if (consult) {
+      // The model path differs from the static rule only where the plan
+      // certificate lies between the two tolerances.
+      const bool static_compiled = selection.compiled_bound <= static_tolerance;
+      const bool model_compiled = selection.evaluator->id() == "compiled";
+      (static_compiled == model_compiled ? metrics.policy_static_wins
+                                         : metrics.policy_model_wins)
+          .add();
     }
+  } else {
+    selection.evaluator = consult ? &rank_general(*model, request, registry)
+                                  : &registry.require("batch");
   }
-  if (selection.evaluator == nullptr) selection.evaluator = &registry.require("batch");
   metrics.selects.add();
   if (selection.fallback) metrics.fallbacks.add();
   DDM_SPAN("engine.select", {{"requested", "auto"},

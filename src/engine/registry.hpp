@@ -14,19 +14,19 @@
 //   mc          randomized      seeded Monte Carlo estimation
 //
 // `select` resolves an EnginePolicy against a request: a concrete id is
-// looked up directly, "auto" applies the compiled-vs-batch policy
-// (engine/policy.hpp) through the plan cache. The selection is returned —
-// never applied silently: when auto declines the compiled plan the Selection
-// carries a human-readable note so callers can surface the fallback (the
-// CLI prints it to stderr and stamps the winning engine into sweep JSON).
+// looked up directly, "auto" applies the policy of engine/policy.hpp —
+// symmetric grids go to a cheap certified compiled plan or else the
+// certified O(n²) ladder, general points to the batch kernel. The selection
+// is returned — never applied silently: when auto declines a compiled plan
+// it considered, the Selection carries a human-readable note so callers can
+// surface the fallback (the CLI prints it to stderr and stamps the winning
+// engine into sweep JSON).
 //
 // When a policy table is loaded (engine/cost_model.hpp — `ddm_cli calibrate`
-// output via --policy / DDM_POLICY / --policy-table), "auto" instead ranks
-// the interchangeable-value engines by predicted latency and picks the
-// fastest one whose accuracy contract still meets the REQUEST tolerance
-// (the compiled plan's certificate is held to request.tolerance, not the
-// static rule's fixed bound). Forced engine ids never consult the model,
-// and with no table loaded the static rule runs unchanged, byte for byte.
+// output via --policy / DDM_POLICY / --policy-table), "auto" holds the
+// compiled plan's certificate to the REQUEST tolerance instead of the fixed
+// compiled_tolerance, and ranks batch against kernel by predicted latency
+// for general points. Forced engine ids never consult the model.
 //
 // Observability: `engine.select` spans (args: requested id, chosen id) and
 // `engine.selects` / `engine.fallbacks` counters; model consultation adds
@@ -86,11 +86,12 @@ struct Selection {
   bool fallback = false;
   /// One-line reason for the fallback, empty otherwise.
   std::string note;
-  /// The compiled plan's certified max-error bound when auto lowered one
-  /// (NaN when lowering was not attempted or failed).
+  /// The certified max-error bound of the compiled plan auto considered
+  /// (NaN when it considered none: past the lowering cap with no resident
+  /// plan, or the lowering failed).
   double compiled_bound = std::numeric_limits<double>::quiet_NaN();
-  /// True when auto ranked candidates through a loaded CostModel instead of
-  /// the static rule (forced engines and table-less processes never set it).
+  /// True when auto consulted a loaded CostModel instead of the static rule
+  /// (forced engines and table-less processes never set it).
   bool model_consulted = false;
 
   [[nodiscard]] std::string_view id() const noexcept { return evaluator->id(); }
@@ -98,8 +99,8 @@ struct Selection {
 
 /// Resolves `policy` against `request` on the process registry. Forced ids
 /// throw ddm::Error when unknown or unsupported for the request's shape;
-/// "auto" never throws for a well-formed request (the batch kernel is the
-/// universal fallback).
+/// "auto" never throws for a well-formed request (past every cap it returns
+/// the batch kernel, whose evaluation then names the limit).
 [[nodiscard]] Selection select(const EnginePolicy& policy, const EvalRequest& request);
 
 /// Adapts a registered engine into the threshold optimizer's batch-objective

@@ -85,6 +85,11 @@ void observe_policy(const engine::EvalRequest& request, const std::string& engin
   return t;
 }
 
+/// Every answer that carries a proven error bound says so on the wire.
+void add_bound(JsonWriter& reply, double bound) {
+  if (std::isfinite(bound)) reply.field("bound", bound);
+}
+
 /// True for engines whose per-point answers do not depend on request seeds,
 /// so jobs from different clients can share one batched evaluation.
 [[nodiscard]] bool coalescable_engine(const std::string& engine) {
@@ -108,6 +113,9 @@ struct EvalService::Job {
   engine::Scenario scenario;
   double beta = 0.0;
   util::Rational tolerance{1, 1000000000};
+  /// Canonical tolerance text: part of the coalescing key, because the
+  /// certified ladder's answer depends on the tolerance it must meet.
+  std::string tol_key = tolerance.to_string();
   std::uint64_t trials = 200000;
   std::uint64_t seed = 42;
   util::RunControl control;
@@ -204,6 +212,7 @@ std::string EvalService::handle_line(const std::string& line) {
       const double tolerance = get_number(request, "tol", 0.0);
       if (!(tolerance > 0.0)) reject("field 'tol' must be a positive number");
       job->tolerance = util::Rational::from_double(tolerance);
+      job->tol_key = job->tolerance.to_string();
     }
     job->trials = get_u64(request, "trials", job->trials);
     if (job->trials < 1 || job->trials > kMaxTrials) {
@@ -262,12 +271,13 @@ void EvalService::worker_loop() {
       const Job& head = *group.front();
       if (head.op == "threshold" && coalescable_engine(head.engine)) {
         // Fold queued twins of the head — same instance (n, t), same engine
-        // choice — into one batched evaluation.
+        // choice, same tolerance — into one batched evaluation.
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < config_.coalesce_limit;) {
           const Job& candidate = **it;
           if (candidate.op == "threshold" && candidate.n == head.n &&
               candidate.t_key == head.t_key && candidate.engine == head.engine &&
+              candidate.tol_key == head.tol_key &&
               candidate.scenario.digest() == head.scenario.digest()) {
             group.push_back(*it);
             it = queue_.erase(it);
@@ -293,6 +303,7 @@ void EvalService::serve_group(std::vector<std::shared_ptr<Job>>& group) {
     request.n = head.n;
     request.t = head.t;
     request.scenario = head.scenario;
+    request.tolerance = head.tolerance;
     request.betas.reserve(group.size());
     for (const auto& job : group) request.betas.push_back(job->beta);
     // The batch runs under the group's TIGHTEST remaining budget: if that
@@ -322,8 +333,9 @@ void EvalService::serve_group(std::vector<std::shared_ptr<Job>>& group) {
         reply.field("ok", true)
             .field("op", "threshold")
             .field("value", outcome.values[k])
-            .field("engine", outcome.engine_id)
-            .field("coalesced", true);
+            .field("engine", outcome.engine_id);
+        add_bound(reply, outcome.bound_at(k));
+        reply.field("coalesced", true);
         if (!head.scenario.is_default()) reply.field("scenario", head.scenario.digest());
         if (outcome.degraded) {
           reply.field("degraded", true).field("degradation", outcome.degradation_note);
@@ -387,6 +399,7 @@ std::string EvalService::serve_job(const Job& job) const {
         .field("op", job.op)
         .field("value", outcome.values.at(0))
         .field("engine", outcome.engine_id);
+    add_bound(reply, outcome.bound_at(0));
     if (!job.scenario.is_default()) reply.field("scenario", job.scenario.digest());
     if (outcome.degraded) {
       reply.field("degraded", true).field("degradation", outcome.degradation_note);

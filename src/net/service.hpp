@@ -9,10 +9,12 @@
 //     instead of letting latency grow without bound. Connection threads
 //     block only on their own job's completion.
 //   * Workers COALESCE: when the queue holds several `threshold` requests
-//     for the same (n, t), one worker folds up to ServiceConfig::
-//     coalesce_limit of them into a single batched EvalRequest — the batch
-//     kernel amortizes one Gray-code subset walk across the group
-//     (serve.coalesced_batches / serve.batch_points). The batch runs under
+//     for the same (n, t), engine, tolerance, and scenario, one worker folds
+//     up to ServiceConfig::coalesce_limit of them into a single batched
+//     EvalRequest carrying that tolerance — one plan lookup or one parallel
+//     ladder pass serves the group (serve.coalesced_batches /
+//     serve.batch_points), and each job's reply (value and `bound`) equals
+//     what it would get served alone. The batch runs under
 //     the group's tightest deadline; if that cuts it off, each job is
 //     re-evaluated individually under its own control, so one impatient
 //     client cannot fail its queue-mates.

@@ -445,15 +445,33 @@ BigInt& BigInt::operator>>=(std::size_t bits) {
   return *this;
 }
 
+std::size_t BigInt::trailing_zero_bits() const noexcept {
+  std::size_t zeros = 0;
+  for (const Limb limb : limbs_) {
+    if (limb != 0) return zeros + static_cast<std::size_t>(std::countr_zero(limb));
+    zeros += 32;
+  }
+  return 0;
+}
+
 BigInt BigInt::gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;
+  if (a.is_zero()) return b;
+  if (b.is_zero()) return a;
+  // Factor out the common power of two before Euclid: dyadic rationals (the
+  // certified ladder's enclosures, exact images of doubles) then normalize
+  // in one division instead of one per bit of the denominator.
+  const std::size_t a_twos = a.trailing_zero_bits();
+  const std::size_t b_twos = b.trailing_zero_bits();
+  a >>= a_twos;
+  b >>= b_twos;
   while (!b.is_zero()) {
     BigInt r = div_mod(a, b).second;
     a = std::move(b);
     b = std::move(r);
   }
-  return a;
+  return a <<= std::min(a_twos, b_twos);
 }
 
 BigInt BigInt::pow(const BigInt& base, std::uint64_t exponent) {

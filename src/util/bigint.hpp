@@ -54,6 +54,8 @@ class BigInt {
 
   /// Number of bits in the magnitude (0 for zero).
   [[nodiscard]] std::size_t bit_length() const noexcept;
+  /// Number of trailing zero bits of the magnitude (0 for zero).
+  [[nodiscard]] std::size_t trailing_zero_bits() const noexcept;
 
   /// True iff the value fits in int64_t.
   [[nodiscard]] bool fits_int64() const noexcept;

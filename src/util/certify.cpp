@@ -1,6 +1,7 @@
 #include "util/certify.hpp"
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "obs/metrics_registry.hpp"
@@ -125,6 +126,11 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
       metrics.numeric_errors.add();
       last_failure = std::current_exception();
       continue;
+    } catch (const StoppedError&) {
+      // A rung that polls the control itself (the symmetric exact sum) was
+      // cut mid-evaluation: same accounting as a stop between rungs.
+      if (policy.stats != nullptr) *policy.stats += local;
+      throw;
     }
     if (!have_best || enclosure.width() < best.enclosure.width()) {
       have_best = true;
@@ -147,6 +153,13 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
   best.met_tolerance = best.enclosure.width() <= policy.tolerance;
   publish(best);
   return best;
+}
+
+double CertifiedValue::error_bound() const {
+  const util::Rational centre = util::exact_rational(value());
+  const util::Rational below = centre - enclosure.lo();
+  const util::Rational above = enclosure.hi() - centre;
+  return util::round_up(below < above ? above : below);
 }
 
 namespace util {
@@ -187,6 +200,14 @@ bool representable_as_double(const Rational& r) {
   const double d = r.to_double();
   if (!std::isfinite(d)) return false;
   return exact_rational(d) == r;
+}
+
+double round_up(const Rational& r) {
+  double bound = r.to_double();
+  while (exact_rational(bound) < r) {
+    bound = std::nextafter(bound, std::numeric_limits<double>::infinity());
+  }
+  return bound;
 }
 
 }  // namespace util

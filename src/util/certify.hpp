@@ -12,10 +12,13 @@
 //   tier 1  dyadic-interval arithmetic                  (outward_round; ~100x)
 //   tier 2  exact rational arithmetic                   (point enclosure)
 //
-// Tier 0 applies only when every input is exactly representable as a double
-// (otherwise the double kernel would silently evaluate a *different*
-// instance); tiers 1 and 2 handle arbitrary rationals. The ladder is shared
-// by certified_threshold_winning_probability,
+// The general and volume ladders run tier 0 only when every input is exactly
+// representable as a double (otherwise the double kernel would silently
+// evaluate a *different* instance). The symmetric ladder's tier 0 runs in
+// long double on rounded inputs and charges the rounding gaps to its bound,
+// and it has no tier 1: its O(n²) exact rung is cheaper than the interval
+// rung at every n measured. Tiers 1 and 2 handle arbitrary rationals. The
+// ladder is shared by certified_threshold_winning_probability,
 // certified_symmetric_threshold_winning_probability (core/certified.hpp) and
 // certified_simplex_box_volume (geom/volume.hpp), and is exposed on the CLI
 // as `ddm_cli --certify`. See docs/robustness.md.
@@ -77,7 +80,8 @@ struct EvalPolicy {
   EvalStats* stats = nullptr;
   /// Cooperative stop: polled before every tier attempt, so a deadline or
   /// cancellation cuts the ladder mid-escalation (typically before the
-  /// expensive interval/exact rungs). A stop surfaces as ddm::Cancelled /
+  /// expensive interval/exact rungs), and inside rungs that poll it
+  /// themselves (the symmetric exact sum). A stop surfaces as ddm::Cancelled /
   /// ddm::DeadlineExceeded carrying how many tiers were attempted; counters
   /// accumulated so far are still folded into `stats`. Default-constructed =
   /// run the full ladder.
@@ -102,6 +106,10 @@ struct CertifiedValue {
   /// Midpoint of the enclosure as a double — the "answer" for callers that
   /// want one number.
   [[nodiscard]] double value() const { return enclosure.midpoint().to_double(); }
+  /// Proven bound on |value() − exact|: the distance from value() to the
+  /// farther enclosure endpoint, rounded up to a double. Covers the midpoint's
+  /// rounding to double, so it is the honest figure to print beside value().
+  [[nodiscard]] double error_bound() const;
 };
 
 /// One rung of the ladder: computes an enclosure, or throws ddm::NumericError
@@ -143,6 +151,10 @@ struct TrackedDouble {
 /// True iff `r` round-trips exactly through double — the precondition for
 /// the tier-0 double kernel to evaluate the *same* instance.
 [[nodiscard]] bool representable_as_double(const Rational& r);
+
+/// A double >= `r`: Rational::to_double nudged upward until its exact value
+/// is no smaller, so it can stand in for `r` in an error bound.
+[[nodiscard]] double round_up(const Rational& r);
 
 }  // namespace util
 

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iomanip>
@@ -83,8 +84,15 @@ std::string header_line(const SweepParams& params) {
 }
 
 bool parse_row(std::string_view line, SweepRow& row) {
-  return parse_u32_field(line, "k", row.k) && parse_double_field(line, "beta", row.beta) &&
-         parse_double_field(line, "p_win", row.p_win);
+  if (!(parse_u32_field(line, "k", row.k) && parse_double_field(line, "beta", row.beta) &&
+        parse_double_field(line, "p_win", row.p_win))) {
+    return false;
+  }
+  // The bound is optional (rows without one predate it or had none), but a
+  // present bound must parse.
+  std::string text;
+  if (!extract_field(line, "bound", text)) return true;
+  return parse_double_field(line, "bound", row.bound);
 }
 
 bool parse_header(std::string_view line, SweepParams& params) {
@@ -323,7 +331,9 @@ LoadedCheckpoint read_checkpoint(const std::string& path) {
 
 void SweepCheckpoint::append(const SweepRow& row) {
   out_ << "{\"k\": " << row.k << ", \"beta\": " << format_double(row.beta)
-       << ", \"p_win\": " << format_double(row.p_win) << "}\n";
+       << ", \"p_win\": " << format_double(row.p_win);
+  if (std::isfinite(row.bound)) out_ << ", \"bound\": " << format_double(row.bound);
+  out_ << "}\n";
   if (!out_) throw CheckpointError("checkpoint: failed to append row to '" + path_ + "'");
   sync_to_disk("row");
   rows_[row.k] = row;

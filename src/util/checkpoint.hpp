@@ -13,7 +13,7 @@
 //   {"sweep": {"n": 4, "t": "4/3", "beta_lo": "0", "beta_hi": "1",
 //              "steps": 100, "engine": "auto", "resolved": "batch",
 //              "shard": "0/1"}}
-//   {"k": 0, "beta": 0, "p_win": 0.62}
+//   {"k": 0, "beta": 0, "p_win": 0.62, "bound": 1.5e-13}
 //   ...
 // The header records the FULL identity of the run: the grid, the requested
 // engine, the engine that actually produced the rows (auto mode can resolve
@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -65,11 +66,15 @@ struct SweepParams {
   friend bool operator==(const SweepParams&, const SweepParams&) = default;
 };
 
-/// One completed sweep row: grid index k and the evaluated point.
+/// One completed sweep row: grid index k and the evaluated point, plus the
+/// proven bound on |p_win − exact| when the row has one (+inf otherwise;
+/// only finite bounds are written, so rows without one keep the
+/// three-field form).
 struct SweepRow {
   std::uint32_t k = 0;
   double beta = 0.0;
   double p_win = 0.0;
+  double bound = std::numeric_limits<double>::infinity();
 };
 
 /// Append-only checkpoint writer/loader. Not thread-safe; the sweep driver

@@ -1,15 +1,17 @@
 // Tests for certified evaluation (util/certify.hpp, core/certified.hpp,
 // geom/volume.hpp): enclosures must contain the independently-computed exact
-// value on instances small enough for the exact kernels, the escalation
-// ladder must visibly climb double → interval on the ill-conditioned n = 24
-// symmetric instance from the acceptance criteria, and the ladder plumbing
+// value on instances small enough for the exact kernels, the symmetric
+// ladder must visibly climb from its double tier straight to the exact rung
+// on the ill-conditioned n = 24 instance, and the ladder plumbing
 // (stats, max_tier capping, non-finite guards in the plain double kernels)
 // must behave as documented in docs/robustness.md.
 #include "core/certified.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/nonoblivious.hpp"
@@ -95,12 +97,11 @@ TEST(CertifiedSymmetric, EnclosureContainsExactValue) {
   }
 }
 
-TEST(CertifiedSymmetric, EscalatesDoubleToIntervalAtN24) {
+TEST(CertifiedSymmetric, EscalatesDoubleToExactAtN24) {
   // Acceptance-criteria instance: n = 24, beta = 3/8, t = 8. The alternating
-  // sum cancels ~ 10^16 worth of leading digits, so the compensated-double
-  // tier's error bound blows past the default 1e-9 tolerance and the ladder
-  // must escalate to the interval tier — whose enclosure still contains the
-  // exact value.
+  // sum cancels ~ 10^16 worth of leading digits, so the tier-0 error bound
+  // blows past the default 1e-9 tolerance. The symmetric ladder has no
+  // interval rung: it escalates once, straight to the exact sum.
   EvalStats stats;
   EvalPolicy policy;
   policy.stats = &stats;
@@ -109,13 +110,14 @@ TEST(CertifiedSymmetric, EscalatesDoubleToIntervalAtN24) {
   const CertifiedValue certified =
       core::certified_symmetric_threshold_winning_probability(24, beta, t, policy);
   EXPECT_EQ(stats.double_attempts, 1u);
-  EXPECT_GE(stats.interval_attempts, 1u);
-  EXPECT_GE(stats.escalations, 1u);
-  EXPECT_EQ(certified.tier, EvalTier::kInterval);
+  EXPECT_EQ(stats.interval_attempts, 0u);
+  EXPECT_EQ(stats.exact_attempts, 1u);
+  EXPECT_EQ(stats.escalations, 1u);
+  EXPECT_EQ(certified.tier, EvalTier::kExact);
   EXPECT_TRUE(certified.met_tolerance);
   const Rational exact = core::symmetric_threshold_winning_probability(24, beta, t);
-  EXPECT_TRUE(certified.enclosure.contains(exact));
-  EXPECT_TRUE(certified.width() <= policy.tolerance);
+  EXPECT_EQ(certified.enclosure.lo(), exact);
+  EXPECT_EQ(certified.width(), Rational{0});
 }
 
 TEST(CertifiedSymmetric, ResultStatsArePerEvaluationWhilePolicyStatsAccumulate) {
@@ -129,7 +131,7 @@ TEST(CertifiedSymmetric, ResultStatsArePerEvaluationWhilePolicyStatsAccumulate) 
   policy.stats = &cumulative;
   const Rational beta{3, 8};
   const Rational t{8};
-  // n = 24 forces exactly one escalation (double -> interval) per call.
+  // n = 24 forces exactly one escalation (double -> exact) per call.
   const CertifiedValue first =
       core::certified_symmetric_threshold_winning_probability(24, beta, t, policy);
   const CertifiedValue second =
@@ -147,20 +149,68 @@ TEST(CertifiedSymmetric, ResultStatsArePerEvaluationWhilePolicyStatsAccumulate) 
   EXPECT_EQ(bare.stats.escalations, first.stats.escalations);
 }
 
-TEST(CertifiedSymmetric, UnrepresentableInputsSkipDoubleTierViaNumericError) {
-  // beta = 37/100 has no finite binary expansion, so the double tier cannot
-  // evaluate the *same* instance; it must abandon via NumericError (counted
-  // in stats) and the interval tier takes over.
-  EvalStats stats;
-  EvalPolicy policy;
-  policy.stats = &stats;
-  const CertifiedValue certified = core::certified_symmetric_threshold_winning_probability(
-      6, Rational{37, 100}, Rational{2}, policy);
-  EXPECT_GE(stats.numeric_errors, 1u);
-  EXPECT_NE(certified.tier, EvalTier::kCompensatedDouble);
-  const Rational exact =
-      core::symmetric_threshold_winning_probability(6, Rational{37, 100}, Rational{2});
-  EXPECT_TRUE(certified.enclosure.contains(exact));
+TEST(CertifiedSymmetric, NonDyadicInputsSettleOnDoubleTier) {
+  // beta = 37/100 and t = n/3 have no finite binary expansion. Tier 0
+  // evaluates the rounded instance and charges both rounding gaps to its
+  // bound, so it settles the point itself — no NumericError, no escalation —
+  // and its enclosure still contains the exact value of the REAL instance.
+  const std::pair<Rational, Rational> instances[] = {
+      {Rational{37, 100}, Rational{2}},
+      {Rational{3, 8}, Rational{8, 3}},
+      {Rational{1, 3}, Rational{7, 5}},
+  };
+  for (const auto& [beta, t] : instances) {
+    EvalStats stats;
+    EvalPolicy policy;
+    policy.stats = &stats;
+    const CertifiedValue certified =
+        core::certified_symmetric_threshold_winning_probability(8, beta, t, policy);
+    EXPECT_EQ(stats.numeric_errors, 0u);
+    EXPECT_EQ(stats.escalations, 0u);
+    EXPECT_EQ(certified.tier, EvalTier::kCompensatedDouble);
+    EXPECT_TRUE(certified.met_tolerance);
+    const Rational exact = core::symmetric_threshold_winning_probability(8, beta, t);
+    EXPECT_TRUE(certified.enclosure.contains(exact)) << beta << " " << t;
+  }
+}
+
+TEST(CertifiedSymmetric, ErrorBoundCoversTheRoundedValue) {
+  // error_bound() is what sweep rows and serve replies print beside value():
+  // it must bound the distance from the DOUBLE value to the exact value, on
+  // tier-0 enclosures and on width-0 exact ones alike (where only the
+  // midpoint's rounding to double remains).
+  for (const std::uint32_t n : {6u, 24u}) {
+    const Rational beta{37, 100};
+    const Rational t{n, 3};
+    const CertifiedValue certified =
+        core::certified_symmetric_threshold_winning_probability(n, beta, t);
+    const Rational exact = core::symmetric_threshold_winning_probability(n, beta, t);
+    const Rational distance = (util::exact_rational(certified.value()) - exact).abs();
+    EXPECT_TRUE(distance <= util::exact_rational(certified.error_bound())) << "n=" << n;
+    EXPECT_LE(certified.error_bound(), 1e-9) << "n=" << n;
+  }
+}
+
+TEST(CertifiedSymmetric, ExactSumPollsItsControl) {
+  // The exact rung is the ladder's unbounded cost (about n^3.6); it polls
+  // its control once per outer term, so an expired budget stops it before
+  // the first term and says how far it got.
+  util::RunControl control;
+  control.deadline = util::Deadline::after(std::chrono::nanoseconds(0));
+  try {
+    (void)core::symmetric_threshold_winning_probability(64, Rational{1, 3}, Rational{64, 3},
+                                                         control);
+    FAIL() << "expired deadline did not stop the exact sum";
+  } catch (const DeadlineExceeded& stop) {
+    EXPECT_EQ(stop.completed(), 0u);
+    EXPECT_EQ(stop.total(), 65u);
+  }
+  util::RunControl cancelled;
+  cancelled.token = util::CancelToken::create();
+  cancelled.token.cancel();
+  EXPECT_THROW((void)core::symmetric_threshold_winning_probability(8, Rational{1, 2},
+                                                                   Rational{8, 3}, cancelled),
+               Cancelled);
 }
 
 TEST(CertifiedSymmetric, MaxTierCapsTheLadder) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -67,6 +68,28 @@ TEST_F(CheckpointTest, FreshFileWritesHeaderAndRowsRoundTrip) {
   EXPECT_EQ(resumed.completed().at(0).p_win, 0.5);
   EXPECT_EQ(resumed.completed().at(3).beta, 0.375);
   EXPECT_EQ(resumed.completed().at(3).p_win, 0.5445963541666666);
+}
+
+TEST_F(CheckpointTest, RowBoundIsOptionalAndRoundTrips) {
+  // Auto sweeps persist each row's proven bound so a resume or merge can
+  // reprint it; rows without one (forced engines, older files) keep the
+  // three-field form and read back as +inf. A present but garbled bound is
+  // corruption like any other unparseable field.
+  const SweepParams params = test_params();
+  {
+    SweepCheckpoint checkpoint(path_, params, false);
+    checkpoint.append({0, 0.0, 0.5, 1.4475925369575884e-13});
+    checkpoint.append({1, 0.125, 0.25});
+  }
+  EXPECT_NE(read_file().find("{\"k\": 1, \"beta\": 0.125, \"p_win\": 0.25}\n"),
+            std::string::npos);
+  {
+    SweepCheckpoint resumed(path_, params, true);
+    EXPECT_EQ(resumed.completed().at(0).bound, 1.4475925369575884e-13);
+    EXPECT_TRUE(std::isinf(resumed.completed().at(1).bound));
+  }
+  append_raw("{\"k\": 2, \"beta\": 0.25, \"p_win\": 0.3, \"bound\": x}\n");
+  EXPECT_THROW(SweepCheckpoint(path_, params, true), CheckpointError);
 }
 
 TEST_F(CheckpointTest, TornTrailingLineIsDiscardedOnResume) {

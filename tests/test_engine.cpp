@@ -1,9 +1,11 @@
 // ddm::engine — registry, selection policy, plan cache, and fault injection.
 //
-// The selection tests pin the byte-compatibility contract of the auto
-// policy (engine/policy.hpp): compiled for small symmetric grids whose
-// certificate meets the tolerance, batch otherwise, and every fallback
-// visible in the Selection. The cache-fault tests pin satellite coverage:
+// The selection tests pin the auto policy (engine/policy.hpp): compiled for
+// symmetric grids whose plan is cheap (small n or resident) and certified,
+// the certified O(n²) ladder for every other symmetric grid, batch for
+// general points, and every fallback visible in the Selection. A property
+// test holds every auto answer on the paper's t = n/3 grids to its reported
+// bound. The cache-fault tests pin satellite coverage:
 // a fault that strikes during lowering must leave the plan cache
 // unpoisoned — no entry, no counted miss — and the next call re-lowers
 // successfully (matrix-run under DDM_THREADS=1/4 from tests/CMakeLists.txt).
@@ -18,6 +20,7 @@
 
 #include "core/nonoblivious.hpp"
 #include "core/threshold_optimizer.hpp"
+#include "util/certify.hpp"
 #include "engine/engines.hpp"
 #include "engine/evaluator.hpp"
 #include "engine/plan_cache.hpp"
@@ -110,23 +113,66 @@ TEST(EngineSelect, AutoPicksCompiledWhenCertificateMeetsTolerance) {
 }
 
 TEST(EngineSelect, AutoSkipsLoweringPastTheNCap) {
+  PlanCache::instance().clear();
+  const auto before = PlanCache::instance().stats();
   const Selection selection = select(EnginePolicy{}, small_grid(kCompiledAutoMaxN + 1,
                                                                 Rational{6}));
-  EXPECT_EQ(selection.id(), "batch");
+  EXPECT_EQ(selection.id(), "certified");
   EXPECT_TRUE(selection.auto_mode);
-  // Not lowering past the cap is policy, not a failed promise: no note.
+  // Not lowering past the cap is policy, not a failed promise: no note, and
+  // no plan was lowered.
   EXPECT_FALSE(selection.fallback);
   EXPECT_TRUE(selection.note.empty());
+  EXPECT_TRUE(std::isnan(selection.compiled_bound));
+  EXPECT_EQ(PlanCache::instance().stats().misses, before.misses);
 }
 
 TEST(EngineSelect, AutoFallsBackVisiblyOnCertificateMiss) {
-  // n = 16, t = 6: the lowering succeeds but its certified bound (~7e-2)
-  // blows the 1e-9 tolerance — the pre-engine CLI fell back silently here.
-  const Selection selection = select(EnginePolicy{}, small_grid(16, Rational{6}));
-  EXPECT_EQ(selection.id(), "batch");
+  // n = 8, t = 8/3 lowers fine, but its certificate (~8e-10) misses a
+  // tighter compiled tolerance: the plan is declined visibly, and the
+  // certified ladder answers instead.
+  EnginePolicy policy;
+  policy.compiled_tolerance = 1e-12;
+  const Selection selection = select(policy, small_grid(8, Rational{8, 3}));
+  EXPECT_EQ(selection.id(), "certified");
   EXPECT_TRUE(selection.fallback);
   EXPECT_NE(selection.note.find("exceeds tolerance"), std::string::npos) << selection.note;
-  EXPECT_GT(selection.compiled_bound, kCompiledAutoTolerance);
+  EXPECT_NE(selection.note.find("certified ladder"), std::string::npos) << selection.note;
+  EXPECT_GT(selection.compiled_bound, policy.compiled_tolerance);
+  // A request tolerance tighter than the policy's holds the plan to it too.
+  EvalRequest strict = small_grid(8, Rational{8, 3});
+  strict.tolerance = Rational{1, 1000000000000};
+  EXPECT_EQ(select(EnginePolicy{}, strict).id(), "certified");
+}
+
+TEST(EngineSelect, AutoUsesResidentPlansPastTheNCap) {
+  // Past the lowering cap a plan that is already resident is still used when
+  // it certifies the tolerance: n = 10, t = 10/3 certifies ~5e-8.
+  PlanCache::instance().clear();
+  EnginePolicy relaxed;
+  relaxed.compiled_tolerance = 1e-6;
+  EvalRequest request = small_grid(10, Rational{10, 3});
+  request.tolerance = Rational{1, 1000000};
+  EXPECT_EQ(select(relaxed, request).id(), "certified");  // not resident: no lowering
+  (void)PlanCache::instance().get_or_lower(10, Rational{10, 3});
+  const Selection resident = select(relaxed, request);
+  EXPECT_EQ(resident.id(), "compiled");
+  EXPECT_LE(resident.compiled_bound, 1e-6);
+  // The default 1e-9 rejects the same resident plan, visibly.
+  const Selection strict = select(EnginePolicy{}, small_grid(10, Rational{10, 3}));
+  EXPECT_EQ(strict.id(), "certified");
+  EXPECT_TRUE(strict.fallback);
+}
+
+TEST(EngineSelect, AutoKeepsTheCertifiedCapForSymmetricRequests) {
+  // Past kCertifiedAutoMaxN auto keeps the batch kernel, which refuses the
+  // request with a named error before doing any work.
+  const Selection selection = select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN + 1,
+                                                                Rational{22}));
+  EXPECT_EQ(selection.id(), "batch");
+  EXPECT_FALSE(selection.evaluator->supports(small_grid(kCertifiedAutoMaxN + 1, Rational{22})));
+  EXPECT_EQ(select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN, Rational{21})).id(),
+            "certified");
 }
 
 TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
@@ -134,6 +180,49 @@ TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
   const Selection selection = select(EnginePolicy{}, request);
   EXPECT_EQ(selection.id(), "batch");
   EXPECT_FALSE(selection.fallback);
+}
+
+// --- the auto contract on the paper's workload (property test) -----------
+
+// For t = n/3 and beta on a 1/1024 grid over [0.05, 0.95], every auto answer
+// lies within its reported bound of the exact rational value, the bound meets
+// the default 1e-9 tolerance, the batch kernel never answers, and past the
+// lowering cap no plan is lowered.
+TEST(EngineAutoSymmetric, EveryAnswerLiesWithinItsBound) {
+  std::vector<double> betas;
+  for (int k = 52; k <= 972; ++k) betas.push_back(static_cast<double>(k) / 1024.0);
+  for (const std::uint32_t n : {4u, 8u, 10u, 12u, 14u, 16u, 20u, 24u}) {
+    const Rational t{n, 3};
+    const EvalRequest request = EvalRequest::symmetric(n, t, betas);
+    const auto before = PlanCache::instance().stats();
+    const Selection selection = select(EnginePolicy{}, request);
+    const EvalOutcome outcome = selection.evaluator->evaluate(request);
+    EXPECT_NE(outcome.engine_id, "batch") << "n=" << n;
+    if (n > kCompiledAutoMaxN) {
+      EXPECT_EQ(PlanCache::instance().stats().misses, before.misses) << "n=" << n;
+    }
+    std::vector<Rational> exact(betas.size());
+    util::ParallelOptions options;
+    options.grain = 8;
+    util::parallel_for(
+        0, betas.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t k = lo; k < hi; ++k) {
+            exact[k] = core::symmetric_threshold_winning_probability(
+                n, util::exact_rational(betas[k]), t);
+          }
+        },
+        options);
+    ASSERT_EQ(outcome.values.size(), betas.size());
+    for (std::size_t k = 0; k < betas.size(); ++k) {
+      const double bound = outcome.bound_at(k);
+      EXPECT_LE(bound, 1e-9) << "n=" << n << " beta=" << betas[k];
+      const Rational error = (util::exact_rational(outcome.values[k]) - exact[k]).abs();
+      EXPECT_TRUE(error <= util::exact_rational(bound))
+          << "n=" << n << " beta=" << betas[k] << " error " << error.to_double() << " > bound "
+          << bound;
+    }
+  }
 }
 
 // --- engine-backed optimizer objective ----------------------------------
@@ -220,6 +309,18 @@ TEST(PlanCacheTest, SetCapacityShrinksAndClearEmpties) {
   EXPECT_EQ(cache.size(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PlanCacheTest, FindResidentNeverLowers) {
+  PlanCache cache;
+  EXPECT_EQ(cache.find_resident(4, Rational{4, 3}), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);  // nothing was produced, nothing counted
+  const auto lowered = cache.get_or_lower(4, Rational{4, 3});
+  const auto found = cache.find_resident(4, Rational{8, 6});
+  EXPECT_EQ(found.get(), lowered.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(PlanCacheTest, NonCanonicalRationalsShareOneEntry) {
@@ -311,9 +412,10 @@ TEST(EngineCacheFault, AutoSelectTurnsLoweringFaultIntoVisibleFallback) {
   PlanCache::instance().clear();
   util::fault::set_plan(util::fault::Plan::parse("throw@0"));
   const Selection faulted = select(EnginePolicy{}, small_grid(6, Rational{5, 2}));
-  EXPECT_EQ(faulted.id(), "batch");
+  EXPECT_EQ(faulted.id(), "certified");
   EXPECT_TRUE(faulted.fallback);
   EXPECT_NE(faulted.note.find("lowering failed"), std::string::npos) << faulted.note;
+  EXPECT_NE(faulted.note.find("certified ladder"), std::string::npos) << faulted.note;
   util::fault::clear_plan();
   // The cache was left clean, so the next auto selection lowers and takes
   // the compiled plan as if the fault never happened.

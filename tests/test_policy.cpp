@@ -10,8 +10,9 @@
 //      WHICH engine `auto` dispatches to, but never hands a request to the
 //      compiled plan unless its certificate clears the REQUEST tolerance —
 //      even under an adversarial table that lies about compiled being free.
-//      The interchangeable-value double kernels (batch, kernel) are always
-//      admissible, so that is the whole accuracy surface.
+//      Symmetric requests the plan cannot serve go to the certified ladder,
+//      never to the uncertified double kernels, so that is the whole
+//      accuracy surface.
 //   3. The DEGRADATION contract: a sparse or irrelevant table falls back to
 //      exactly the static rule's choice, and forced engines bypass the
 //      model entirely.
@@ -282,10 +283,11 @@ TEST_F(PolicyTest, StructuralGarbageIsRejected) {
 
 // --- the tolerance contract (property test) ------------------------------
 
-// Random tables — including engines the table lies about — may reroute the
-// auto rule between compiled / batch / kernel, but a request is handed to
-// the compiled plan ONLY when the plan's certificate clears the request
-// tolerance. Every chosen engine must support the request.
+// Random tables — including engines the table lies about — may change the
+// tolerance the plan is held to, but a request is handed to the compiled
+// plan ONLY when the plan's certificate clears the request tolerance, and a
+// symmetric request is otherwise answered by the certified ladder. Every
+// chosen engine must support the request.
 TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
   std::mt19937 rng(990817);
   std::uniform_real_distribution<double> log_cost(-24.0, -2.0);
@@ -316,7 +318,7 @@ TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
     EXPECT_EQ(selection.model_consulted, !model->empty());
     EXPECT_TRUE(selection.evaluator->supports(request));
     const std::string id(selection.evaluator->id());
-    EXPECT_TRUE(id == "compiled" || id == "batch" || id == "kernel") << id;
+    EXPECT_TRUE(id == "compiled" || id == "certified") << id;
     if (id == "compiled") {
       const auto plan = PlanCache::instance().get_or_lower(request.n, request.t);
       EXPECT_LE(plan->max_error_bound(), request.tolerance.to_double())
@@ -327,8 +329,9 @@ TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
 
 TEST_F(PolicyTest, AdversarialTableCannotForceCompiledPastTolerance) {
   // The table claims compiled is essentially free everywhere — but at
-  // n = 10, t = 10/3 the plan certificate is ~5e-8, so a 1e-9 request
-  // tolerance must still exclude it.
+  // n = 10, t = 10/3 the (resident) plan certificate is ~5e-8, so a 1e-9
+  // request tolerance must still exclude it.
+  (void)PlanCache::instance().get_or_lower(10, Rational{10, 3});
   auto liar = std::make_shared<CostModel>();
   for (const std::uint32_t n : {1u, 8u, 16u}) {
     for (const std::uint32_t batch : {1u, 4096u}) {
@@ -341,7 +344,7 @@ TEST_F(PolicyTest, AdversarialTableCannotForceCompiledPastTolerance) {
   const EvalRequest request = sweep(10, Rational{10, 3}, 16, Rational{1, 1000000000});
   const Selection selection = select(EnginePolicy{}, request);
   ASSERT_NE(selection.evaluator, nullptr);
-  EXPECT_NE(selection.evaluator->id(), "compiled");
+  EXPECT_EQ(selection.evaluator->id(), "certified");
   EXPECT_TRUE(selection.fallback);
   EXPECT_NE(selection.note.find("certificate"), std::string::npos);
 

@@ -1,0 +1,135 @@
+// net::EvalService — the serving core of ddm_serve, driven in-process.
+//
+// Three contracts of the reply are pinned here:
+//   * a served answer never depends on which other requests shared the
+//     queue: coalescing folds only jobs that would get the same answer (same
+//     instance, engine, tolerance, scenario), and a coalesced job's value and
+//     bound equal its solo reply's;
+//   * every answer that has a proven bound carries it (`bound`);
+//   * a deadline bounds worker time even inside the certified ladder's exact
+//     rung, which polls its control once per outer term.
+#include "net/service.hpp"
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdlib>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/nonoblivious.hpp"
+#include "util/certify.hpp"
+#include "util/rational.hpp"
+
+namespace ddm::net {
+namespace {
+
+using util::Rational;
+
+/// Text of a numeric field of a flat reply object, or "" when absent.
+std::string field_text(const std::string& reply, const std::string& key) {
+  const std::string pattern = "\"" + key + "\":";
+  const std::size_t at = reply.find(pattern);
+  if (at == std::string::npos) return {};
+  const std::size_t start = at + pattern.size();
+  return reply.substr(start, reply.find_first_of(",}", start) - start);
+}
+
+/// Blocks until `service` holds `depth` queued jobs (or fails after 10 s).
+void wait_for_queue(const EvalService& service, std::size_t depth) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.queue_depth() < depth) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "queue never reached " << depth;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ServeCoalescing, KeysOnToleranceAndMatchesSoloReplies) {
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  // Two slow Monte Carlo jobs (never coalesced): once one runs and the other
+  // waits, the only worker is busy for a whole job, so the three jobs below
+  // are all queued when it next looks for twins.
+  const std::string slow =
+      R"({"op":"threshold","engine":"mc","n":3,"t":"1","beta":0.5,"trials":20000000})";
+  std::vector<std::thread> blockers;
+  for (int i = 0; i < 2; ++i) blockers.emplace_back([&] { (void)service.handle_line(slow); });
+  wait_for_queue(service, 1);
+  const std::vector<std::string> lines = {
+      R"({"id":"a","op":"threshold","n":12,"t":"4","beta":0.375,"tol":0.001})",
+      R"({"id":"b","op":"threshold","n":12,"t":"4","beta":0.5,"tol":1e-12})",
+      R"({"id":"c","op":"threshold","n":12,"t":"4","beta":0.625,"tol":0.001})",
+  };
+  std::vector<std::string> replies(lines.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    clients.emplace_back([&, i] { replies[i] = service.handle_line(lines[i]); });
+    wait_for_queue(service, i + 2);  // fixes the queue order a, b, c
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::thread& blocker : blockers) blocker.join();
+
+  // a and c share (n, t, tol): folded. b asked for another tolerance: alone.
+  EXPECT_NE(replies[0].find("\"coalesced\":true"), std::string::npos) << replies[0];
+  EXPECT_EQ(replies[1].find("coalesced"), std::string::npos) << replies[1];
+  EXPECT_NE(replies[2].find("\"coalesced\":true"), std::string::npos) << replies[2];
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(replies[i].find("\"engine\":\"certified\""), std::string::npos) << replies[i];
+    const std::string solo = service.handle_line(lines[i]);
+    EXPECT_EQ(field_text(replies[i], "value"), field_text(solo, "value")) << lines[i];
+    EXPECT_EQ(field_text(replies[i], "bound"), field_text(solo, "bound")) << lines[i];
+    EXPECT_FALSE(field_text(solo, "bound").empty()) << solo;
+  }
+}
+
+TEST(ServeBound, RepliesCarryTheirProvenBound) {
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  // n = 24 is past the O(3^n) kernels; auto answers from the certified
+  // ladder, within its bound of the exact value.
+  const std::string big = service.handle_line(R"({"op":"threshold","n":24,"t":"8","beta":0.375})");
+  ASSERT_NE(big.find("\"ok\":true"), std::string::npos) << big;
+  const double value = std::strtod(field_text(big, "value").c_str(), nullptr);
+  const double bound = std::strtod(field_text(big, "bound").c_str(), nullptr);
+  EXPECT_LE(bound, 1e-9);
+  const Rational exact =
+      core::symmetric_threshold_winning_probability(24, Rational{3, 8}, Rational{8});
+  EXPECT_TRUE((util::exact_rational(value) - exact).abs() <= util::exact_rational(bound)) << big;
+  // A compiled answer carries its plan certificate; an estimate has none.
+  const std::string small = service.handle_line(R"({"op":"threshold","n":6,"t":"2","beta":0.5})");
+  EXPECT_NE(small.find("\"engine\":\"compiled\""), std::string::npos) << small;
+  EXPECT_FALSE(field_text(small, "bound").empty()) << small;
+  const std::string mc = service.handle_line(
+      R"({"op":"threshold","engine":"mc","n":6,"t":"2","beta":0.5,"trials":1000})");
+  EXPECT_NE(mc.find("\"ok\":true"), std::string::npos) << mc;
+  EXPECT_TRUE(field_text(mc, "bound").empty()) << mc;
+}
+
+TEST(ServeDeadline, CutsTheExactRungMidSum) {
+  // At n = 64 tier 0 cannot certify 1e-9, so the ladder escalates to the
+  // exact rung — a quarter second or more per point. A 20 ms budget must cut
+  // it (and the Monte Carlo fallback) well before one point's cost.
+  const Rational beta = util::exact_rational(0.456);
+  const Rational t{64, 3};
+  const auto solo_started = std::chrono::steady_clock::now();
+  (void)core::symmetric_threshold_winning_probability(64, beta, t);
+  const auto point_cost = std::chrono::steady_clock::now() - solo_started;
+
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const auto started = std::chrono::steady_clock::now();
+  const std::string reply = service.handle_line(
+      R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"deadline_ms":20})");
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
+  EXPECT_LT(elapsed, point_cost / 2)
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms vs one point "
+      << std::chrono::duration<double, std::milli>(point_cost).count() << " ms";
+}
+
+}  // namespace
+}  // namespace ddm::net

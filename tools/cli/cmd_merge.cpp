@@ -11,6 +11,7 @@
 // byte-identity is exact, not approximate. Mismatched, duplicate, or
 // incomplete inputs are rejected with exit 2 naming the offending field,
 // shard, or row.
+#include <cmath>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -113,8 +114,8 @@ int run_merge(const std::vector<std::string>& args, const Options& options) {
   }
 
   // Byte-identical to the unsharded sweep: t as a double from the exact
-  // header rational, beta/p_win straight from the lossless checkpoint rows,
-  // the "engine" field stamped only when the sweep ran in auto mode.
+  // header rational, beta/p_win/bound straight from the lossless checkpoint
+  // rows, the "engine" field stamped only when the sweep ran in auto mode.
   const double t_d = util::Rational::parse(base.t).to_double();
   const bool auto_mode = base.engine == "auto";
   // Generalized-game sweeps stamp the scenario into every row; the merged
@@ -127,6 +128,7 @@ int run_merge(const std::vector<std::string>& args, const Options& options) {
               << ", \"p_win\": " << rows[k]->p_win;
     if (generalized) std::cout << ", \"scenario\": \"" << base.scenario << "\"";
     if (auto_mode) std::cout << ", \"engine\": \"" << base.resolved << "\"";
+    if (std::isfinite(rows[k]->bound)) std::cout << ", \"bound\": " << rows[k]->bound;
     std::cout << "}" << (k < base.steps ? "," : "") << "\n";
   }
   std::cout << "]\n";

@@ -4,14 +4,17 @@
 //   * forced (--engine=<id>, id != auto): the named engine evaluates every
 //     point and rows keep the pre-engine format {"n", "t", "beta", "p_win"} —
 //     pinned byte-identical to the pre-refactor CLI by tests/golden_cli/.
-//   * auto (default or --engine=auto): engine::select applies the
-//     compiled-vs-batch policy; every row gains an "engine" field naming the
-//     backend that actually produced it, and a fallback (compiled plan
-//     declined) is announced once on stderr — never silent.
+//   * auto (default or --engine=auto): engine::select applies the auto
+//     policy (engine/policy.hpp); every row gains an "engine" field naming
+//     the backend that actually produced it and, for the paper's game, a
+//     "bound" field with the proven error bound whenever the engine has one.
+//     A fallback (compiled plan declined) is announced once on stderr —
+//     never silent.
 //   * --certify / --engine=certified: the certified grid (exact rational
 //     betas through the escalation ladder), rows carrying tier/width, exit 3
 //     when any point misses the tolerance.
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -163,10 +166,19 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
     if (k % options.shard_count == options.shard_index) owned.push_back(k);
   }
 
+  // Per-row proven bounds (+inf = none): reported for auto rows of the
+  // paper's game; forced-engine and scenario rows keep their pinned format.
+  const bool report_bounds = selection.auto_mode && scenario.is_default();
   std::vector<double> values(steps + 1, 0.0);
+  std::vector<double> bounds(steps + 1, std::numeric_limits<double>::infinity());
+  const auto keep = [&](const engine::EvalOutcome& outcome, std::size_t i, std::uint32_t k) {
+    values[k] = outcome.values[i];
+    if (report_bounds) bounds[k] = outcome.bound_at(i);
+  };
   if (options.checkpoint_path.empty()) {
     if (owned.size() == betas.size()) {
-      values = selection.evaluator->evaluate(request).values;
+      const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
+      for (std::uint32_t k = 0; k <= steps; ++k) keep(outcome, k, k);
     } else {
       // Sharded one-shot run: evaluate only the owned rows, carrying their
       // GLOBAL grid indices as point identities so randomized engines key
@@ -180,9 +192,8 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
         shard_request.point_ids.push_back(k);
       }
       shard_request.betas = std::move(shard_betas);
-      const std::vector<double> shard_values =
-          selection.evaluator->evaluate(shard_request).values;
-      for (std::size_t i = 0; i < owned.size(); ++i) values[owned[i]] = shard_values[i];
+      const engine::EvalOutcome outcome = selection.evaluator->evaluate(shard_request);
+      for (std::size_t i = 0; i < owned.size(); ++i) keep(outcome, i, owned[i]);
     }
   } else {
     // Crash-safe path: rows already in the checkpoint are reused verbatim;
@@ -208,6 +219,7 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
     for (const std::uint32_t k : owned) {
       if (checkpoint.has(k)) {
         values[k] = checkpoint.completed().at(k).p_win;
+        bounds[k] = checkpoint.completed().at(k).bound;
       } else {
         missing.push_back(k);
       }
@@ -227,12 +239,11 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
         block_request.point_ids.push_back(missing[i]);
       }
       block_request.betas = std::move(block_betas);
-      const std::vector<double> block_values =
-          selection.evaluator->evaluate(block_request).values;
+      const engine::EvalOutcome outcome = selection.evaluator->evaluate(block_request);
       for (std::size_t i = start; i < stop; ++i) {
         const std::uint32_t k = missing[i];
-        values[k] = block_values[i - start];
-        checkpoint.append({k, betas[k], values[k]});
+        keep(outcome, i - start, k);
+        checkpoint.append({k, betas[k], values[k], bounds[k]});
       }
     }
   }
@@ -244,6 +255,7 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
               << ", \"p_win\": " << values[k];
     if (!scenario.is_default()) std::cout << ", \"scenario\": \"" << scenario.digest() << "\"";
     if (selection.auto_mode) std::cout << ", \"engine\": \"" << selection.id() << "\"";
+    if (std::isfinite(bounds[k])) std::cout << ", \"bound\": " << bounds[k];
     std::cout << "}" << (i + 1 < owned.size() ? "," : "") << "\n";
   }
   std::cout << "]\n";

@@ -83,12 +83,14 @@ constexpr std::array<Command, 11> kCommands{{
               "                  [--shard=i/k] [--scenario=<desc>] [--ranges=c_1,..,c_n]",
      "β-grid of Theorem 5.1 values, fanned across the thread pool, as JSON",
      "Evaluates P(beta) on a uniform grid and emits one JSON row per point.\n"
-     "The default --engine=auto picks the compiled Horner plan when its\n"
-     "certified error bound is within 1e-9 and the batch kernel otherwise;\n"
-     "auto mode stamps the chosen engine into every row and announces\n"
-     "fallbacks on stderr. Forcing an engine keeps the row format of the\n"
-     "pre-engine CLI (and --engine=compiled surfaces lowering errors as\n"
-     "exit 2). --engine=certified is the same as --certify. --checkpoint\n"
+     "The default --engine=auto picks the compiled Horner plan when it is\n"
+     "cheap (n <= 8, or a resident plan) and its certified error bound is\n"
+     "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64);\n"
+     "auto mode stamps the chosen engine and its proven error bound into\n"
+     "every row and announces fallbacks on stderr. Forcing an engine keeps\n"
+     "the row format of the pre-engine CLI (and --engine=compiled surfaces\n"
+     "lowering errors as exit 2). --engine=certified is the same as\n"
+     "--certify. --checkpoint\n"
      "and --resume make the sweep crash-safe, and --shard=i/k evaluates\n"
      "only the rows with index % k == i — run k sharded sweeps (each with\n"
      "its own checkpoint), then `ddm_cli merge` reconstructs the byte-\n"
@@ -183,8 +185,9 @@ scenarios (--scenario=<desc>, docs/scenarios.md):
   deviating:<k>               k players deviate adversarially; worst case
 
 engines (--engine=<id>, docs/architecture.md):
-  auto       compiled plan when its certified bound is <= 1e-9, else the
-             batch kernel — the choice is reported, never silent (default)
+  auto       symmetric grids: compiled plan when cheap and certified to
+             1e-9, else the certified O(n^2) ladder (n <= 64); general
+             points: batch kernel — the choice is reported (default)
   batch      block-amortized parallel Gray-code kernel (n <= 20)
   certified  escalation ladder with rigorous enclosures
   compiled   certified double Horner plan via the LRU plan cache

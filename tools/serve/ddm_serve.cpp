@@ -3,9 +3,10 @@
 // Answers newline-delimited JSON requests (threshold / certify / analyze /
 // health) over loopback TCP through the engine registry, with per-request
 // deadlines, retry-with-backoff, the degradation chain, bounded admission
-// with load shedding, and same-instance coalescing onto the batch kernel
-// (net/service.hpp). `GET /health` and `GET /metrics` on the same port
-// answer plain HTTP for probes and Prometheus scrapes.
+// with load shedding, and same-instance coalescing into one batched
+// evaluation (net/service.hpp). Replies carry the proven error bound of
+// their answer when it has one. `GET /health` and `GET /metrics` on the
+// same port answer plain HTTP for probes and Prometheus scrapes.
 //
 // Configuration — environment first, flags override, both strictly parsed
 // (a malformed value exits 2 naming the knob):
@@ -36,8 +37,9 @@
 // (engine.store.hits on /metrics; docs/performance.md).
 //
 // With a policy table configured (`ddm_cli calibrate` output), auto dispatch
-// ranks engines by measured cost, and the workers fold every request's
-// observed latency back into the table (EWMA), so the daemon
+// holds compiled plans to each request's own tolerance and ranks the double
+// kernels for general points by measured cost, and the workers fold every
+// request's observed latency back into the table (EWMA), so the daemon
 // self-tunes while serving (engine.policy.* on /metrics).
 //
 // Lifecycle: the daemon PRE-WARMS before announcing readiness — canonical
