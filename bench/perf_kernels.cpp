@@ -584,17 +584,17 @@ void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePol
   state.SetItemsProcessed(points);
 }
 
-// The paper's workload past the lowering cap: `auto` on a cold plan cache
-// over the 33-point t = n/3 grid of the end-to-end sweep benchmark (beta in
-// [0.31, 0.70]). Symmetric requests never touch the O(3^n) kernel: n = 16
-// settles on the certified ladder's long-double tier 0, n = 24 and n = 48
-// escalate to its exact O(n²) rung. No plan is lowered at any of them.
-void BM_SweepSymmetric(benchmark::State& state) {
+// The paper's workload under `auto` on a cold plan cache: the 33-point
+// t = n/3 grid of the end-to-end sweep benchmark (beta in [0.31, 0.70]).
+// Symmetric requests never touch the O(3^n) kernel and auto lowers no plan
+// at any n: n = 4, 8 and 16 settle on the certified ladder's long-double
+// tier 0, n = 24 and n = 48 escalate to its exact O(n²) rung.
+void sweep_symmetric_cold(benchmark::State& state, std::size_t steps, double lo, double hi) {
   ddm::engine::CostModel::set_configured(nullptr);
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::vector<double> betas(33);
+  std::vector<double> betas(steps + 1);
   for (std::size_t k = 0; k < betas.size(); ++k) {
-    betas[k] = 0.31 + 0.39 * static_cast<double>(k) / 32.0;
+    betas[k] = lo + (hi - lo) * static_cast<double>(k) / static_cast<double>(steps);
   }
   const auto request = ddm::engine::EvalRequest::symmetric(
       n, Rational{static_cast<std::int64_t>(n), 3}, betas);
@@ -607,7 +607,17 @@ void BM_SweepSymmetric(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(betas.size()));
 }
-BENCHMARK(BM_SweepSymmetric)->Arg(16)->Arg(24)->Arg(48)->UseRealTime();
+
+void BM_SweepSymmetric(benchmark::State& state) { sweep_symmetric_cold(state, 32, 0.31, 0.70); }
+BENCHMARK(BM_SweepSymmetric)->Arg(4)->Arg(8)->Arg(16)->Arg(24)->Arg(48)->UseRealTime();
+
+// The same cold `auto` dispatch over a dense 16,385-point grid on [0, 1]
+// (`ddm_cli sweep n n/3 0 1 16384`): where a lowered plan would be
+// amortized best, the ladder must stay competitive with paying the lowering.
+void BM_SweepSymmetricDense(benchmark::State& state) {
+  sweep_symmetric_cold(state, 16384, 0.0, 1.0);
+}
+BENCHMARK(BM_SweepSymmetricDense)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_AutoDispatchStatic(benchmark::State& state) {
   ddm::engine::CostModel::set_configured(nullptr);  // pin the static rule

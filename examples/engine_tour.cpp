@@ -34,9 +34,10 @@ int main() {
               << outcome.values[2] << "\n";
   }
 
-  // 3. The auto policy: compiled plan when it is cheap and its certificate
-  //    meets the tolerance, the certified ladder otherwise — and it says
-  //    which it chose.
+  // 3. The auto policy: the compiled plan when one is resident (the
+  //    `compiled` answer above lowered it) and its certificate meets the
+  //    tolerance, the certified O(n²) ladder otherwise — auto never lowers a
+  //    plan itself — and it says which it chose.
   const auto selection = engine::select(engine::EnginePolicy{}, request);
   std::cout << "\nAuto policy chose '" << selection.id() << "'"
             << " (compiled certificate bound " << selection.compiled_bound << ")\n";

@@ -50,8 +50,9 @@ grep -q "wrote" "$TMP/calibrate.err" || fail "calibrate did not report its outpu
 
 # --- the table never changes the numbers ----------------------------------
 # n=6: the compiled certificate clears the default tolerance, so compiled is
-# admissible both ways. n=12, t=4: past the lowering cap with no resident
-# plan, so the certified ladder answers both ways. Both sweeps must be
+# admissible both ways once its plan is resident, and with none resident the
+# certified ladder answers both ways. n=12, t=4: no resident plan, so the
+# certified ladder answers both ways. Both sweeps must be
 # byte-identical with the table loaded.
 for args in "6 2 0 1 64" "12 4 0 1 32"; do
   # shellcheck disable=SC2086

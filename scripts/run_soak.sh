@@ -17,7 +17,12 @@
 #     port binds (SO_REUSEADDR) and serves again — there is no durable state
 #     to recover;
 #   * determinism: the same request answered by a DDM_THREADS=1 server and a
-#     DDM_THREADS=4 server is byte-identical.
+#     DDM_THREADS=4 server is byte-identical;
+#   * lean start: without a plan store the daemon lowers nothing — not at
+#     pre-warm, not while answering threshold at n = 1..8;
+#   * bounded threads: 300 sequential connections leave the daemon's virtual
+#     size and mapping count where they were after the first 10 (finished
+#     connection threads are joined, not kept until drain).
 #
 # Usage:
 #   scripts/run_soak.sh /path/to/ddm_serve /path/to/ddm_load           # checks
@@ -50,6 +55,9 @@ fail() {
 start_server() {
   local log="$1"
   shift
+  # Created before the launch: the poll below may run before the child
+  # shell has opened its redirections.
+  : >"$TMP/$log.out"
   env "$@" "$SERVE" >"$TMP/$log.out" 2>"$TMP/$log.err" &
   SERVER_PID=$!
   PIDS+=("$SERVER_PID")
@@ -169,15 +177,57 @@ reply_t4="$(send_request "$port_t4" "$request")"
 kill -TERM "$pid_t1" "$pid_t4"
 wait "$pid_t1" && wait "$pid_t4" || fail "thread-identity servers did not drain cleanly"
 
+# --- lean start and bounded connection threads ----------------------------
+start_server lean
+pid_l=$SERVER_PID port_l=$SERVER_PORT
+grep -q "pre-warmed 0 plans" "$TMP/lean.err" \
+  || fail "storeless pre-warm lowered plans: $(cat "$TMP/lean.err")"
+for n in 1 2 3 4 5 6 7 8; do
+  reply="$(send_request "$port_l" '{"op":"threshold","n":'"$n"',"t":"'"$n"'/3","beta":0.5}')"
+  case "$reply" in
+    *'"ok":true'*'"engine":"certified"'*'"bound":'*) ;;
+    *) fail "threshold n=$n was not a certified ladder answer: $reply" ;;
+  esac
+done
+exec 3<>"/dev/tcp/127.0.0.1/$port_l"
+printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+cat <&3 >"$TMP/lean_metrics.txt"
+exec 3<&- 3>&-
+# compiled_lowerings registers on first use: absent or zero both mean none.
+lowered="$(awk '$1 == "compiled_lowerings" { print $2 }' "$TMP/lean_metrics.txt")"
+[ "${lowered:-0}" = "0" ] || fail "storeless daemon lowered $lowered plans"
+
+vm_and_maps() {
+  printf '%s %s\n' "$(awk '/^VmSize:/ { print $2 }' "/proc/$pid_l/status")" \
+    "$(wc -l <"/proc/$pid_l/maps")"
+}
+if [ -r "/proc/$pid_l/status" ]; then
+  for i in $(seq 1 10); do send_request "$port_l" '{"op":"health"}' >/dev/null; done
+  read -r vm10 maps10 <<<"$(vm_and_maps)"
+  for i in $(seq 1 290); do send_request "$port_l" '{"op":"health"}' >/dev/null; done
+  read -r vm300 maps300 <<<"$(vm_and_maps)"
+  echo "connections: VmSize ${vm10} -> ${vm300} kB, maps ${maps10} -> ${maps300}"
+  # A kept thread costs an 8 MB stack and two mappings, so 290 of them would
+  # add ~2.3 GB and ~580 mappings. The allowance covers the malloc arenas
+  # (64 MB reservations each) and cached stacks that overlapping connections
+  # on a loaded machine may add once (up to ~150 MB observed).
+  [ $((vm300 - vm10)) -le 1048576 ] \
+    || fail "300 sequential connections grew VmSize from $vm10 to $vm300 kB"
+  [ $((maps300 - maps10)) -le 40 ] \
+    || fail "300 sequential connections grew the mapping count from $maps10 to $maps300"
+fi
+kill -TERM "$pid_l" && wait "$pid_l" || fail "lean server did not drain cleanly"
+
 echo "serve soak checks passed"
 
 # --- optional throughput recording ---------------------------------------
 if [ "$MODE" = "--bench" ]; then
   start_server bench DDM_SERVE_WORKERS=2
 pid_b=$SERVER_PID port_b=$SERVER_PORT
-  # --warmup=5: each client absorbs the remaining cold start (first-touch
-  # plan lowering for the benched (n, t), connection setup) before the
-  # recorded stream, so p50/p99/max measure steady-state serving.
+  # --warmup=5: each client absorbs the remaining cold start (connection
+  # setup, first touch of the certified ladder's tables) before the recorded
+  # stream, so p50/p99/max measure steady-state serving. No plan is lowered:
+  # auto answers the (8, 3) stream from the ladder.
   bench_summary="$("$LOAD" "$port_b" 4 100 --n=8 --t=3 --warmup=5)" || fail "bench load failed"
   [ "$(field "$bench_summary" failed)" = "0" ] || fail "bench run had protocol failures"
   kill -TERM "$pid_b" && wait "$pid_b" || fail "bench server did not drain cleanly"

@@ -117,11 +117,11 @@ print(f"compiled trace ok: {len(names)} span names")
 PY
 
 # --- 4. the engine layer's spans and plan-cache metrics -------------------
-# An auto sweep resolves through engine.select and touches the plan cache
-# twice in-process (the selection's certificate probe lowers the plan — one
-# miss — and the compiled evaluation refetches it — one hit). The exported
-# trace must carry both spans with their chosen/hit args, and the metrics
-# registry must agree.
+# A cold auto sweep resolves through engine.select, asks the plan cache for a
+# resident plan (one engine.cache span, a miss that lowers nothing and
+# counts nothing), and is answered by the certified ladder. The exported
+# trace must carry both spans with their chosen/hit args and no
+# compiled.lower span, and the metrics registry must agree.
 auto_trace="$TMP/auto_engine.json"
 DDM_THREADS=4 "$CLI" sweep 6 2 0 1 16 --trace="$auto_trace" --metrics \
   > /dev/null 2> "$TMP/auto_engine.metrics" || fail "traced auto sweep failed"
@@ -134,15 +134,17 @@ selects = [e for e in events if e["name"] == "engine.select"]
 caches = [e for e in events if e["name"] == "engine.cache"]
 assert selects, "no engine.select span"
 assert caches, "no engine.cache span"
-assert any(e.get("args", {}).get("chosen") == "compiled" for e in selects), \
-    f"engine.select args lack chosen=compiled: {[e.get('args') for e in selects]}"
+assert all(e.get("args", {}).get("chosen") == "certified" for e in selects), \
+    f"engine.select args are not chosen=certified: {[e.get('args') for e in selects]}"
 hits = [e.get("args", {}).get("hit") for e in caches]
-assert 0 in hits and 1 in hits, f"expected one cache miss and one hit, got hit args {hits}"
-print(f"engine spans ok: {len(selects)} select, {len(caches)} cache")
+assert hits == [0], f"expected one resident-plan lookup that found nothing, got hit args {hits}"
+lowerings = [e for e in events if e["name"] == "compiled.lower"]
+assert not lowerings, f"auto lowered a plan: {len(lowerings)} compiled.lower spans"
+print(f"engine spans ok: {len(selects)} select, {len(caches)} cache, no lowering")
 PY
 grep -q "engine.selects 1" "$TMP/auto_engine.metrics" || fail "engine.selects counter missing"
-grep -q "engine.cache.misses 1" "$TMP/auto_engine.metrics" || fail "engine.cache.misses != 1"
-grep -q "engine.cache.hits 1" "$TMP/auto_engine.metrics" || fail "engine.cache.hits != 1"
+grep -q "engine.cache.misses 0" "$TMP/auto_engine.metrics" || fail "engine.cache.misses != 0"
+grep -q "engine.cache.hits 0" "$TMP/auto_engine.metrics" || fail "engine.cache.hits != 0"
 
 # A checkpointed compiled sweep evaluates in blocks of 8: the second and
 # third identical requests must hit the cached plan instead of re-lowering.

@@ -280,39 +280,11 @@ expect_reject "invalid n_max '0'" "$CLI" plans precompile 0 1 --store="$TMP/ps"
 expect_reject "cannot read" "$CLI" merge "$TMP/no_such.ckpt"
 
 # --- engine selection ----------------------------------------------------
-# Auto must pick the compiled plan on a small symmetric sweep (the certified
-# bound is far below the auto tolerance): every row reports the chosen
-# engine and the plan's bound, and stripping those fields leaves output
-# byte-identical to forcing --engine=compiled; forcing the kernel must also
-# succeed.
-auto_out="$("$CLI" sweep 6 2 0 1 24)"
-case "$auto_out" in
-  *'"engine": "compiled", "bound": '*) ;;
-  *) fail "auto sweep rows do not report the compiled engine and its bound: $auto_out" ;;
-esac
-auto_stripped="$(printf '%s\n' "$auto_out" | sed 's/, "engine": "compiled", "bound": [^}]*//')"
-compiled_out="$("$CLI" sweep 6 2 0 1 24 --engine=compiled)"
-[ "$auto_stripped" = "$compiled_out" ] || fail "auto engine output (engine field stripped) differs from --engine=compiled at n=6"
-"$CLI" sweep 6 2 0 1 24 --engine=kernel >/dev/null || fail "--engine=kernel sweep failed"
-
 # Every registered engine serves the same small sweep.
 for eng in batch certified compiled exact kernel mc; do
   "$CLI" sweep 3 1 0 1 4 --engine="$eng" >/dev/null || fail "--engine=$eng sweep failed"
 done
-
-# Auto past the lowering cap (n > 8) answers from the certified O(n²)
-# ladder and says so in the rows, with the bound each answer carries; no
-# fallback note (the cap is policy, not a failed promise). n = 24, past the
-# O(3^n) kernels' reach, is answered the same way.
-for args in "18 6 0.3 0.4 2" "24 8 0.3 0.45 1"; do
-  # shellcheck disable=SC2086
-  big_auto="$("$CLI" sweep $args 2>"$TMP/big_auto.err")" || fail "auto sweep $args failed"
-  case "$big_auto" in
-    *'"engine": "certified", "bound": '*) ;;
-    *) fail "auto sweep $args did not report the certified engine and a bound: $big_auto" ;;
-  esac
-  [ ! -s "$TMP/big_auto.err" ] || fail "auto sweep $args emitted an unexpected note: $(cat "$TMP/big_auto.err")"
-done
+"$CLI" sweep 6 2 0 1 24 --engine=kernel >/dev/null || fail "--engine=kernel sweep failed"
 
 # Every auto row's value lies within its bound of the exact value (the
 # exact engine's rows; both grids are identical doubles).
@@ -330,40 +302,72 @@ for row, ref in zip(auto_rows, exact_rows):
 PY
 }
 
-# Satellite regression: when auto *declines* the compiled plan the fallback
-# must be visible — a stderr note plus the winning engine in every row.
-# A deterministic lowering failure is injected through the plan-cache fault
-# hook (throw@0 strikes the lowering, is spent there, and the sweep then
-# completes on the certified ladder).
-DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 >"$TMP/fallback.out" 2>"$TMP/fallback.err"
-case "$(cat "$TMP/fallback.out")" in
+# Auto never lowers a plan: a cold small symmetric sweep is answered by the
+# certified O(n²) ladder, every row names it and carries its bound, no note
+# is printed (nothing was declined), and each value lies within its bound of
+# exact.
+"$CLI" sweep 6 2 0 1 24 >"$TMP/auto6.out" 2>"$TMP/auto6.err" || fail "auto sweep n=6 failed"
+case "$(cat "$TMP/auto6.out")" in
   *'"engine": "certified", "bound": '*) ;;
-  *) fail "auto fallback sweep rows do not report the certified engine: $(cat "$TMP/fallback.out")" ;;
+  *) fail "auto sweep n=6 rows do not report the certified engine and a bound: $(cat "$TMP/auto6.out")" ;;
 esac
-grep -q "note: --engine=auto:" "$TMP/fallback.err" || fail "auto fallback did not leave a stderr note: $(cat "$TMP/fallback.err")"
-grep -q "compiled lowering failed" "$TMP/fallback.err" || fail "fallback note does not name the cause: $(cat "$TMP/fallback.err")"
-grep -q "certified ladder" "$TMP/fallback.err" || fail "fallback note does not name the certified ladder: $(cat "$TMP/fallback.err")"
-# The fallback's values are proven: each lies within its bound of exact.
-"$CLI" sweep 6 2 0 1 4 --engine=exact >"$TMP/fallback.exact"
-within_bound "$TMP/fallback.out" "$TMP/fallback.exact" || fail "fallback sweep values are not within their bounds of exact"
-# Forcing --engine=compiled under the same fault must surface the error
-# (exit 2), not fall back.
-expect_reject "injected" env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled
+[ ! -s "$TMP/auto6.err" ] || fail "auto sweep n=6 emitted an unexpected note: $(cat "$TMP/auto6.err")"
+"$CLI" sweep 6 2 0 1 24 --engine=exact >"$TMP/auto6.exact"
+within_bound "$TMP/auto6.out" "$TMP/auto6.exact" || fail "auto n=6 values are not within their bounds of exact"
 
-# n=16, t=6: its plan would take seconds of exact algebra to lower and
-# certify only ~7e-2. Past the lowering cap nothing is lowered: the rows
-# come from the certified ladder, no note is printed, and no plan was built.
-"$CLI" sweep 16 6 0.3 0.45 2 --metrics >"$TMP/miss.out" 2>"$TMP/miss.err"
-case "$(cat "$TMP/miss.out")" in
-  *'"engine": "certified", "bound": '*) ;;
-  *) fail "n=16 sweep rows do not report the certified engine: $(cat "$TMP/miss.out")" ;;
+# Nothing is lowered at any n: the metrics dump shows no plan-cache miss and
+# no lowering (compiled.lowerings registers on first use, so it is absent or
+# zero). n = 16, t = 6 would take seconds to lower and certify only ~7e-2.
+for args in "4 4/3 0.3 0.7 32" "8 8/3 0.3 0.7 32" "16 6 0.3 0.45 2"; do
+  # shellcheck disable=SC2086
+  "$CLI" sweep $args --metrics >"$TMP/lower.out" 2>"$TMP/lower.err" || fail "auto sweep $args failed"
+  case "$(cat "$TMP/lower.out")" in
+    *'"engine": "certified", "bound": '*) ;;
+    *) fail "auto sweep $args rows do not report the certified engine: $(cat "$TMP/lower.out")" ;;
+  esac
+  if grep -q "note:" "$TMP/lower.err"; then fail "auto sweep $args printed a note: $(cat "$TMP/lower.err")"; fi
+  grep -q "^engine\.cache\.misses 0$" "$TMP/lower.err" \
+    || fail "auto sweep $args missed the plan cache: $(grep -E 'cache' "$TMP/lower.err")"
+  if grep -Eq "^compiled\.lowerings [1-9]" "$TMP/lower.err"; then
+    fail "auto sweep $args lowered a plan: $(grep -E 'lowerings' "$TMP/lower.err")"
+  fi
+done
+
+# Past n = 8, and past the O(3^n) kernels' reach at n = 24, auto answers
+# the same way.
+for args in "18 6 0.3 0.4 2" "24 8 0.3 0.45 1"; do
+  # shellcheck disable=SC2086
+  big_auto="$("$CLI" sweep $args 2>"$TMP/big_auto.err")" || fail "auto sweep $args failed"
+  case "$big_auto" in
+    *'"engine": "certified", "bound": '*) ;;
+    *) fail "auto sweep $args did not report the certified engine and a bound: $big_auto" ;;
+  esac
+  [ ! -s "$TMP/big_auto.err" ] || fail "auto sweep $args emitted an unexpected note: $(cat "$TMP/big_auto.err")"
+done
+"$CLI" sweep 16 6 0.3 0.45 2 --engine=exact >"$TMP/lower.exact"
+within_bound "$TMP/lower.out" "$TMP/lower.exact" || fail "n=16 sweep values are not within their bounds of exact"
+
+# A resident plan is used: with a store built by `plans precompile`, the same
+# n = 6 sweep loads the plan (no lowering), reports the compiled engine and
+# its bound, and stripping those fields leaves output byte-identical to
+# forcing --engine=compiled.
+"$CLI" plans precompile 6 2 --store="$TMP/auto_store" >/dev/null || fail "plans precompile 6 2 failed"
+DDM_PLAN_STORE="$TMP/auto_store" "$CLI" sweep 6 2 0 1 24 --metrics \
+  >"$TMP/stored.out" 2>"$TMP/stored.err" || fail "store-backed auto sweep failed"
+case "$(cat "$TMP/stored.out")" in
+  *'"engine": "compiled", "bound": '*) ;;
+  *) fail "store-backed auto sweep rows do not report the compiled engine: $(cat "$TMP/stored.out")" ;;
 esac
-if grep -q "note:" "$TMP/miss.err"; then fail "n=16 sweep printed a fallback note: $(cat "$TMP/miss.err")"; fi
-if grep -Eq "^(compiled\.lowerings|engine\.cache\.misses) [1-9]" "$TMP/miss.err"; then
-  fail "n=16 sweep lowered a plan: $(grep -E 'lowerings|cache' "$TMP/miss.err")"
+if grep -Eq "^compiled\.lowerings [1-9]" "$TMP/stored.err"; then
+  fail "store-backed auto sweep lowered a plan: $(grep -E 'lowerings' "$TMP/stored.err")"
 fi
-"$CLI" sweep 16 6 0.3 0.45 2 --engine=exact >"$TMP/miss.exact"
-within_bound "$TMP/miss.out" "$TMP/miss.exact" || fail "n=16 sweep values are not within their bounds of exact"
+stored_stripped="$(sed 's/, "engine": "compiled", "bound": [^}]*//' "$TMP/stored.out")"
+compiled_out="$("$CLI" sweep 6 2 0 1 24 --engine=compiled)"
+[ "$stored_stripped" = "$compiled_out" ] || fail "store-backed auto output (engine field stripped) differs from --engine=compiled at n=6"
+
+# Forcing --engine=compiled lowers on demand, so an injected lowering fault
+# surfaces as an error (exit 2) — it never falls back silently.
+expect_reject "injected" env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled
 
 # --- scenario descriptors (engine/scenario.hpp) --------------------------
 # The value set is closed, the flag grammar is strict, and every malformed

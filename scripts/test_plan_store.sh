@@ -117,6 +117,9 @@ if [ -n "$SERVE" ]; then
   rm -rf "$TMP/store"
   "$CLI" plans precompile 6 2 --store="$TMP/store" >/dev/null 2>&1 \
     || fail "re-precompile for the serve check failed"
+  # Created before the launch: the poll below may run before the child
+  # shell has opened its redirections.
+  : >"$TMP/serve.out"
   env DDM_SERVE_PORT=0 DDM_SERVE_WORKERS=1 "$SERVE" --plan-store="$TMP/store" \
     >"$TMP/serve.out" 2>"$TMP/serve.err" &
   SERVER_PID=$!

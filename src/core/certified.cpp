@@ -14,6 +14,7 @@
 #include "core/nonoblivious.hpp"
 #include "obs/trace.hpp"
 #include "util/kahan.hpp"
+#include "util/status.hpp"
 
 namespace ddm::core {
 
@@ -49,6 +50,8 @@ using Real = long double;
 // Unit roundoff of long double. epsilon()/2 keeps the bound honest where
 // long double is plain double.
 constexpr Real kUR = std::numeric_limits<Real>::epsilon() / 2;
+
+constexpr const char* kSymLabel = "certified_symmetric_threshold_winning_probability";
 
 // Largest n whose binomial row is exact in 64-bit integers:
 // C(67, 33) < 2^64 <= C(68, 34).
@@ -219,6 +222,51 @@ Tracked to_tracked_double(const TrackedReal& tracked) {
   const Real shift = std::abs(tracked.value - static_cast<Real>(centre));
   const double error = static_cast<double>(tracked.error + shift);
   return {centre, std::nextafter(error, std::numeric_limits<double>::infinity())};
+}
+
+void require_unit_beta(const Rational& beta) {
+  // den > 0, so beta <= 1 exactly when num <= den.
+  if (beta.signum() < 0 || beta.num() > beta.den()) {
+    throw std::invalid_argument(std::string(kSymLabel) + ": beta outside [0, 1]");
+  }
+}
+
+// round_input without its rational arithmetic when the input is exactly a
+// double: the rounded value is the input itself and the gap is zero.
+RoundedInput round_exact_input(const Rational& exact) {
+  return util::exact_double(exact) ? RoundedInput{exact.to_double(), 0} : round_input(exact);
+}
+
+CertifiedValue exact_zero() {
+  CertifiedValue zero{point(Rational{0})};
+  zero.tier = EvalTier::kExact;
+  zero.met_tolerance = true;
+  return zero;
+}
+
+// The symmetric ladder on one point: tier 0 on the rounded inputs, then the
+// exact rational sum at exact_beta(). No interval rung: in O(n²) the exact
+// rung is cheaper than 320-bit intervals at every n measured
+// (docs/robustness.md), so a tier-0 miss escalates straight to it.
+template <class ExactBeta>
+CertifiedValue climb(std::uint32_t n, const Rational& t, const EvalPolicy& policy,
+                     const SymInputs& inputs, ExactBeta exact_beta) {
+  const auto exact = [&]() -> CertifiedValue {
+    return point(symmetric_threshold_winning_probability(n, exact_beta(), t, policy.control));
+  };
+  // Both rungs capture at most 16 bytes, so neither std::function allocates.
+  const TierSpec tiers[] = {
+      {EvalTier::kCompensatedDouble,
+       [n, &inputs]() -> CertifiedValue {
+         if (n > kSymTier0MaxN) {
+           throw NumericError(std::string(kSymLabel) + ": double tier limited to n <= " +
+                              std::to_string(kSymTier0MaxN));
+         }
+         return util::tracked_enclosure(to_tracked_double(sym_total_t0(n, inputs)), kSymLabel);
+       }},
+      {EvalTier::kExact, [&exact] { return exact(); }},
+  };
+  return run_escalation_ladder(policy, kSymLabel, tiers);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,17 +510,11 @@ CertifiedValue certified_threshold_winning_probability(std::span<const Rational>
           "certified_threshold_winning_probability: thresholds must lie in [0, 1]");
     }
   }
-  if (t.signum() <= 0) {
-    CertifiedValue zero;
-    zero.enclosure = point(Rational{0});
-    zero.tier = EvalTier::kExact;
-    zero.met_tolerance = true;
-    return zero;
-  }
+  if (t.signum() <= 0) return exact_zero();
 
   const TierSpec tiers[] = {
       {EvalTier::kCompensatedDouble,
-       [&]() -> RationalInterval {
+       [&]() -> CertifiedValue {
          if (!all_representable(a) || !util::representable_as_double(t)) {
            throw NumericError(
                "certified_threshold_winning_probability: inputs not representable as doubles");
@@ -500,43 +542,43 @@ CertifiedValue certified_symmetric_threshold_winning_probability(std::uint32_t n
                                                                  const Rational& beta,
                                                                  const Rational& t,
                                                                  const EvalPolicy& policy) {
-  if (n == 0) {
-    throw std::invalid_argument("certified_symmetric_threshold_winning_probability: n == 0");
-  }
-  if (beta < Rational{0} || beta > Rational{1}) {
-    throw std::invalid_argument(
-        "certified_symmetric_threshold_winning_probability: beta outside [0, 1]");
-  }
-  if (t.signum() <= 0) {
-    CertifiedValue zero;
-    zero.enclosure = point(Rational{0});
-    zero.tier = EvalTier::kExact;
-    zero.met_tolerance = true;
-    return zero;
-  }
+  return SymmetricCertifier(n, t, policy).evaluate(beta);
+}
 
-  // No interval rung: in O(n²) the exact rung is cheaper than 320-bit
-  // intervals at every n measured (docs/robustness.md), so a tier-0 miss
-  // escalates straight to the exact rational sum.
-  const TierSpec tiers[] = {
-      {EvalTier::kCompensatedDouble,
-       [&]() -> RationalInterval {
-         if (n > kSymTier0MaxN) {
-           throw NumericError(
-               "certified_symmetric_threshold_winning_probability: double tier limited to "
-               "n <= " + std::to_string(kSymTier0MaxN));
-         }
-         const SymInputs inputs{round_input(beta), round_input(t)};
-         return util::tracked_enclosure(to_tracked_double(sym_total_t0(n, inputs)),
-                                        "certified_symmetric_threshold_winning_probability");
-       }},
-      {EvalTier::kExact,
-       [&]() -> RationalInterval {
-         return point(symmetric_threshold_winning_probability(n, beta, t, policy.control));
-       }},
-  };
-  return run_escalation_ladder(policy, "certified_symmetric_threshold_winning_probability",
-                               tiers);
+SymmetricCertifier::SymmetricCertifier(std::uint32_t n, Rational t, EvalPolicy policy)
+    : n_(n), t_(std::move(t)), policy_(std::move(policy)) {
+  if (n_ == 0) throw std::invalid_argument(std::string(kSymLabel) + ": n == 0");
+  if (t_.signum() > 0) {
+    const RoundedInput rounded = round_exact_input(t_);
+    t_value_ = rounded.value;
+    t_gap_ = rounded.gap;
+  }
+}
+
+CertifiedValue SymmetricCertifier::evaluate(const Rational& beta) const {
+  require_unit_beta(beta);
+  if (t_.signum() <= 0) return exact_zero();
+  const SymInputs inputs{round_exact_input(beta), {t_value_, t_gap_}};
+  return climb(n_, t_, policy_, inputs, [&beta] { return beta; });
+}
+
+CertifiedValue SymmetricCertifier::evaluate(double beta) const {
+  // Zero, and every double in [2^-846, 1], converts to a rational whose
+  // denominator has fewer than 900 bits, so util::exact_double holds for it
+  // and tier 0 takes it with no rounding gap. Anything else — tiny, out of
+  // range, or non-finite — goes through the rational path and its checks.
+  if (!(beta == 0.0 || (beta >= 0x1p-846 && beta <= 1.0)) || t_.signum() <= 0) {
+    return evaluate(util::exact_rational(beta));
+  }
+  const SymInputs inputs{{beta, 0}, {t_value_, t_gap_}};
+  return climb(n_, t_, policy_, inputs, [beta] { return util::exact_rational(beta); });
+}
+
+CertifiedValue SymmetricCertifier::evaluate_on_ladder(const Rational& beta) const {
+  require_unit_beta(beta);
+  if (t_.signum() <= 0) return exact_zero();
+  const SymInputs inputs{round_input(beta), round_input(t_)};
+  return climb(n_, t_, policy_, inputs, [&beta] { return beta; });
 }
 
 }  // namespace ddm::core

@@ -525,14 +525,7 @@ Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational
   DDM_SPAN("kernel.sym_exact", {{"n", static_cast<std::int64_t>(n)}});
   Rational total{0};
   for (std::uint32_t k = 0; k <= n; ++k) {
-    switch (control.should_stop()) {
-      case util::StopReason::kNone:
-        break;
-      case util::StopReason::kCancelled:
-        throw Cancelled("symmetric_threshold_winning_probability", k, n + 1);
-      case util::StopReason::kDeadline:
-        throw DeadlineExceeded("symmetric_threshold_winning_probability", k, n + 1);
-    }
+    throw_if_stopped(control, "symmetric_threshold_winning_probability", k, n + 1);
     total += Rational{combinat::binomial(n, k), util::BigInt{1}} *
              symmetric_zero_bracket(n - k, beta, t) * symmetric_one_bracket(k, beta, t);
   }

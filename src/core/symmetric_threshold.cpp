@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "combinat/binomial.hpp"
+#include "util/status.hpp"
 
 namespace ddm::core {
 
@@ -65,7 +66,8 @@ QPoly one_bracket_poly(std::uint32_t k, const Rational& t, const Rational& probe
 
 }  // namespace
 
-SymmetricThresholdAnalysis SymmetricThresholdAnalysis::build(std::uint32_t n, Rational t) {
+SymmetricThresholdAnalysis SymmetricThresholdAnalysis::build(std::uint32_t n, Rational t,
+                                                             const util::RunControl& control) {
   if (n == 0) throw std::invalid_argument("SymmetricThresholdAnalysis: n == 0");
   if (t.signum() <= 0) throw std::invalid_argument("SymmetricThresholdAnalysis: t <= 0");
 
@@ -94,6 +96,7 @@ SymmetricThresholdAnalysis SymmetricThresholdAnalysis::build(std::uint32_t n, Ra
   std::vector<poly::Piece> pieces;
   pieces.reserve(points.size() - 1);
   for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+    throw_if_stopped(control, "SymmetricThresholdAnalysis::build", i, points.size() - 1);
     const Rational& lo = points[i];
     const Rational& hi = points[i + 1];
     const Rational probe = (lo + hi) * Rational{1, 2};
@@ -117,8 +120,9 @@ std::vector<Rational> SymmetricThresholdAnalysis::breakpoints() const {
   return out;
 }
 
-SymmetricOptimum SymmetricThresholdAnalysis::optimize() const {
-  const poly::MaxCandidate best = pieces_.maximize();
+SymmetricOptimum SymmetricThresholdAnalysis::optimize(const util::RunControl& control) const {
+  const poly::MaxCandidate best =
+      pieces_.maximize(poly::PiecewisePolynomial::default_refine_width(), nullptr, control);
   SymmetricOptimum optimum;
   optimum.beta = best.location;
   optimum.value = best.value;

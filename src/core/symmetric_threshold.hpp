@@ -19,6 +19,7 @@
 #include "poly/polynomial.hpp"
 #include "poly/roots.hpp"
 #include "util/rational.hpp"
+#include "util/resilience.hpp"
 
 namespace ddm::core {
 
@@ -47,9 +48,12 @@ struct SymmetricOptimum {
 class SymmetricThresholdAnalysis {
  public:
   /// Derive the exact piecewise polynomial. Throws std::invalid_argument for
-  /// n == 0 or t <= 0. Cost is O(#breakpoints · n²) exact polynomial algebra
-  /// (breakpoints are O(n²)).
-  [[nodiscard]] static SymmetricThresholdAnalysis build(std::uint32_t n, util::Rational t);
+  /// n == 0 or t <= 0. Cost is O(#breakpoints · n³) exact polynomial algebra
+  /// (breakpoints are O(n²)). `control` is polled once per piece; a stop
+  /// throws ddm::DeadlineExceeded / ddm::Cancelled carrying pieces done of
+  /// pieces total.
+  [[nodiscard]] static SymmetricThresholdAnalysis build(std::uint32_t n, util::Rational t,
+                                                        const util::RunControl& control = {});
 
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
   [[nodiscard]] const util::Rational& t() const noexcept { return t_; }
@@ -60,8 +64,9 @@ class SymmetricThresholdAnalysis {
   /// All breakpoints including 0 and 1, ascending.
   [[nodiscard]] std::vector<util::Rational> breakpoints() const;
 
-  /// Certified global optimum over β ∈ [0, 1].
-  [[nodiscard]] SymmetricOptimum optimize() const;
+  /// Certified global optimum over β ∈ [0, 1]; `control` is polled as in
+  /// PiecewisePolynomial::maximize.
+  [[nodiscard]] SymmetricOptimum optimize(const util::RunControl& control = {}) const;
 
  private:
   SymmetricThresholdAnalysis(std::uint32_t n, util::Rational t, poly::PiecewisePolynomial pieces)

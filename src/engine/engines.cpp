@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/certified.hpp"
@@ -41,14 +42,7 @@ constexpr std::uint32_t kKernelMaxN = 20;
 /// Per-point cooperative-stop poll for the serial engines (kernel, mc): a
 /// fired deadline/cancellation surfaces with how many points were finished.
 void throw_if_stopped(const EvalRequest& request, const char* label, std::size_t completed) {
-  switch (request.control.should_stop()) {
-    case util::StopReason::kNone:
-      return;
-    case util::StopReason::kCancelled:
-      throw Cancelled(label, completed, request.size());
-    case util::StopReason::kDeadline:
-      throw DeadlineExceeded(label, completed, request.size());
-  }
+  ddm::throw_if_stopped(request.control, label, completed, request.size());
 }
 
 /// The exact rational image of grid point k: the caller's exact grid when
@@ -117,8 +111,7 @@ constexpr std::uint32_t kScenarioExactMaxN = 14;
 
 /// Exact-tier certificate for an exactly computed value.
 [[nodiscard]] CertifiedValue exact_certificate(util::Rational value) {
-  CertifiedValue certificate;
-  certificate.enclosure = util::RationalInterval{std::move(value)};
+  CertifiedValue certificate{util::RationalInterval{std::move(value)}};
   certificate.tier = EvalTier::kExact;
   certificate.met_tolerance = true;
   return certificate;
@@ -329,13 +322,19 @@ class CertifiedEvaluator final : public Evaluator {
     // The ladder polls the same control between rungs and inside the exact
     // sum, so a deadline cuts a point mid-evaluation, not just between points.
     policy.control = request.control;
+    // t is rounded once for the whole grid; a double grid point then enters
+    // tier 0 with no rational arithmetic at all.
+    const core::SymmetricCertifier certifier(request.n, request.t, std::move(policy));
     EvalOutcome outcome;
     outcome.engine_id = "certified";
     outcome.values.resize(request.size(), 0.0);
     outcome.certificates.resize(request.size());
-    std::vector<double> bounds(request.size(), 0.0);
     util::ParallelOptions options;
-    options.grain = 1;
+    // About eight chunks per lane: one point per chunk keeps a short grid of
+    // millisecond exact-rung points balanced, while a dense grid of
+    // microsecond tier-0 points would otherwise pay more for chunk hand-off
+    // than for its arithmetic. Each point's ladder polls the control itself.
+    options.grain = std::max<std::size_t>(1, request.size() / (8 * util::parallelism()));
     options.label = "engine.certified";
     options.control = request.control;
     util::parallel_for(
@@ -344,17 +343,17 @@ class CertifiedEvaluator final : public Evaluator {
           for (std::size_t k = lo; k < hi; ++k) {
             // Fresh evaluation per attempt: idempotent under engine retry,
             // and CertifiedValue::stats carries this point's counters only.
-            outcome.certificates[k] = core::certified_symmetric_threshold_winning_probability(
-                request.n, exact_point(request, k), request.t, policy);
+            outcome.certificates[k] = k < request.exact_betas.size()
+                                          ? certifier.evaluate(request.exact_betas[k])
+                                          : certifier.evaluate(request.betas[k]);
             outcome.values[k] = outcome.certificates[k].value();
-            bounds[k] = outcome.certificates[k].error_bound();
           }
         },
         options);
     outcome.certificate_bound = 0.0;
-    for (std::size_t k = 0; k < request.size(); ++k) {
-      outcome.stats += outcome.certificates[k].stats;
-      outcome.certificate_bound = std::max(outcome.certificate_bound, bounds[k]);
+    for (const CertifiedValue& certificate : outcome.certificates) {
+      outcome.stats += certificate.stats;
+      outcome.certificate_bound = std::max(outcome.certificate_bound, certificate.error_bound());
     }
     return outcome;
   }

@@ -95,8 +95,8 @@ class PlanCache {
   /// The plan for (n, t) if it is resident — cached, or loadable from the
   /// configured plan store (a store load is inserted and counted exactly as
   /// in get_or_lower) — else nullptr. Never lowers, so it costs no more than
-  /// a lookup; the auto policy uses it to admit pre-warmed and precompiled
-  /// plans past the lowering cap. A nullptr answer counts no miss.
+  /// a lookup; the auto policy admits compiled plans only through it. A
+  /// nullptr answer counts no miss.
   [[nodiscard]] std::shared_ptr<const poly::CompiledPiecewise> find_resident(
       std::uint32_t n, const util::Rational& t, std::string_view scenario_digest = {});
 

@@ -2,16 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstring>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <sstream>
 #include <utility>
 
-#include "engine/bound_memo.hpp"
 #include "engine/cost_model.hpp"
 #include "engine/engines.hpp"
 #include "engine/plan_cache.hpp"
@@ -36,50 +29,23 @@ struct SelectMetrics {
   }
 };
 
-/// The certificate of the compiled plan auto may use for a symmetric
-/// request: lowered through the cache when n <= compiled_max_n, otherwise
-/// only a resident plan (plan cache or plan store) — never a fresh lowering
-/// past the cap. nullopt when there is no such plan; a lowering failure also
-/// leaves a note. `use_memo` lets the model path skip the cache round trip
-/// for small n (engine/bound_memo.hpp).
-std::optional<double> usable_plan_bound(const EnginePolicy& policy, const EvalRequest& request,
-                                        bool use_memo, Selection& selection) {
-  const std::string& digest = request.scenario.digest();
-  if (request.n > policy.compiled_max_n) {
-    const auto plan = PlanCache::instance().find_resident(request.n, request.t, digest);
-    if (plan == nullptr) return std::nullopt;
-    return plan->max_error_bound();
-  }
-  std::optional<double> bound;
-  if (use_memo) bound = BoundMemo::get().lookup(request.n, request.t, digest);
-  if (bound.has_value()) return bound;
-  try {
-    bound = PlanCache::instance().get_or_lower(request.n, request.t, digest)->max_error_bound();
-  } catch (const std::exception& error) {
-    selection.fallback = true;
-    selection.note = std::string("compiled lowering failed (") + error.what() +
-                     "); using the certified ladder";
-    return std::nullopt;
-  }
-  if (use_memo) BoundMemo::get().store(request.n, request.t, digest, *bound);
-  return bound;
-}
-
 /// The symmetric auto rule, shared by the static rule and the model path
-/// (they differ only in the tolerance the plan certificate must clear): the
-/// compiled plan when usable and certified, else the certified O(n²) ladder
+/// (they differ only in the tolerance the plan certificate must clear): a
+/// RESIDENT compiled plan (plan cache or plan store — auto never lowers one)
+/// whose certificate clears the tolerance, else the certified O(n²) ladder
 /// up to kCertifiedAutoMaxN, else batch — which declines any n past the
 /// double kernels' cap with a named error before work starts.
-const Evaluator& select_symmetric(const EnginePolicy& policy, const EvalRequest& request,
-                                  double tolerance, bool use_memo, Registry& registry,
-                                  Selection& selection) {
-  if (const std::optional<double> bound = usable_plan_bound(policy, request, use_memo, selection)) {
-    selection.compiled_bound = *bound;
-    if (*bound <= tolerance) return registry.require("compiled");
+const Evaluator& select_symmetric(const EvalRequest& request, double tolerance,
+                                  Registry& registry, Selection& selection) {
+  const auto plan =
+      PlanCache::instance().find_resident(request.n, request.t, request.scenario.digest());
+  if (plan != nullptr) {
+    selection.compiled_bound = plan->max_error_bound();
+    if (selection.compiled_bound <= tolerance) return registry.require("compiled");
     selection.fallback = true;
     std::ostringstream note;
-    note << "compiled plan certificate " << *bound << " exceeds tolerance " << tolerance
-         << "; using the certified ladder";
+    note << "compiled plan certificate " << selection.compiled_bound << " exceeds tolerance "
+         << tolerance << "; using the certified ladder";
     selection.note = note.str();
   }
   return registry.require(request.n <= kCertifiedAutoMaxN ? "certified" : "batch");
@@ -236,9 +202,8 @@ Selection select(const EnginePolicy& policy, const EvalRequest& request) {
   }
   if (request.is_symmetric() && request.n >= 1) {
     const double static_tolerance = std::min(policy.compiled_tolerance, request_tolerance);
-    selection.evaluator = &select_symmetric(policy, request,
-                                            consult ? request_tolerance : static_tolerance,
-                                            consult, registry, selection);
+    selection.evaluator = &select_symmetric(
+        request, consult ? request_tolerance : static_tolerance, registry, selection);
     if (consult) {
       // The model path differs from the static rule only where the plan
       // certificate lies between the two tolerances.

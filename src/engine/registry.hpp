@@ -15,11 +15,11 @@
 //
 // `select` resolves an EnginePolicy against a request: a concrete id is
 // looked up directly, "auto" applies the policy of engine/policy.hpp —
-// symmetric grids go to a cheap certified compiled plan or else the
-// certified O(n²) ladder, general points to the batch kernel. The selection
-// is returned — never applied silently: when auto declines a compiled plan
-// it considered, the Selection carries a human-readable note so callers can
-// surface the fallback (the CLI prints it to stderr and stamps the winning
+// symmetric grids go to a resident certified compiled plan or else the
+// certified O(n²) ladder (auto never lowers a plan), general points to the
+// batch kernel. The selection is returned — never applied silently: when
+// auto declines a resident plan, the Selection carries a human-readable note
+// so callers can surface the fallback (the CLI prints it to stderr and stamps the winning
 // engine into sweep JSON).
 //
 // When a policy table is loaded (engine/cost_model.hpp — `ddm_cli calibrate`
@@ -81,14 +81,13 @@ struct Selection {
   /// True when the policy was "auto" (the chosen engine then appears in
   /// per-point reporting and fallbacks carry a note).
   bool auto_mode = false;
-  /// True when auto considered the compiled plan and declined it (certificate
-  /// over tolerance, or the lowering failed).
+  /// True when auto considered a resident compiled plan and declined it
+  /// (certificate over tolerance).
   bool fallback = false;
   /// One-line reason for the fallback, empty otherwise.
   std::string note;
-  /// The certified max-error bound of the compiled plan auto considered
-  /// (NaN when it considered none: past the lowering cap with no resident
-  /// plan, or the lowering failed).
+  /// The certified max-error bound of the resident compiled plan auto
+  /// considered (NaN when no plan for the instance was resident).
   double compiled_bound = std::numeric_limits<double>::quiet_NaN();
   /// True when auto consulted a loaded CostModel instead of the static rule
   /// (forced engines and table-less processes never set it).

@@ -16,8 +16,8 @@
 //
 // The canonical digest is a short, whitespace-free text form of the scenario
 // (ranges in lowest terms, comma-separated) that doubles as the wire/CLI
-// descriptor syntax: it keys the plan cache, the compiled-bound memo, the
-// cost-model table rows, and the sweep checkpoint header, so no cached
+// descriptor syntax: it keys the plan cache, the cost-model table rows, and
+// the sweep checkpoint header, so no cached
 // artifact computed for one game can ever be replayed for another.
 // Evaluators advertise scenario support through Evaluator::supports(); the
 // engines that cannot serve a generalized game (kernel, batch, compiled)

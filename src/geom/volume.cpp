@@ -254,7 +254,7 @@ ddm::CertifiedValue certified_simplex_box_volume(std::span<const Rational> sigma
 
   const ddm::TierSpec tiers[] = {
       {ddm::EvalTier::kCompensatedDouble,
-       [&]() -> util::RationalInterval {
+       [&]() -> ddm::CertifiedValue {
          if (!representable(sigma) || !representable(pi)) {
            throw ddm::NumericError(
                "certified_simplex_box_volume: inputs not representable as doubles");

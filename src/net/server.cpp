@@ -125,6 +125,15 @@ bool Connection::write_all(std::string_view data) noexcept {
   return true;
 }
 
+void Connection::finish_reply(std::chrono::milliseconds linger) noexcept {
+  if (fd_ < 0) return;
+  (void)::shutdown(fd_, SHUT_WR);
+  set_timeout(linger);
+  char chunk[4096];
+  while (::recv(fd_, chunk, sizeof(chunk), 0) > 0) {
+  }
+}
+
 void Connection::shutdown_now() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }

@@ -66,6 +66,13 @@ class Connection {
   /// Writes all of `data`; false on error/timeout.
   [[nodiscard]] bool write_all(std::string_view data) noexcept;
 
+  /// Ends an exchange the server closes (HTTP `Connection: close`): shuts
+  /// the write side so the peer reads the whole reply and then EOF, and
+  /// drains whatever the peer still sends until it closes too or `linger`
+  /// passes. Closing with unread input makes the kernel reset the connection,
+  /// which can destroy the reply before the peer has read it.
+  void finish_reply(std::chrono::milliseconds linger) noexcept;
+
   /// Forces subsequent reads on this connection to fail (used to kick
   /// connection threads loose during drain). Async-signal-safe.
   void shutdown_now() noexcept;

@@ -271,13 +271,16 @@ void EvalService::worker_loop() {
       const Job& head = *group.front();
       if (head.op == "threshold" && coalescable_engine(head.engine)) {
         // Fold queued twins of the head — same instance (n, t), same engine
-        // choice, same tolerance — into one batched evaluation.
+        // choice, same tolerance, same trials and seed — into one batched
+        // evaluation. `auto` can pick the seeded mc engine (a generalized
+        // game past the exact cap), so the randomized fields must match too.
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < config_.coalesce_limit;) {
           const Job& candidate = **it;
           if (candidate.op == "threshold" && candidate.n == head.n &&
               candidate.t_key == head.t_key && candidate.engine == head.engine &&
-              candidate.tol_key == head.tol_key &&
+              candidate.tol_key == head.tol_key && candidate.trials == head.trials &&
+              candidate.seed == head.seed &&
               candidate.scenario.digest() == head.scenario.digest()) {
             group.push_back(*it);
             it = queue_.erase(it);
@@ -304,8 +307,13 @@ void EvalService::serve_group(std::vector<std::shared_ptr<Job>>& group) {
     request.t = head.t;
     request.scenario = head.scenario;
     request.tolerance = head.tolerance;
+    request.trials = head.trials;
+    request.seed = head.seed;
     request.betas.reserve(group.size());
     for (const auto& job : group) request.betas.push_back(job->beta);
+    // Every job is point 0 of its own solo request, so a randomized engine
+    // draws each point from the stream the job would draw alone.
+    request.point_ids.assign(group.size(), 0);
     // The batch runs under the group's TIGHTEST remaining budget: if that
     // suffices, everyone wins the amortization; if it fires, each job falls
     // back to its own evaluation below, under its own control.
@@ -357,18 +365,11 @@ std::string EvalService::serve_job(const Job& job) const {
   if (!job.id.empty()) reply.field("id", job.id);
   try {
     if (job.op == "analyze") {
-      // The symbolic analysis does not poll mid-build; honor an already
-      // spent budget before starting.
-      switch (job.control.should_stop()) {
-        case util::StopReason::kNone:
-          break;
-        case util::StopReason::kCancelled:
-          throw Cancelled("serve.analyze", 0, 1);
-        case util::StopReason::kDeadline:
-          throw DeadlineExceeded("serve.analyze", 0, 1);
-      }
-      const auto analysis = core::SymmetricThresholdAnalysis::build(job.n, job.t);
-      const auto opt = analysis.optimize();
+      // Both phases poll the request's control once per piece (and the
+      // maximizer once per certification round), so a deadline cuts the
+      // symbolic analysis mid-build instead of after it.
+      const auto analysis = core::SymmetricThresholdAnalysis::build(job.n, job.t, job.control);
+      const auto opt = analysis.optimize(job.control);
       reply.field("ok", true)
           .field("op", "analyze")
           .field("beta_star", opt.beta.approx())

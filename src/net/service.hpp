@@ -9,12 +9,13 @@
 //     instead of letting latency grow without bound. Connection threads
 //     block only on their own job's completion.
 //   * Workers COALESCE: when the queue holds several `threshold` requests
-//     for the same (n, t), engine, tolerance, and scenario, one worker folds
-//     up to ServiceConfig::coalesce_limit of them into a single batched
-//     EvalRequest carrying that tolerance — one plan lookup or one parallel
-//     ladder pass serves the group (serve.coalesced_batches /
+//     for the same (n, t), engine, tolerance, trials, seed, and scenario, one
+//     worker folds up to ServiceConfig::coalesce_limit of them into a single
+//     batched EvalRequest carrying those fields — one plan lookup or one
+//     parallel ladder pass serves the group (serve.coalesced_batches /
 //     serve.batch_points), and each job's reply (value and `bound`) equals
-//     what it would get served alone. The batch runs under
+//     what it would get served alone, randomized answers included: every
+//     point draws the stream of its own solo request. The batch runs under
 //     the group's tightest deadline; if that cuts it off, each job is
 //     re-evaluated individually under its own control, so one impatient
 //     client cannot fail its queue-mates.

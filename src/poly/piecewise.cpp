@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/status.hpp"
+
 namespace ddm::poly {
 
 using util::Rational;
@@ -71,8 +73,10 @@ Rational PiecewisePolynomial::integral(const Rational& a, const Rational& b) con
 }
 
 MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
-                                           std::vector<MaxCandidate>* all_candidates) const {
+                                           std::vector<MaxCandidate>* all_candidates,
+                                           const util::RunControl& control) const {
   using util::RationalInterval;
+  constexpr const char* kLabel = "PiecewisePolynomial::maximize";
 
   std::vector<MaxCandidate> candidates;
   const auto refresh_bounds = [this](MaxCandidate& candidate) {
@@ -89,6 +93,7 @@ MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
   };
 
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
+    throw_if_stopped(control, kLabel, i, pieces_.size());
     const Piece& piece = pieces_[i];
     // Endpoints of the piece (the left endpoint of piece 0 plus every hi).
     if (i == 0) {
@@ -117,6 +122,7 @@ MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
   bool certified = false;
   constexpr int kMaxRounds = 128;
   for (int round = 0; round < kMaxRounds; ++round) {
+    throw_if_stopped(control, kLabel, pieces_.size(), pieces_.size());
     champion_index = 0;
     for (std::size_t c = 1; c < candidates.size(); ++c) {
       if (candidates[c].value_bounds.hi() > candidates[champion_index].value_bounds.hi()) {

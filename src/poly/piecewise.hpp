@@ -16,6 +16,7 @@
 #include "poly/roots.hpp"
 #include "util/interval.hpp"
 #include "util/rational.hpp"
+#include "util/resilience.hpp"
 
 namespace ddm::poly {
 
@@ -88,10 +89,18 @@ class PiecewisePolynomial {
   /// candidate provably dominates (or exactly ties) all others — see
   /// MaxCandidate::certified. Returns the best candidate; `all_candidates`
   /// (when non-null) receives every candidate examined, sorted by location.
+  /// `control` is polled once per piece and once per certification round; a
+  /// stop throws ddm::DeadlineExceeded / ddm::Cancelled carrying pieces done
+  /// of pieces total.
   [[nodiscard]] MaxCandidate maximize(
-      const util::Rational& refine_width = util::Rational{util::BigInt{1},
-                                                          util::BigInt::pow(util::BigInt{2}, 96)},
-      std::vector<MaxCandidate>* all_candidates = nullptr) const;
+      const util::Rational& refine_width = default_refine_width(),
+      std::vector<MaxCandidate>* all_candidates = nullptr,
+      const util::RunControl& control = {}) const;
+
+  /// maximize()'s default isolating-interval width, 2^-96.
+  [[nodiscard]] static util::Rational default_refine_width() {
+    return util::Rational{util::BigInt{1}, util::BigInt::pow(util::BigInt{2}, 96)};
+  }
 
  private:
   std::vector<Piece> pieces_;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -86,8 +88,15 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
     result.stats = local;
   };
 
-  bool have_best = false;
-  CertifiedValue best;
+  const auto finish = [&](CertifiedValue result, EvalTier tier, bool met) {
+    result.tier = tier;
+    result.met_tolerance = met;
+    publish(result);
+    return result;
+  };
+
+  std::optional<CertifiedValue> best;
+  EvalTier best_tier = EvalTier::kCompensatedDouble;
   std::exception_ptr last_failure;
   bool attempted_before = false;
   std::size_t tiers_attempted = 0;
@@ -116,11 +125,11 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
     attempted_before = true;
     bump(spec.tier);
     metrics.attempts(spec.tier).add();
-    util::RationalInterval enclosure{util::Rational{0}};
+    CertifiedValue candidate;
     try {
       DDM_SPAN("certify.tier", {{"label", label}, {"tier", to_string(spec.tier)}});
       obs::ScopedTimer timer(metrics.seconds(spec.tier));
-      enclosure = spec.evaluate();
+      candidate = spec.evaluate();
     } catch (const NumericError&) {
       ++local.numeric_errors;
       metrics.numeric_errors.add();
@@ -132,34 +141,68 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
       if (policy.stats != nullptr) *policy.stats += local;
       throw;
     }
-    if (!have_best || enclosure.width() < best.enclosure.width()) {
-      have_best = true;
-      best.enclosure = enclosure;
-      best.tier = spec.tier;
+    if (candidate.width_within(policy.tolerance)) {
+      return finish(std::move(candidate), spec.tier, true);
     }
-    if (enclosure.width() <= policy.tolerance) {
-      best.enclosure = enclosure;
-      best.tier = spec.tier;
-      best.met_tolerance = true;
-      publish(best);
-      return best;
+    if (!best.has_value() || candidate.width() < best->width()) {
+      best = std::move(candidate);
+      best_tier = spec.tier;
     }
   }
-  if (!have_best) {
+  if (!best.has_value()) {
     if (policy.stats != nullptr) *policy.stats += local;
     if (last_failure) std::rethrow_exception(last_failure);
     throw NumericError(std::string(label) + ": no evaluation tier available under this policy");
   }
-  best.met_tolerance = best.enclosure.width() <= policy.tolerance;
-  publish(best);
-  return best;
+  return finish(std::move(*best), best_tier, false);
 }
 
-double CertifiedValue::error_bound() const {
-  const util::Rational centre = util::exact_rational(value());
-  const util::Rational below = centre - enclosure.lo();
-  const util::Rational above = enclosure.hi() - centre;
-  return util::round_up(below < above ? above : below);
+CertifiedValue::CertifiedValue(util::RationalInterval enclosure)
+    : enclosure_(std::move(enclosure)), value_(enclosure_->midpoint().to_double()) {
+  if (!std::isfinite(value_)) {
+    bound_ = std::numeric_limits<double>::infinity();
+    return;
+  }
+  const util::Rational centre = util::exact_rational(value_);
+  const util::Rational below = centre - enclosure_->lo();
+  const util::Rational above = enclosure_->hi() - centre;
+  bound_ = util::round_up(below < above ? above : below);
+}
+
+CertifiedValue CertifiedValue::centred(double centre, double radius) {
+  CertifiedValue result;
+  result.value_ = centre;
+  result.bound_ = radius;
+  return result;
+}
+
+util::RationalInterval CertifiedValue::enclosure() const {
+  if (enclosure_.has_value()) return *enclosure_;
+  const util::Rational centre = util::exact_rational(value_);
+  const util::Rational radius = util::exact_rational(bound_);
+  return util::RationalInterval{centre - radius, centre + radius};
+}
+
+util::Rational CertifiedValue::width() const {
+  if (enclosure_.has_value()) return enclosure_->width();
+  return util::exact_rational(bound_) * util::Rational{2};
+}
+
+bool CertifiedValue::width_within(const util::Rational& tolerance) const {
+  if (enclosure_.has_value()) return enclosure_->width() <= tolerance;
+  // Rational::to_double divides two BigInt::to_double images when both parts
+  // are under 900 bits; each image is within 29 roundings of exact, so a
+  // normal quotient lies within 2^-46 of the tolerance — far inside the
+  // 2^-40 margin. The width 2r is exact (or +inf past any such tolerance).
+  const double doubled = 2 * bound_;
+  if (tolerance.num().bit_length() < 900 && tolerance.den().bit_length() < 900) {
+    const double approx = tolerance.to_double();
+    if (std::isnormal(approx)) {
+      if (doubled <= approx * (1 - 0x1p-40)) return true;
+      if (doubled > approx * (1 + 0x1p-40)) return false;
+    }
+  }
+  return width() <= tolerance;
 }
 
 namespace util {
@@ -170,14 +213,12 @@ namespace {
 constexpr double kTrackedSafety = 4.0;
 }  // namespace
 
-RationalInterval tracked_enclosure(const TrackedDouble& tracked, const char* label) {
+CertifiedValue tracked_enclosure(const TrackedDouble& tracked, const char* label) {
   const double bound = kTrackedSafety * tracked.error;
   if (!std::isfinite(tracked.value) || !std::isfinite(bound)) {
     throw NumericError(std::string(label) + ": double tier produced a non-finite value or bound");
   }
-  const Rational center = exact_rational(tracked.value);
-  const Rational radius = exact_rational(bound);
-  return RationalInterval{center - radius, center + radius};
+  return CertifiedValue::centred(tracked.value, bound);
 }
 
 Rational exact_rational(double x) {
@@ -208,6 +249,15 @@ double round_up(const Rational& r) {
     bound = std::nextafter(bound, std::numeric_limits<double>::infinity());
   }
   return bound;
+}
+
+bool exact_double(const Rational& r) noexcept {
+  // den = 2^k with k < 900 keeps to_double on its exact num/den division
+  // (util/rational.cpp) and the value normal; <= 53 numerator bits make
+  // both conversions exact.
+  const std::size_t den_bits = r.den().bit_length();
+  return r.num().bit_length() <= 53 && den_bits < 900 &&
+         r.den().trailing_zero_bits() + 1 == den_bits;
 }
 
 }  // namespace util

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 
 #include "util/interval.hpp"
@@ -92,8 +93,12 @@ struct EvalPolicy {
 /// tier that produced it, and whether the policy tolerance was met. When
 /// met_tolerance is false the enclosure is still valid — just wider than
 /// requested (the ladder ran out of allowed tiers).
+///
+/// value() and error_bound() are derived once, when the enclosure is set,
+/// so reading them costs nothing. A tier-0 result built with centred() keeps
+/// its enclosure as the two doubles of [centre − radius, centre + radius]
+/// and builds the rational endpoints only when enclosure() is asked for.
 struct CertifiedValue {
-  util::RationalInterval enclosure{util::Rational{0}};
   EvalTier tier = EvalTier::kCompensatedDouble;
   bool met_tolerance = false;
   /// Ladder counters for THIS evaluation only. An EvalStats attached to the
@@ -102,21 +107,44 @@ struct CertifiedValue {
   /// delta instead.
   EvalStats stats;
 
-  [[nodiscard]] util::Rational width() const { return enclosure.width(); }
+  /// The point enclosure [0, 0].
+  CertifiedValue() = default;
+  /// A rational enclosure (implicit, so a ladder rung may return one).
+  CertifiedValue(util::RationalInterval enclosure);  // NOLINT(google-explicit-constructor)
+  /// The enclosure [centre − radius, centre + radius] of two finite doubles
+  /// (radius >= 0): value() is exactly `centre`, error_bound() exactly
+  /// `radius`.
+  [[nodiscard]] static CertifiedValue centred(double centre, double radius);
+
+  /// The proven enclosure (rational endpoints; built here for centred()).
+  [[nodiscard]] util::RationalInterval enclosure() const;
+  [[nodiscard]] util::Rational width() const;
+  /// Exactly `width() <= tolerance`. For a centred() enclosure the width 2r
+  /// is a double and the test runs in doubles; only a width within 2^-40 of
+  /// the tolerance is compared in rationals.
+  [[nodiscard]] bool width_within(const util::Rational& tolerance) const;
   /// Midpoint of the enclosure as a double — the "answer" for callers that
   /// want one number.
-  [[nodiscard]] double value() const { return enclosure.midpoint().to_double(); }
+  [[nodiscard]] double value() const noexcept { return value_; }
   /// Proven bound on |value() − exact|: the distance from value() to the
   /// farther enclosure endpoint, rounded up to a double. Covers the midpoint's
   /// rounding to double, so it is the honest figure to print beside value().
-  [[nodiscard]] double error_bound() const;
+  [[nodiscard]] double error_bound() const noexcept { return bound_; }
+
+ private:
+  /// nullopt for a centred() enclosure (and the default [0, 0]).
+  std::optional<util::RationalInterval> enclosure_;
+  double value_ = 0.0;
+  double bound_ = 0.0;
 };
 
-/// One rung of the ladder: computes an enclosure, or throws ddm::NumericError
-/// when this tier cannot evaluate the instance (overflow, unsupported size).
+/// One rung of the ladder: computes an enclosure — a CertifiedValue whose
+/// tier, met_tolerance and stats the ladder fills in (a RationalInterval
+/// converts) — or throws ddm::NumericError when this tier cannot evaluate
+/// the instance (overflow, unsupported size).
 struct TierSpec {
   EvalTier tier;
-  std::function<util::RationalInterval()> evaluate;
+  std::function<CertifiedValue()> evaluate;
 };
 
 /// Runs `tiers` (ordered cheapest-first) under `policy`: attempts each tier
@@ -137,12 +165,12 @@ struct TrackedDouble {
   double error = 0.0;
 };
 
-/// Converts a tracked double into a rigorous enclosure with exact rational
-/// endpoints, inflating the bound by a safety factor that absorbs the
-/// second-order roundoff terms the running analysis drops. Throws
-/// ddm::NumericError when the value or bound is non-finite (the escalation
-/// signal of the double tier).
-[[nodiscard]] RationalInterval tracked_enclosure(const TrackedDouble& tracked, const char* label);
+/// Converts a tracked double into a rigorous enclosure, centred on its value
+/// (CertifiedValue::centred), inflating the bound by a safety factor that
+/// absorbs the second-order roundoff terms the running analysis drops.
+/// Throws ddm::NumericError when the value or bound is non-finite (the
+/// escalation signal of the double tier).
+[[nodiscard]] CertifiedValue tracked_enclosure(const TrackedDouble& tracked, const char* label);
 
 /// Exact rational value of a finite double (every finite double is a dyadic
 /// rational). Throws ddm::NumericError on NaN/inf.
@@ -155,6 +183,11 @@ struct TrackedDouble {
 /// A double >= `r`: Rational::to_double nudged upward until its exact value
 /// is no smaller, so it can stand in for `r` in an error bound.
 [[nodiscard]] double round_up(const Rational& r);
+
+/// True when `r` is a dyadic rational whose value Rational::to_double
+/// returns exactly (at most 53 significant bits, a normal exponent): such an
+/// input needs no rounding gap.
+[[nodiscard]] bool exact_double(const Rational& r) noexcept;
 
 }  // namespace util
 

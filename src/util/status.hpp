@@ -16,6 +16,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/resilience.hpp"
+
 namespace ddm {
 
 /// Root of the ddm error hierarchy.
@@ -127,6 +129,20 @@ class Cancelled : public StoppedError {
                          std::to_string(total) + " work units",
                      label, completed, total) {}
 };
+
+/// Throws Cancelled or DeadlineExceeded, carrying `completed` of `total`
+/// work units, when `control` says stop; returns at once for an inert one.
+inline void throw_if_stopped(const util::RunControl& control, const std::string& label,
+                             std::size_t completed, std::size_t total) {
+  switch (control.should_stop()) {
+    case util::StopReason::kNone:
+      return;
+    case util::StopReason::kCancelled:
+      throw Cancelled(label, completed, total);
+    case util::StopReason::kDeadline:
+      throw DeadlineExceeded(label, completed, total);
+  }
+}
 
 /// A sweep checkpoint file could not be used: unreadable, wrong header
 /// (parameters differ from the run being resumed), or unparseable row.

@@ -9,14 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/nonoblivious.hpp"
 #include "core/symmetric_threshold.hpp"
 #include "geom/volume.hpp"
+#include "obs/metrics_registry.hpp"
 #include "util/certify.hpp"
 #include "util/rational.hpp"
 #include "util/status.hpp"
@@ -28,7 +34,7 @@ using util::Rational;
 
 TEST(TrackedEnclosure, BoundsAreOutwardAndRejectNonFinite) {
   const util::TrackedDouble tracked{1.5, 0x1p-40};
-  const util::RationalInterval enclosure = util::tracked_enclosure(tracked, "test");
+  const util::RationalInterval enclosure = util::tracked_enclosure(tracked, "test").enclosure();
   EXPECT_TRUE(enclosure.contains(Rational{3, 2}));
   EXPECT_TRUE(enclosure.width() > Rational{0});
   EXPECT_THROW((void)util::tracked_enclosure({std::numeric_limits<double>::infinity(), 0.0}, "t"),
@@ -62,7 +68,7 @@ TEST(CertifiedThreshold, EnclosureContainsExactValueOnSmallInstances) {
     for (const Rational& t : {Rational{1, 2}, Rational{1}, Rational{3, 2}}) {
       const Rational exact = core::threshold_winning_probability(a, t);
       const CertifiedValue certified = core::certified_threshold_winning_probability(a, t);
-      EXPECT_TRUE(certified.enclosure.contains(exact))
+      EXPECT_TRUE(certified.enclosure().contains(exact))
           << "n=" << a.size() << " t=" << t.to_double();
       EXPECT_TRUE(certified.met_tolerance);
     }
@@ -72,8 +78,8 @@ TEST(CertifiedThreshold, EnclosureContainsExactValueOnSmallInstances) {
 TEST(CertifiedThreshold, NonpositiveThresholdIsExactZero) {
   const std::vector<Rational> a = {Rational{1, 2}, Rational{1, 2}};
   const CertifiedValue certified = core::certified_threshold_winning_probability(a, Rational{0});
-  EXPECT_EQ(certified.enclosure.width(), Rational{0});
-  EXPECT_TRUE(certified.enclosure.contains(Rational{0}));
+  EXPECT_EQ(certified.enclosure().width(), Rational{0});
+  EXPECT_TRUE(certified.enclosure().contains(Rational{0}));
   EXPECT_TRUE(certified.met_tolerance);
 }
 
@@ -92,7 +98,7 @@ TEST(CertifiedSymmetric, EnclosureContainsExactValue) {
     const Rational exact = core::symmetric_threshold_winning_probability(n, beta, t);
     const CertifiedValue certified =
         core::certified_symmetric_threshold_winning_probability(n, beta, t);
-    EXPECT_TRUE(certified.enclosure.contains(exact)) << "n=" << n;
+    EXPECT_TRUE(certified.enclosure().contains(exact)) << "n=" << n;
     EXPECT_TRUE(certified.met_tolerance) << "n=" << n;
   }
 }
@@ -116,7 +122,7 @@ TEST(CertifiedSymmetric, EscalatesDoubleToExactAtN24) {
   EXPECT_EQ(certified.tier, EvalTier::kExact);
   EXPECT_TRUE(certified.met_tolerance);
   const Rational exact = core::symmetric_threshold_winning_probability(24, beta, t);
-  EXPECT_EQ(certified.enclosure.lo(), exact);
+  EXPECT_EQ(certified.enclosure().lo(), exact);
   EXPECT_EQ(certified.width(), Rational{0});
 }
 
@@ -170,7 +176,7 @@ TEST(CertifiedSymmetric, NonDyadicInputsSettleOnDoubleTier) {
     EXPECT_EQ(certified.tier, EvalTier::kCompensatedDouble);
     EXPECT_TRUE(certified.met_tolerance);
     const Rational exact = core::symmetric_threshold_winning_probability(8, beta, t);
-    EXPECT_TRUE(certified.enclosure.contains(exact)) << beta << " " << t;
+    EXPECT_TRUE(certified.enclosure().contains(exact)) << beta << " " << t;
   }
 }
 
@@ -226,7 +232,7 @@ TEST(CertifiedSymmetric, MaxTierCapsTheLadder) {
   EXPECT_FALSE(certified.met_tolerance);
   const Rational exact =
       core::symmetric_threshold_winning_probability(24, Rational{3, 8}, Rational{8});
-  EXPECT_TRUE(certified.enclosure.contains(exact));
+  EXPECT_TRUE(certified.enclosure().contains(exact));
 }
 
 TEST(CertifiedSymmetric, ZeroToleranceForcesExactTier) {
@@ -238,9 +244,9 @@ TEST(CertifiedSymmetric, ZeroToleranceForcesExactTier) {
       5, Rational{1, 2}, Rational{2}, policy);
   EXPECT_EQ(certified.tier, EvalTier::kExact);
   EXPECT_TRUE(certified.met_tolerance);
-  EXPECT_EQ(certified.enclosure.width(), Rational{0});
+  EXPECT_EQ(certified.enclosure().width(), Rational{0});
   EXPECT_EQ(stats.exact_attempts, 1u);
-  EXPECT_EQ(certified.enclosure.lo(),
+  EXPECT_EQ(certified.enclosure().lo(),
             core::symmetric_threshold_winning_probability(5, Rational{1, 2}, Rational{2}));
 }
 
@@ -256,10 +262,141 @@ TEST(CertifiedSymmetric, AgreesWithSymbolicPiecewiseAnalysis) {
       const Rational symbolic = analysis.winning_probability()(beta);
       const CertifiedValue certified =
           core::certified_symmetric_threshold_winning_probability(n, beta, t);
-      EXPECT_TRUE(certified.enclosure.contains(symbolic))
+      EXPECT_TRUE(certified.enclosure().contains(symbolic))
           << "n=" << n << " beta=" << beta.to_double();
     }
   }
+}
+
+// --- the per-request fast path ------------------------------------------
+
+void expect_same_certificate(const CertifiedValue& fast, const CertifiedValue& ladder,
+                             const std::string& where) {
+  const util::RationalInterval fast_enclosure = fast.enclosure();
+  const util::RationalInterval ladder_enclosure = ladder.enclosure();
+  EXPECT_EQ(fast_enclosure.lo(), ladder_enclosure.lo()) << where;
+  EXPECT_EQ(fast_enclosure.hi(), ladder_enclosure.hi()) << where;
+  EXPECT_EQ(fast.width(), ladder.width()) << where;
+  EXPECT_EQ(fast.tier, ladder.tier) << where;
+  EXPECT_EQ(fast.met_tolerance, ladder.met_tolerance) << where;
+  // Bitwise: the fast path reads its centre and radius, the ladder derives
+  // them from rational endpoints.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.value()),
+            std::bit_cast<std::uint64_t>(ladder.value())) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.error_bound()),
+            std::bit_cast<std::uint64_t>(ladder.error_bound())) << where;
+  EXPECT_EQ(fast.stats.double_attempts, ladder.stats.double_attempts) << where;
+  EXPECT_EQ(fast.stats.interval_attempts, ladder.stats.interval_attempts) << where;
+  EXPECT_EQ(fast.stats.exact_attempts, ladder.stats.exact_attempts) << where;
+  EXPECT_EQ(fast.stats.escalations, ladder.stats.escalations) << where;
+  EXPECT_EQ(fast.stats.numeric_errors, ladder.stats.numeric_errors) << where;
+}
+
+/// The certify.* counters and tier-time sample counts, by name.
+std::map<std::string, std::uint64_t> certify_counts() {
+  std::map<std::string, std::uint64_t> counts;
+  for (const obs::MetricSample& sample : obs::Registry::instance().scrape()) {
+    if (sample.name.rfind("certify.", 0) != 0) continue;
+    counts[sample.name] = sample.kind == obs::MetricSample::Kind::kHistogram
+                              ? sample.histogram_count
+                              : sample.counter_value;
+  }
+  return counts;
+}
+
+TEST(SymmetricCertifier, FastPathMatchesTheLadderBitForBit) {
+  // Every point of a 1/1024 beta grid (plus non-dyadic betas that need a
+  // rounding gap), at t = n/3 (rounded once per request) and t = n/4
+  // (dyadic), evaluated three ways: the per-request fast path from the exact
+  // rational and from a double, and the generic per-point ladder. Certificates
+  // and certify.* counters must agree exactly. From n = 13 on, tier 0 misses
+  // 1e-9 on more and more points and both sides escalate to the exact rung,
+  // so there the grid is strided to keep the test quick.
+  std::vector<Rational> probes;
+  for (std::int64_t k = 0; k <= 1024; ++k) probes.emplace_back(k, 1024);
+  for (std::int64_t k = 1; k < 100; k += 7) probes.emplace_back(k, 100);
+  obs::set_metrics_enabled(true);
+  for (std::uint32_t n = 1; n <= 24; ++n) {
+    const std::size_t stride = n <= 12 ? 1 : n <= 18 ? 16 : 64;
+    for (const Rational& t : {Rational{n, 3}, Rational{n, 4}}) {
+      const std::string instance = "n=" + std::to_string(n) + " t=" + t.to_string();
+      const core::SymmetricCertifier certifier(n, t);
+      std::vector<CertifiedValue> fast;
+      obs::Registry::instance().reset();
+      for (std::size_t k = 0; k < probes.size(); k += stride) {
+        fast.push_back(certifier.evaluate(probes[k]));
+      }
+      const auto fast_counts = certify_counts();
+      obs::Registry::instance().reset();
+      for (std::size_t k = 0, i = 0; k < probes.size(); k += stride, ++i) {
+        expect_same_certificate(fast[i], certifier.evaluate_on_ladder(probes[k]),
+                                instance + " beta=" + probes[k].to_string());
+      }
+      EXPECT_EQ(fast_counts, certify_counts()) << instance;
+      for (std::size_t k = 0, i = 0; k < probes.size(); k += stride, ++i) {
+        if (!util::representable_as_double(probes[k])) continue;
+        expect_same_certificate(certifier.evaluate(probes[k].to_double()), fast[i],
+                                instance + " double beta=" + probes[k].to_string());
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+}
+
+TEST(CertifiedValueCentred, MatchesItsRationalEnclosure) {
+  // A centred result must say exactly what the same enclosure says when it
+  // is built from rationals: value and bound bit for bit, and the width test
+  // — decided in doubles — exactly as the rational comparison, including
+  // radii one ulp either side of half the tolerance.
+  const Rational tolerances[] = {Rational{1, 1000000000}, Rational{1, 3},   Rational{0},
+                                 Rational{-1, 2},         Rational{3, 1024}, util::exact_rational(0x1p-1070),
+                                 Rational{util::BigInt::pow(util::BigInt{10}, 400), util::BigInt{1}}};
+  for (const Rational& tolerance : tolerances) {
+    const double half = (tolerance * Rational{1, 2}).to_double();
+    std::vector<double> radii = {0.0, 0x1p-1074, 1e-200, 1e-17, 0.25, 1e100};
+    if (std::isfinite(half) && half > 0) {
+      for (double r = half, k = 0; k < 3; ++k) {
+        radii.push_back(r);
+        radii.push_back(std::nextafter(r, 0.0));
+        radii.push_back(std::nextafter(r, 1.0));
+        r = std::nextafter(r, 1.0);
+      }
+    }
+    for (const double radius : radii) {
+      const CertifiedValue centred = CertifiedValue::centred(0.375, radius);
+      const CertifiedValue rational{centred.enclosure()};
+      const std::string where = "tol=" + tolerance.to_string() + " r=" + std::to_string(radius);
+      EXPECT_EQ(centred.width(), rational.width()) << where;
+      EXPECT_EQ(centred.width_within(tolerance), rational.width() <= tolerance) << where;
+      EXPECT_EQ(rational.width_within(tolerance), rational.width() <= tolerance) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(centred.value()),
+                std::bit_cast<std::uint64_t>(rational.value())) << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(centred.error_bound()),
+                std::bit_cast<std::uint64_t>(rational.error_bound())) << where;
+    }
+  }
+}
+
+TEST(SymmetricCertifier, OneCallMatchesThePreparedRequest) {
+  // The one-point API is a one-point SymmetricCertifier, under tolerances
+  // that are not dyadic, zero, or wider than any width.
+  for (const Rational& tolerance :
+       {Rational{1, 1000000000}, Rational{0}, Rational{1, 3}, Rational{1000}}) {
+    EvalPolicy policy;
+    policy.tolerance = tolerance;
+    const core::SymmetricCertifier certifier(9, Rational{3}, policy);
+    for (const Rational& beta : {Rational{0}, Rational{5, 16}, Rational{37, 100}, Rational{1}}) {
+      const CertifiedValue one =
+          core::certified_symmetric_threshold_winning_probability(9, beta, Rational{3}, policy);
+      expect_same_certificate(one, certifier.evaluate_on_ladder(beta),
+                              "tol=" + tolerance.to_string() + " beta=" + beta.to_string());
+    }
+  }
+  EXPECT_THROW((void)core::SymmetricCertifier(4, Rational{1}).evaluate(Rational{9, 8}),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::SymmetricCertifier(4, Rational{1}).evaluate(-0.25),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::SymmetricCertifier(0, Rational{1}), std::invalid_argument);
 }
 
 TEST(CertifiedVolume, EnclosureContainsExactValue) {
@@ -267,7 +404,7 @@ TEST(CertifiedVolume, EnclosureContainsExactValue) {
   const std::vector<Rational> pi = {Rational{1, 4}, Rational{1, 4}, Rational{1, 8}};
   const Rational exact = geom::simplex_box_volume(sigma, pi);
   const CertifiedValue certified = geom::certified_simplex_box_volume(sigma, pi);
-  EXPECT_TRUE(certified.enclosure.contains(exact));
+  EXPECT_TRUE(certified.enclosure().contains(exact));
   EXPECT_TRUE(certified.met_tolerance);
 }
 
@@ -281,7 +418,7 @@ TEST(CertifiedVolume, UnrepresentableSidesUseIntervalTier) {
   // Tier 0 is attempted but must abandon via NumericError (inputs not dyadic).
   EXPECT_GE(stats.numeric_errors, 1u);
   EXPECT_NE(certified.tier, EvalTier::kCompensatedDouble);
-  EXPECT_TRUE(certified.enclosure.contains(geom::simplex_box_volume(sigma, pi)));
+  EXPECT_TRUE(certified.enclosure().contains(geom::simplex_box_volume(sigma, pi)));
 }
 
 TEST(DoubleKernels, GuardNonFiniteIntermediates) {

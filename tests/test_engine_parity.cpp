@@ -132,7 +132,7 @@ TEST(EngineParity, CertificateBearingEnginesEncloseTheTruth) {
       const EvalOutcome outcome = registry.require(id).evaluate(instance.request);
       ASSERT_EQ(outcome.certificates.size(), instance.truth.size()) << "engine '" << id << "'";
       for (std::size_t k = 0; k < instance.truth.size(); ++k) {
-        EXPECT_TRUE(outcome.certificates[k].enclosure.contains(instance.truth[k]))
+        EXPECT_TRUE(outcome.certificates[k].enclosure().contains(instance.truth[k]))
             << "engine '" << id << "', n=" << instance.request.n << ", beta="
             << instance.request.betas[k] << ": enclosure excludes the exact value";
         EXPECT_TRUE(outcome.certificates[k].met_tolerance)

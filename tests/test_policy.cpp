@@ -287,8 +287,11 @@ TEST_F(PolicyTest, StructuralGarbageIsRejected) {
 // tolerance the plan is held to, but a request is handed to the compiled
 // plan ONLY when the plan's certificate clears the request tolerance, and a
 // symmetric request is otherwise answered by the certified ladder. Every
-// chosen engine must support the request.
+// chosen engine must support the request. auto only uses resident plans, so
+// the n <= 8 plans are made resident first (lowering n = 9..14 would cost
+// seconds; those n still exercise the certified side of the contract).
 TEST_F(PolicyTest, ModelNeverViolatesTheToleranceContract) {
+  for (std::uint32_t n = 1; n <= 8; ++n) (void)PlanCache::instance().get_or_lower(n, Rational{n, 3});
   std::mt19937 rng(990817);
   std::uniform_real_distribution<double> log_cost(-24.0, -2.0);
   const Rational tolerances[] = {Rational{1, 1000000000000}, Rational{1, 1000000000},
@@ -384,6 +387,7 @@ TEST_F(PolicyTest, ForcedEnginesBypassTheModel) {
 
 TEST_F(PolicyTest, UnconfiguredSelectKeepsTheStaticRule) {
   CostModel::set_configured(nullptr);
+  (void)PlanCache::instance().get_or_lower(4, Rational{4, 3});  // auto uses resident plans only
   const Selection selection = select(EnginePolicy{}, sweep(4, Rational{4, 3}, 8,
                                                            Rational{1, 1000000000}));
   EXPECT_FALSE(selection.model_consulted);

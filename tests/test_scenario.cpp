@@ -2,8 +2,8 @@
 //
 // Covers: digest canonicalization and descriptor parsing (including
 // near-collision ranges that must never share a digest), the ragged
-// EvalRequest::general regression, scenario-keyed caching (PlanCache and
-// BoundMemo must never hand a homogeneous artifact to a generalized digest),
+// EvalRequest::general regression, scenario-keyed caching (the PlanCache
+// must never hand a homogeneous artifact to a generalized digest),
 // exact/mc/certified engine parity against the core/heterogeneous and
 // core/deviating ground truth, the auto-selection and fallback-chain
 // reshaping under generalized games, cost-model scenario rows, checkpoint
@@ -22,7 +22,6 @@
 #include "core/deviating.hpp"
 #include "core/heterogeneous.hpp"
 #include "core/nonoblivious.hpp"
-#include "engine/bound_memo.hpp"
 #include "engine/cost_model.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
@@ -125,7 +124,7 @@ TEST(EvalRequestGeneral, RejectsRaggedBatchNamingOffendingPoint) {
   }
 }
 
-// --- scenario-keyed caching (PlanCache + BoundMemo) -------------------------
+// --- scenario-keyed caching (PlanCache) ------------------------------------
 
 TEST(ScenarioCaching, PlanCacheKeysOnDigest) {
   engine::PlanCache cache(8);
@@ -148,23 +147,6 @@ TEST(ScenarioCaching, PlanCacheKeysOnDigest) {
   // Repeat lookups hit their own entries, never a neighbor's.
   EXPECT_EQ(cache.get_or_lower(3, t, "heterogeneous:1/12,2,1").get(), het_a.get());
   EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(ScenarioCaching, BoundMemoNeverCrossesScenarios) {
-  engine::BoundMemo memo;
-  const Rational t{1};
-  memo.store(3, t, "homogeneous", 1e-12);
-  EXPECT_TRUE(memo.lookup(3, t, "homogeneous").has_value());
-  // The homogeneous bound must not answer a generalized lookup (same n, t —
-  // same direct-mapped slot — different game).
-  EXPECT_FALSE(memo.lookup(3, t, "heterogeneous:1/12,2,1").has_value());
-  EXPECT_FALSE(memo.lookup(3, t, "deviating:1").has_value());
-  memo.store(3, t, "heterogeneous:1/12,2,1", 2e-12);
-  EXPECT_FALSE(memo.lookup(3, t, "homogeneous").has_value());  // slot re-keyed
-  EXPECT_FALSE(memo.lookup(3, t, "heterogeneous:1,12/2,1").has_value());
-  const auto found = memo.lookup(3, t, "heterogeneous:1/12,2,1");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, 2e-12);
 }
 
 // --- engine parity against the core ground truth ----------------------------

@@ -3,11 +3,13 @@
 // Three contracts of the reply are pinned here:
 //   * a served answer never depends on which other requests shared the
 //     queue: coalescing folds only jobs that would get the same answer (same
-//     instance, engine, tolerance, scenario), and a coalesced job's value and
-//     bound equal its solo reply's;
+//     instance, engine, tolerance, trials, seed, scenario), and a coalesced
+//     job's value and bound equal its solo reply's, randomized answers
+//     included;
 //   * every answer that has a proven bound carries it (`bound`);
 //   * a deadline bounds worker time even inside the certified ladder's exact
-//     rung, which polls its control once per outer term.
+//     rung, which polls its control once per outer term, and inside the
+//     symbolic `analyze`, which polls once per piece.
 #include "net/service.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/nonoblivious.hpp"
+#include "engine/plan_cache.hpp"
 #include "util/certify.hpp"
 #include "util/rational.hpp"
 
@@ -84,6 +87,48 @@ TEST(ServeCoalescing, KeysOnToleranceAndMatchesSoloReplies) {
   }
 }
 
+TEST(ServeCoalescing, KeysOnTrialsAndSeedAndMatchesSoloReplies) {
+  // n = 16 under a heterogeneous game is past the exact cap, so auto answers
+  // with seeded Monte Carlo: a coalesced point must draw the stream of its
+  // own solo request, and jobs asking for another seed must not be folded.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const std::string slow =
+      R"({"op":"threshold","engine":"mc","n":3,"t":"1","beta":0.5,"trials":20000000})";
+  std::vector<std::thread> blockers;
+  for (int i = 0; i < 2; ++i) blockers.emplace_back([&] { (void)service.handle_line(slow); });
+  wait_for_queue(service, 1);
+  const std::string game =
+      R"("scenario":"heterogeneous:1/2,1,1/2,1,1/2,1,1/2,1,1/2,1,1/2,1,1/2,1,1/2,1")";
+  const std::vector<std::string> lines = {
+      R"({"id":"a","op":"threshold","n":16,"t":"4","beta":0.4,"trials":2000,"seed":7,)" + game +
+          "}",
+      R"({"id":"b","op":"threshold","n":16,"t":"4","beta":0.5,"trials":2000,"seed":8,)" + game +
+          "}",
+      R"({"id":"c","op":"threshold","n":16,"t":"4","beta":0.6,"trials":2000,"seed":7,)" + game +
+          "}",
+  };
+  std::vector<std::string> replies(lines.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    clients.emplace_back([&, i] { replies[i] = service.handle_line(lines[i]); });
+    wait_for_queue(service, i + 2);  // fixes the queue order a, b, c
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::thread& blocker : blockers) blocker.join();
+
+  // a and c share the seed: folded. b asked for another seed: alone.
+  EXPECT_NE(replies[0].find("\"coalesced\":true"), std::string::npos) << replies[0];
+  EXPECT_EQ(replies[1].find("coalesced"), std::string::npos) << replies[1];
+  EXPECT_NE(replies[2].find("\"coalesced\":true"), std::string::npos) << replies[2];
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(replies[i].find("\"engine\":\"mc\""), std::string::npos) << replies[i];
+    const std::string solo = service.handle_line(lines[i]);
+    EXPECT_EQ(field_text(replies[i], "value"), field_text(solo, "value")) << lines[i];
+  }
+}
+
 TEST(ServeBound, RepliesCarryTheirProvenBound) {
   ServiceConfig config;
   config.workers = 1;
@@ -98,8 +143,14 @@ TEST(ServeBound, RepliesCarryTheirProvenBound) {
   const Rational exact =
       core::symmetric_threshold_winning_probability(24, Rational{3, 8}, Rational{8});
   EXPECT_TRUE((util::exact_rational(value) - exact).abs() <= util::exact_rational(bound)) << big;
-  // A compiled answer carries its plan certificate; an estimate has none.
-  const std::string small = service.handle_line(R"({"op":"threshold","n":6,"t":"2","beta":0.5})");
+  // A cold small instance is a ladder point; once its plan is resident, the
+  // compiled answer carries the plan certificate. An estimate has no bound.
+  const std::string line = R"({"op":"threshold","n":6,"t":"2","beta":0.5})";
+  const std::string cold = service.handle_line(line);
+  EXPECT_NE(cold.find("\"engine\":\"certified\""), std::string::npos) << cold;
+  EXPECT_FALSE(field_text(cold, "bound").empty()) << cold;
+  (void)engine::PlanCache::instance().get_or_lower(6, Rational{2});
+  const std::string small = service.handle_line(line);
   EXPECT_NE(small.find("\"engine\":\"compiled\""), std::string::npos) << small;
   EXPECT_FALSE(field_text(small, "bound").empty()) << small;
   const std::string mc = service.handle_line(
@@ -129,6 +180,26 @@ TEST(ServeDeadline, CutsTheExactRungMidSum) {
   EXPECT_LT(elapsed, point_cost / 2)
       << std::chrono::duration<double, std::milli>(elapsed).count() << " ms vs one point "
       << std::chrono::duration<double, std::milli>(point_cost).count() << " ms";
+}
+
+TEST(ServeDeadline, CutsTheSymbolicAnalysis) {
+  // The n = 12 analysis takes seconds (its slowest single piece about half a
+  // second to maximize); build and maximize poll the request's control once
+  // per piece, so a 50 ms budget ends it well inside two seconds.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const auto started = std::chrono::steady_clock::now();
+  const std::string reply =
+      service.handle_line(R"({"op":"analyze","n":12,"t":"4","deadline_ms":50})");
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
+  // The detail names the phase the stop struck and its pieces done / total.
+  EXPECT_TRUE(reply.find("SymmetricThresholdAnalysis::build") != std::string::npos ||
+              reply.find("PiecewisePolynomial::maximize") != std::string::npos)
+      << reply;
+  EXPECT_LT(elapsed, std::chrono::seconds(2))
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
 }
 
 }  // namespace

@@ -58,6 +58,7 @@ int sweep_certified(std::uint32_t n, const Rational& t, const Rational& lo, cons
 
   std::vector<ddm::CertifiedValue> results(steps + 1);
   if (scenario.is_default()) {
+    const core::SymmetricCertifier certifier(n, t, policy);
     util::ParallelOptions options;
     options.grain = 1;
     options.label = "sweep_certify";
@@ -67,8 +68,7 @@ int sweep_certified(std::uint32_t n, const Rational& t, const Rational& lo, cons
           for (std::size_t k = chunk_lo; k < chunk_hi; ++k) {
             // Fresh evaluation per attempt: idempotent under engine retry, and
             // CertifiedValue::stats carries this point's ladder counters only.
-            results[k] = core::certified_symmetric_threshold_winning_probability(
-                n, betas[k], t, policy);
+            results[k] = certifier.evaluate(betas[k]);
           }
         },
         options);

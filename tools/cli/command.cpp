@@ -6,6 +6,7 @@
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
 #include "engine/cost_model.hpp"
+#include "util/simd.hpp"
 
 namespace ddm::cli {
 
@@ -83,9 +84,10 @@ constexpr std::array<Command, 11> kCommands{{
               "                  [--shard=i/k] [--scenario=<desc>] [--ranges=c_1,..,c_n]",
      "β-grid of Theorem 5.1 values, fanned across the thread pool, as JSON",
      "Evaluates P(beta) on a uniform grid and emits one JSON row per point.\n"
-     "The default --engine=auto picks the compiled Horner plan when it is\n"
-     "cheap (n <= 8, or a resident plan) and its certified error bound is\n"
+     "The default --engine=auto picks the compiled Horner plan when one is\n"
+     "resident (cached, or in a plan store) and its certified error bound is\n"
      "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64);\n"
+     "auto never lowers a plan itself.\n"
      "auto mode stamps the chosen engine and its proven error bound into\n"
      "every row and announces fallbacks on stderr. Forcing an engine keeps\n"
      "the row format of the pre-engine CLI (and --engine=compiled surfaces\n"
@@ -296,6 +298,10 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
       (void)engine::CostModel::configured();
     }
   }
+  // DDM_SIMD likewise resolves now: an auto sweep answered by the certified
+  // ladder never reaches a vector kernel, and a malformed value must fail
+  // the same way whichever engine answers.
+  (void)util::simd::dispatch_width();
   return command->run(args, options);
 }
 

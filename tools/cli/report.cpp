@@ -8,11 +8,12 @@ namespace ddm::cli {
 
 void print_certified(const ddm::CertifiedValue& result, const ddm::EvalPolicy& policy) {
   const ddm::EvalStats& stats = result.stats;
+  const util::RationalInterval enclosure = result.enclosure();
   const auto flags = std::cout.flags();
   std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
             << "  certified value = " << result.value() << "\n"
-            << "  enclosure = [" << result.enclosure.lo().to_double() << ", "
-            << result.enclosure.hi().to_double() << "]"
+            << "  enclosure = [" << enclosure.lo().to_double() << ", "
+            << enclosure.hi().to_double() << "]"
             << std::setprecision(3) << "  width = " << result.width().to_double() << "\n"
             << "  tier = " << ddm::to_string(result.tier) << "  tolerance ("
             << policy.tolerance.to_double() << ") "

@@ -42,17 +42,18 @@
 // request's observed latency back into the table (EWMA), so the daemon
 // self-tunes while serving (engine.policy.* on /metrics).
 //
-// Lifecycle: the daemon PRE-WARMS before announcing readiness — canonical
-// small plans are lowered (or loaded from the store) into the plan cache and
-// every registered engine answers one tiny dispatch, so the first real
-// request never pays lowering/spin-up cost (the 88 ms cold-start outlier
-// BENCH_serve.json used to carry). It then prints
-// `listening on 127.0.0.1:<port>` on stdout once ready
+// Lifecycle: the daemon PRE-WARMS before announcing readiness — every
+// registered engine answers one tiny dispatch (pool spin-up), and with a
+// plan store its plans are loaded into the plan cache; nothing is lowered.
+// It then prints `listening on 127.0.0.1:<port>` on stdout once ready
 // (supervisors and the soak harness parse it), serves until SIGTERM/SIGINT,
 // then drains: stops accepting, answers queued work, replies `draining` to
-// stragglers, and exits 0. Crash tolerance is the absence of state: every
-// durable artifact (compiled plans) is a cache rebuilt on demand, so
-// kill -9 + restart simply serves again — scripts/run_soak.sh proves it.
+// stragglers, and exits 0. Each connection runs on its own thread; threads
+// whose peer has gone are joined as new connections arrive, so a long-lived
+// daemon holds threads for its live connections only. Crash tolerance is
+// the absence of state: every durable artifact (compiled plans) is a cache
+// rebuilt on demand, so kill -9 + restart simply serves again —
+// scripts/run_soak.sh proves it.
 #include <unistd.h>
 
 #include <atomic>
@@ -60,7 +61,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -194,14 +194,16 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
   return config;
 }
 
-/// Warms the evaluation path before the daemon announces readiness: the
-/// canonical small symmetric plans are lowered (or pulled from the plan
-/// store) into the plan cache, and every registered engine answers one tiny
-/// dispatch, so the first REAL request pays neither exact-algebra lowering
-/// nor pool spin-up — the cold-start outlier BENCH_serve.json used to show
-/// as an 88 ms max. Failures are deliberately swallowed: pre-warm is an
-/// optimization, and an engine that cannot answer the probe (or a plan that
-/// cannot lower) will report its real error on a real request.
+/// Warms the evaluation path before the daemon announces readiness: every
+/// registered engine answers one tiny dispatch, so the first REAL request
+/// does not pay pool spin-up, and with a plan store configured every stored
+/// plan comes into the plan cache, where `auto` can use it. Without a store
+/// nothing is lowered: `auto` answers cold symmetric requests from the
+/// certified O(n²) ladder, and lowering the small plans here would cost
+/// ~0.1 s of exact algebra at every start for points the ladder serves in
+/// microseconds. Failures are deliberately swallowed: pre-warm is an
+/// optimization, and an engine that cannot answer the probe (or a stored
+/// plan that cannot load) will report its real error on a real request.
 void prewarm() {
   // Under fault injection (a test-only mode), pre-warm would consume the
   // deterministic strike budget before any client connects, silently turning
@@ -212,16 +214,13 @@ void prewarm() {
     std::cerr << "ddm_serve: fault plan active, skipping pre-warm\n";
     return;
   }
-  // With a plan store configured, warm exactly what the store can serve:
-  // each listed plan comes in through the cache's validated store path, so a
+  // Each listed plan comes in through the cache's validated store path, so a
   // warm start stays lowering-free (the plan_store_check contract —
   // compiled.lowerings == 0 until a request asks for an unshipped plan).
-  // Without a store, lower the canonical small symmetric plans directly.
   std::size_t plans = 0;
   bool warmed_probe_plan = false;
   const ddm::util::Rational probe_t(1);
-  const std::shared_ptr<ddm::poly::PlanStore> store = ddm::poly::PlanStore::configured();
-  if (store != nullptr) {
+  if (const std::shared_ptr<ddm::poly::PlanStore> store = ddm::poly::PlanStore::configured()) {
     for (const std::string& path : store->list_paths()) {
       try {
         const ddm::poly::LoadedPlan loaded = store->load_path(path);
@@ -232,23 +231,14 @@ void prewarm() {
       } catch (const std::exception&) {
       }
     }
-  } else {
-    for (std::uint32_t n = 1; n <= 8; ++n) {
-      try {
-        (void)ddm::engine::PlanCache::instance().get_or_lower(n, ddm::util::Rational(n, 3));
-        ++plans;
-        if (n == 3) warmed_probe_plan = true;
-      } catch (const std::exception&) {
-      }
-    }
   }
   std::size_t engines = 0;
   const ddm::engine::Registry& registry = ddm::engine::Registry::instance();
   for (const std::string_view id : registry.ids()) {
     // The compiled probe would lower its (3, 1) plan if nothing warmed it —
-    // under a store that ships other instances, that would break the
-    // lowering-free warm start for no benefit (compiled dispatch on a cached
-    // plan is nanoseconds; the pool spin-up comes from the other probes).
+    // that would break the lowering-free start for no benefit (compiled
+    // dispatch on a cached plan is nanoseconds; the pool spin-up comes from
+    // the other probes).
     if (id == "compiled" && !warmed_probe_plan) continue;
     ddm::engine::EvalRequest request;
     request.n = 3;
@@ -301,7 +291,10 @@ void serve_connection(const std::shared_ptr<ddm::net::Connection>& connection,
     if (line.empty()) continue;
     if (line.compare(0, 4, "GET ") == 0) {
       serve_http(*connection, line, service);
-      return;  // Connection: close semantics for the HTTP surface
+      // Connection: close semantics for the HTTP surface; the rest of the
+      // request (headers, the blank line) is drained, not reset.
+      connection->finish_reply(std::chrono::milliseconds(1000));
+      return;
     }
     if (!connection->write_all(service.handle_line(line) + "\n")) return;
   }
@@ -352,17 +345,35 @@ int main(int argc, char** argv) {
     prewarm();
     std::cout << "listening on 127.0.0.1:" << listener.port() << std::endl;
 
-    std::mutex connections_mutex;
-    std::vector<std::thread> connection_threads;
-    std::vector<std::weak_ptr<ddm::net::Connection>> live;  // drain kicks
+    // One entry per connection thread. `done` flips once the thread has
+    // released its connection, so the accept loop can join it without
+    // blocking; `connection` stays weak so drain can still kick live peers.
+    struct ConnectionThread {
+      std::thread thread;
+      std::weak_ptr<ddm::net::Connection> connection;
+      std::shared_ptr<std::atomic<bool>> done;
+    };
+    std::vector<ConnectionThread> connections;
+    const auto reap_finished = [&connections] {
+      std::erase_if(connections, [](ConnectionThread& entry) {
+        if (!entry.done->load()) return false;
+        entry.thread.join();
+        return true;
+      });
+    };
     while (!g_stop.load()) {
       const int fd = listener.accept_connection();
       if (fd < 0) break;
+      reap_finished();
       auto connection = std::make_shared<ddm::net::Connection>(fd);
-      std::lock_guard<std::mutex> lock(connections_mutex);
-      live.push_back(connection);
-      connection_threads.emplace_back(
-          [connection, &service] { serve_connection(connection, service); });
+      auto done = std::make_shared<std::atomic<bool>>(false);
+      ConnectionThread entry{{}, connection, done};
+      entry.thread = std::thread([connection = std::move(connection), done, &service]() mutable {
+        serve_connection(connection, service);
+        connection.reset();  // close the socket before announcing completion
+        done->store(true);
+      });
+      connections.push_back(std::move(entry));
     }
 
     // Drain: answer everything already admitted, then exit cleanly. The
@@ -370,15 +381,10 @@ int main(int argc, char** argv) {
     // idle keep-alive connections are kicked loose so join() is prompt.
     std::cerr << "ddm_serve: draining\n";
     service.drain();
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex);
-      for (const auto& weak : live) {
-        if (const auto connection = weak.lock()) connection->shutdown_now();
-      }
+    for (const ConnectionThread& entry : connections) {
+      if (const auto connection = entry.connection.lock()) connection->shutdown_now();
     }
-    for (std::thread& thread : connection_threads) {
-      if (thread.joinable()) thread.join();
-    }
+    for (ConnectionThread& entry : connections) entry.thread.join();
     std::cerr << "ddm_serve: drained, exiting\n";
     return 0;
   } catch (const std::exception& error) {
