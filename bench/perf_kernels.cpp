@@ -15,7 +15,6 @@
 #include "core/randomized_rules.hpp"
 #include "core/reference_kernels.hpp"
 #include "core/symmetric_threshold.hpp"
-#include "engine/cost_model.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
 #include "obs/metrics_registry.hpp"
@@ -407,9 +406,9 @@ void BM_SweepCompiled(benchmark::State& state) {
 // the Simd-vs-scalar gate in run_bench.sh --check needs stable numbers.
 BENCHMARK(BM_SweepCompiled)->Arg(1024)->Arg(10000)->UseRealTime()->MinTime(1.0);
 
-// Same symmetric n = 12 sweep through the batch kernel — the `--engine=kernel`
-// fallback path, and the denominator of the compiled-vs-kernel ratio on the
-// exact CLI workload (small grid: one point costs ~3^12 subset visits).
+// Same symmetric n = 12 sweep through the batch kernel — the `--engine=batch`
+// path, and the denominator of the compiled-vs-batch ratio on the exact CLI
+// workload (small grid: one point costs ~3^12 subset visits).
 void BM_SweepKernel(benchmark::State& state) {
   const std::size_t n = 12;
   const std::size_t steps = static_cast<std::size_t>(state.range(0));
@@ -514,57 +513,44 @@ void BM_SweepCompiledSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCompiledSimd)->Arg(1024)->Arg(10000)->UseRealTime()->MinTime(1.0);
 
-// --- profile-guided dispatch (engine/cost_model.hpp) -----------------------
+// --- tolerance-driven auto dispatch (engine/policy.hpp) ---------------------
 //
 // The mixed mid-n workload the paper's serving story lives on: four
-// symmetric instances spanning the static rule's blind spot. At request
-// tolerance 1e-5 the compiled plan's certificate clears every instance
-// (n = 10: 5.2e-8, n = 12: 3.3e-6), but the static auto rule holds compiled
-// to its fixed 1e-9 bound and sends n = 10 and n = 12 to the certified
-// ladder — microseconds per point instead of nanoseconds. A calibrated
-// CostModel holds the (pre-lowered, resident) plans to the request tolerance
-// and routes all four to them; run_bench.sh --check gates
-// static/calibrated >= 1.5x and forced-best/calibrated >= 0.9x.
+// symmetric instances whose compiled plans are resident (pre-lowered). auto
+// takes a resident plan exactly when its certificate is <= the REQUEST
+// tolerance. At 1e-5 every certificate clears (n = 10: 5.2e-8, n = 12:
+// 3.3e-6), so BM_AutoDispatch answers all four from the plans — nanoseconds
+// per point. At the default 1e-9 (BM_AutoDispatchTight) n = 10 and n = 12
+// go to the certified ladder — microseconds per point. run_bench.sh --check
+// gates tight/auto >= 1.5x and forced-best/auto >= 0.9x.
 
-/// The four workload instances with 2048-point beta grids and tolerance
-/// 1e-5, built once (2048 points amortize the per-request select() cost the
-/// same way real sweep/serve batches do).
-const std::vector<ddm::engine::EvalRequest>& dispatch_workload() {
-  static const std::vector<ddm::engine::EvalRequest>* workload = [] {
-    auto* requests = new std::vector<ddm::engine::EvalRequest>();
-    const std::pair<std::uint32_t, Rational> instances[] = {
-        {6, Rational{2}}, {8, Rational{8, 3}}, {10, Rational{10, 3}}, {12, Rational{4}}};
-    for (const auto& [n, t] : instances) {
-      ddm::engine::EvalRequest request;
-      request.n = n;
-      request.t = t;
-      request.tolerance = Rational{1, 100000};
-      request.betas.reserve(2048);
-      for (std::size_t k = 0; k < 2048; ++k) {
-        request.betas.push_back(static_cast<double>(k + 1) / 2049.0);
-      }
-      requests->push_back(std::move(request));
+/// The four workload instances with 2048-point beta grids at `tolerance`
+/// (2048 points amortize the per-request select() cost the same way real
+/// sweep/serve batches do).
+std::vector<ddm::engine::EvalRequest> dispatch_workload(const Rational& tolerance) {
+  std::vector<ddm::engine::EvalRequest> requests;
+  const std::pair<std::uint32_t, Rational> instances[] = {
+      {6, Rational{2}}, {8, Rational{8, 3}}, {10, Rational{10, 3}}, {12, Rational{4}}};
+  for (const auto& [n, t] : instances) {
+    ddm::engine::EvalRequest request;
+    request.n = n;
+    request.t = t;
+    request.tolerance = tolerance;
+    request.betas.reserve(2048);
+    for (std::size_t k = 0; k < 2048; ++k) {
+      request.betas.push_back(static_cast<double>(k + 1) / 2049.0);
     }
-    return requests;
-  }();
-  return *workload;
+    requests.push_back(std::move(request));
+  }
+  return requests;
 }
 
-/// One real (tiny-grid) calibration, shared by every calibrated iteration.
-std::shared_ptr<ddm::engine::CostModel> bench_cost_model() {
-  static const std::shared_ptr<ddm::engine::CostModel> model = [] {
-    ddm::engine::CalibrationOptions options;
-    options.ns = {1, 2, 4, 8, 12};
-    options.batches = {16, 256};
-    return ddm::engine::CostModel::calibrate(options);
-  }();
-  return model;
-}
-
-void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePolicy& policy) {
+void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePolicy& policy,
+                           const Rational& tolerance) {
+  const std::vector<ddm::engine::EvalRequest> workload = dispatch_workload(tolerance);
   // Pre-lower the plans so every variant measures dispatch + evaluation,
   // not one-time exact-algebra lowering.
-  for (const ddm::engine::EvalRequest& request : dispatch_workload()) {
+  for (const ddm::engine::EvalRequest& request : workload) {
     try {
       (void)ddm::engine::PlanCache::instance().get_or_lower(request.n, request.t);
     } catch (const std::exception&) {
@@ -573,7 +559,7 @@ void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePol
   std::int64_t points = 0;
   for (auto _ : state) {
     double accumulated = 0.0;
-    for (const ddm::engine::EvalRequest& request : dispatch_workload()) {
+    for (const ddm::engine::EvalRequest& request : workload) {
       const ddm::engine::Selection selection = ddm::engine::select(policy, request);
       const ddm::engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
       accumulated += outcome.values.front();
@@ -590,7 +576,6 @@ void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePol
 // at any n: n = 4, 8 and 16 settle on the certified ladder's long-double
 // tier 0, n = 24 and n = 48 escalate to its exact O(n²) rung.
 void sweep_symmetric_cold(benchmark::State& state, std::size_t steps, double lo, double hi) {
-  ddm::engine::CostModel::set_configured(nullptr);
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<double> betas(steps + 1);
   for (std::size_t k = 0; k < betas.size(); ++k) {
@@ -619,26 +604,22 @@ void BM_SweepSymmetricDense(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepSymmetricDense)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_AutoDispatchStatic(benchmark::State& state) {
-  ddm::engine::CostModel::set_configured(nullptr);  // pin the static rule
-  run_dispatch_workload(state, ddm::engine::EnginePolicy{});
+void BM_AutoDispatch(benchmark::State& state) {
+  run_dispatch_workload(state, ddm::engine::EnginePolicy{}, Rational{1, 100000});
 }
-BENCHMARK(BM_AutoDispatchStatic)->UseRealTime();
+BENCHMARK(BM_AutoDispatch)->UseRealTime();
 
-void BM_AutoDispatchCalibrated(benchmark::State& state) {
-  ddm::engine::CostModel::set_configured(bench_cost_model());
-  run_dispatch_workload(state, ddm::engine::EnginePolicy{});
-  ddm::engine::CostModel::set_configured(nullptr);
+void BM_AutoDispatchTight(benchmark::State& state) {
+  run_dispatch_workload(state, ddm::engine::EnginePolicy{}, Rational{1, 1000000000});
 }
-BENCHMARK(BM_AutoDispatchCalibrated)->UseRealTime();
+BENCHMARK(BM_AutoDispatchTight)->UseRealTime();
 
 void BM_AutoDispatchForcedBest(benchmark::State& state) {
   // The best single forced engine for this workload: every certificate
   // clears 1e-5, so a user who hand-tuned would write --engine=compiled.
-  ddm::engine::CostModel::set_configured(nullptr);
   ddm::engine::EnginePolicy policy;
   policy.engine = "compiled";
-  run_dispatch_workload(state, policy);
+  run_dispatch_workload(state, policy, Rational{1, 100000});
 }
 BENCHMARK(BM_AutoDispatchForcedBest)->UseRealTime();
 

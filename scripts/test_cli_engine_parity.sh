@@ -5,8 +5,10 @@
 # Every registered engine sweeps the same grids — the golden β = k/8 grid at
 # n = 6, t = 2 and the n = 12, t = 4 acceptance instance — and the p_win
 # columns must agree with the exact engine within each engine's stated
-# tolerance: bitwise for kernel/batch (vs each other), ~1e-9 for the
-# deterministic double paths, and statistical slack for Monte Carlo.
+# tolerance: ~1e-9 for the deterministic double paths, the plan certificate
+# for compiled, and statistical slack for Monte Carlo. (The batch kernel's
+# bitwise contract with the serial reference kernel is pinned at unit level,
+# EngineParity.BatchIsBitwiseEqualToTheSerialKernel.)
 #
 # Usage: test_cli_engine_parity.sh /path/to/ddm_cli
 set -euo pipefail
@@ -34,7 +36,7 @@ values() {
 
 run_instance() {
   local label="$1" n="$2" t="$3" steps="$4" compiled_tol="$5"
-  for eng in exact kernel batch compiled certified mc; do
+  for eng in exact batch compiled certified mc; do
     "$CLI" sweep "$n" "$t" 0 1 "$steps" --engine="$eng" | values \
       > "$TMP/$label.$eng" || fail "$label: --engine=$eng sweep failed"
   done
@@ -55,15 +57,12 @@ exact = load("exact")
 # certificate (instance-dependent — it grows with n, which is exactly why the
 # auto policy re-checks it); mc slack is >6 sigma at the CLI default of
 # 200000 trials.
-tolerances = {"kernel": 1e-9, "batch": 1e-9, "compiled": compiled_tol,
-              "certified": 2e-9, "mc": 7e-3}
+tolerances = {"batch": 1e-9, "compiled": compiled_tol, "certified": 2e-9, "mc": 7e-3}
 for engine, tol in tolerances.items():
     for k, (got, want) in enumerate(zip(load(engine), exact)):
         assert abs(got - want) <= tol, \
             f"{label}: engine {engine} point {k}: {got} vs exact {want} (tol {tol})"
-# The batch kernel's contract is bitwise equality with the serial kernel.
-assert load("kernel") == load("batch"), f"{label}: kernel and batch rows differ bitwise"
-print(f"{label}: 6 engines agree on {steps + 1} points")
+print(f"{label}: 5 engines agree on {steps + 1} points")
 PY
 }
 

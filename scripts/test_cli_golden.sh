@@ -3,7 +3,7 @@
 # registered as the ctest `cli_engine_golden` test (tools/CMakeLists.txt).
 #
 # Each file under tests/golden_cli/ is the pre-engine-layer output of one
-# ddm_cli invocation with a pinned evaluation path (--engine=kernel,
+# ddm_cli invocation with a pinned evaluation path (--engine=batch,
 # --engine=compiled, or --certify) or a default scalar subcommand. The
 # engine-layer refactor is allowed to change how those paths are reached,
 # never what they print: every capture must match byte for byte.
@@ -34,10 +34,10 @@ check() {
 }
 
 run_checks() {
-  check sweep_n3_kernel.txt      sweep 3 1 0 1 12 --engine=kernel
+  check sweep_n3_batch.txt       sweep 3 1 0 1 12 --engine=batch
   check sweep_n3_compiled.txt    sweep 3 1 0 1 12 --engine=compiled
   check sweep_n6_compiled.txt    sweep 6 2 0 1 24 --engine=compiled
-  check sweep_n12_kernel.txt     sweep 12 4 0 1 8 --engine=kernel
+  check sweep_n12_batch.txt      sweep 12 4 0 1 8 --engine=batch
   check sweep_n12_compiled.txt   sweep 12 4 0 1 8 --engine=compiled
   check sweep_n4_certify.txt     sweep 4 4/3 0 1 16 --certify
   check threshold_n3.txt         threshold 3 1 0.622
@@ -72,45 +72,6 @@ check() {
   if [ "$actual" != "$(cat "$golden")" ]; then
     diff <(printf '%s\n' "$actual") "$golden" >&2 || true
     fail "'DDM_SIMD=off $CLI_DEFAULT $*' output differs from $name"
-  fi
-}
-run_checks
-
-# Third pass: a loaded policy table (profile-guided dispatch,
-# docs/performance.md §7). Captures that pin a FORCED evaluation path
-# (--engine=..., --certify, scalar subcommands) must ignore the model
-# completely; the default-dispatch captures keep their static choice because
-# a truthful table and the static rule agree where both are defined. Either
-# way: byte for byte, with the table loaded through DDM_POLICY.
-GOLDEN_TMP="$(mktemp -d)"
-trap 'rm -rf "$GOLDEN_TMP"' EXIT
-python3 - "$GOLDEN_TMP/policy.ddmpolicy" <<'EOF'
-import sys
-# A truthful table (realistic cost ordering: compiled plans nanoseconds per
-# point, double kernels micro- to milliseconds growing with n).
-cells = []
-for i, n in enumerate((1, 4, 12, 16)):
-    for batch in (1, 16, 256):
-        cells.append(f"cell compiled {n} {batch} {4e-09 * (i + 1):.2e}\n")
-        cells.append(f"cell batch {n} {batch} {1e-06 * 3**i:.2e}\n")
-        cells.append(f"cell kernel {n} {batch} {2e-06 * 3**i:.2e}\n")
-body = "ddmpolicy v1\norigin calibrate\nt_regime n/3\n" + "".join(sorted(cells))
-h = 14695981039346656037
-for b in body.encode():
-    h = ((h ^ b) * 1099511628211) % (1 << 64)
-with open(sys.argv[1], "w") as f:
-    f.write(body + f"checksum {h:016x}\n")
-EOF
-check() {
-  local name="$1"
-  shift
-  local golden="$GOLDEN_DIR/$name"
-  local actual
-  actual="$(env DDM_POLICY="$GOLDEN_TMP/policy.ddmpolicy" "$CLI_DEFAULT" "$@")" \
-    || fail "'DDM_POLICY=... $CLI_DEFAULT $*' failed"
-  if [ "$actual" != "$(cat "$golden")" ]; then
-    diff <(printf '%s\n' "$actual") "$golden" >&2 || true
-    fail "'DDM_POLICY=... $CLI_DEFAULT $*' output differs from $name"
   fi
 }
 run_checks

@@ -64,13 +64,20 @@ expect_reject "--certify" "$CLI" sweep 3 1 0 1 4 --certify --checkpoint "$TMP/c.
 expect_reject "invalid --engine 'bogus'" "$CLI" sweep 3 1 0 1 4 --engine=bogus
 expect_reject "invalid --engine 'bogus'" "$CLI" analyze 3 1 --engine=bogus
 expect_reject "--engine requires a value" "$CLI" sweep 3 1 0 1 4 --engine
-expect_reject "--engine is only supported by" "$CLI" oblivious 3 1 --engine=kernel
-expect_reject "--engine is only supported by" "$CLI" ladder 3 1 --engine=kernel
+expect_reject "--engine is only supported by" "$CLI" oblivious 3 1 --engine=batch
+expect_reject "--engine is only supported by" "$CLI" ladder 3 1 --engine=batch
 expect_reject "--engine cannot be combined with --certify" "$CLI" sweep 3 1 0 1 4 --certify --engine=compiled
 expect_reject "--engine=certified cannot be combined" "$CLI" sweep 3 1 0 1 4 --engine=certified --checkpoint "$TMP/ce.ckpt"
 # A forced engine that cannot serve the request is a named error, not a
-# silent substitution: the double kernels cap n at 20.
-expect_reject "does not support" "$CLI" threshold 24 8 3/8 --engine=kernel
+# silent substitution: the double kernel caps n at 20.
+expect_reject "does not support" "$CLI" threshold 24 8 3/8 --engine=batch
+# An unregistered id is rejected, and the message lists the registered ids.
+expect_reject "invalid --engine 'kernel'" "$CLI" sweep 3 1 0 1 4 --engine=kernel
+expect_reject "auto, batch, certified, compiled, exact, or mc" "$CLI" sweep 3 1 0 1 4 --engine=kernel
+# Past n = 64 auto refuses by name instead of reaching the O(3^n) kernel's
+# cap; the message names the auto cap and the engines that serve the request.
+expect_reject "n <= 64" "$CLI" sweep 65 22 0.3 0.4 1
+expect_reject "--engine=exact|certified" "$CLI" sweep 65 22 0.3 0.4 1
 
 # Malformed observability options are named, and a bogus DDM_THREADS must be
 # rejected up front instead of being silently clamped to one lane.
@@ -95,53 +102,8 @@ for mode in off scalar native avx2 neon; do
   [ "$simd_ref" = "$simd_out" ] || fail "DDM_SIMD=$mode output differs from default dispatch"
 done
 
-# --- policy tables (profile-guided dispatch) ------------------------------
-# Strict resolution, same contract as DDM_SIMD: a set-but-unusable
-# DDM_POLICY / --policy exits 2 naming the knob that held the bad path —
-# a misconfigured policy must never silently dispatch cold. A valid table
-# must load on any subcommand without changing a single output byte.
-expect_reject "--policy"   "$CLI" sweep 3 1 0 1 4 --policy
-expect_reject "--policy"   "$CLI" sweep 3 1 0 1 4 --policy=
-expect_reject "--policy"   "$CLI" sweep 3 1 0 1 4 --policy="$TMP/no_such_table"
-expect_reject "DDM_POLICY" env DDM_POLICY="$TMP/no_such_table" "$CLI" sweep 3 1 0 1 4
-expect_reject "DDM_POLICY" env DDM_POLICY="$TMP/no_such_table" "$CLI" threshold 3 1 0.5
-printf 'garbage\n' >"$TMP/garbage.ddmpolicy"
-expect_reject "DDM_POLICY" env DDM_POLICY="$TMP/garbage.ddmpolicy" "$CLI" sweep 3 1 0 1 4
-expect_reject "--policy"   "$CLI" analyze 3 1 4 --policy="$TMP/garbage.ddmpolicy"
-
-# A hand-built valid table (FNV-1a checksum trailer, the cost_model.hpp
-# format) — independent of `calibrate`, which needs an optimised build.
-python3 - "$TMP/valid.ddmpolicy" <<'EOF'
-import sys
-body = ("ddmpolicy v1\norigin calibrate\nt_regime n/3\n"
-        "cell batch 4 16 1e-06\ncell compiled 4 16 2e-09\n")
-h = 14695981039346656037
-for b in body.encode():
-    h = ((h ^ b) * 1099511628211) % (1 << 64)
-with open(sys.argv[1], "w") as f:
-    f.write(body + f"checksum {h:016x}\n")
-EOF
-policy_ref="$("$CLI" sweep 6 2 0 1 16)"
-policy_out="$("$CLI" sweep 6 2 0 1 16 --policy="$TMP/valid.ddmpolicy")" \
-  || fail "--policy rejected a valid table"
-[ "$policy_ref" = "$policy_out" ] || fail "--policy changed sweep output bytes"
-policy_out="$(env DDM_POLICY="$TMP/valid.ddmpolicy" "$CLI" sweep 6 2 0 1 16)" \
-  || fail "DDM_POLICY rejected a valid table"
-[ "$policy_ref" = "$policy_out" ] || fail "DDM_POLICY changed sweep output bytes"
-# Truncation is detected (checksum trailer gate), and a bumped format
-# version is rejected even when its checksum is valid.
-head -c 30 "$TMP/valid.ddmpolicy" >"$TMP/trunc.ddmpolicy"
-expect_reject "--policy" "$CLI" sweep 3 1 0 1 4 --policy="$TMP/trunc.ddmpolicy"
-python3 - "$TMP/future.ddmpolicy" <<'EOF'
-import sys
-body = "ddmpolicy v99\ncell batch 4 16 1e-06\n"
-h = 14695981039346656037
-for b in body.encode():
-    h = ((h ^ b) * 1099511628211) % (1 << 64)
-with open(sys.argv[1], "w") as f:
-    f.write(body + f"checksum {h:016x}\n")
-EOF
-expect_reject "format version" "$CLI" sweep 3 1 0 1 4 --policy="$TMP/future.ddmpolicy"
+# Options outside the closed flag set exit 2.
+expect_reject "unknown option '--policy=x'" "$CLI" sweep 3 1 0 1 4 --policy=x
 
 # --- ddm_serve configuration ---------------------------------------------
 # Same strict-parse contract as DDM_THREADS/DDM_SIMD: a malformed knob exits
@@ -190,23 +152,8 @@ if [ -n "$SERVE" ]; then
     *"plan_store=$TMP/empty_store"*) ;;
     *) fail "--check-config did not report the plan store: $cfg" ;;
   esac
-  # Policy tables are resolved eagerly at configuration time — a daemon must
-  # refuse to start (not dispatch cold) on a bad table, via either knob.
-  expect_reject "--policy-table" "$SERVE" --check-config --policy-table=
-  expect_reject "--policy-table" "$SERVE" --check-config --policy-table="$TMP/no_such_table"
-  expect_reject "--policy-table" "$SERVE" --check-config --policy-table="$TMP/garbage.ddmpolicy"
-  expect_reject "DDM_POLICY" env DDM_POLICY="$TMP/no_such_table" "$SERVE" --check-config
-  cfg="$("$SERVE" --check-config --policy-table="$TMP/valid.ddmpolicy")" \
-    || fail "ddm_serve --check-config rejected a valid policy table"
-  case "$cfg" in
-    *"policy_table=$TMP/valid.ddmpolicy"*) ;;
-    *) fail "--check-config did not report the policy table: $cfg" ;;
-  esac
-  cfg="$("$SERVE" --check-config)" || fail "ddm_serve --check-config failed on defaults"
-  case "$cfg" in
-    *"policy_table=<none>"*) ;;
-    *) fail "--check-config did not report policy_table=<none>: $cfg" ;;
-  esac
+  # Arguments outside the closed flag set exit 2.
+  expect_reject "unknown argument '--policy-table=x'" "$SERVE" --check-config --policy-table=x
 fi
 
 # --- certified mode ------------------------------------------------------
@@ -281,10 +228,10 @@ expect_reject "cannot read" "$CLI" merge "$TMP/no_such.ckpt"
 
 # --- engine selection ----------------------------------------------------
 # Every registered engine serves the same small sweep.
-for eng in batch certified compiled exact kernel mc; do
+for eng in batch certified compiled exact mc; do
   "$CLI" sweep 3 1 0 1 4 --engine="$eng" >/dev/null || fail "--engine=$eng sweep failed"
 done
-"$CLI" sweep 6 2 0 1 24 --engine=kernel >/dev/null || fail "--engine=kernel sweep failed"
+"$CLI" sweep 6 2 0 1 24 --engine=batch >/dev/null || fail "--engine=batch sweep failed"
 
 # Every auto row's value lies within its bound of the exact value (the
 # exact engine's rows; both grids are identical doubles).

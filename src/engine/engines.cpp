@@ -27,7 +27,7 @@ namespace ddm::engine {
 
 namespace {
 
-/// The O(3^n) double kernels cap n at 20 (core/nonoblivious.cpp).
+/// The O(3^n) double kernel caps n at 20 (core/nonoblivious.cpp).
 constexpr std::uint32_t kKernelMaxN = 20;
 
 [[nodiscard]] std::uint32_t request_n(const EvalRequest& request) {
@@ -37,12 +37,6 @@ constexpr std::uint32_t kKernelMaxN = 20;
     n = std::max(n, static_cast<std::uint32_t>(point.size()));
   }
   return n;
-}
-
-/// Per-point cooperative-stop poll for the serial engines (kernel, mc): a
-/// fired deadline/cancellation surfaces with how many points were finished.
-void throw_if_stopped(const EvalRequest& request, const char* label, std::size_t completed) {
-  ddm::throw_if_stopped(request.control, label, completed, request.size());
 }
 
 /// The exact rational image of grid point k: the caller's exact grid when
@@ -164,50 +158,11 @@ class ExactEvaluator final : public Evaluator {
   }
 };
 
-/// kernel — the serial Gray-code double kernel, one O(3^n) inclusion-
-/// exclusion walk per point. Bitwise equal to `batch` point for point (the
-/// batch kernel's documented contract); registered separately so callers can
-/// pin the unamortized, single-threaded reference path.
-class KernelEvaluator final : public Evaluator {
- public:
-  std::string_view id() const noexcept override { return "kernel"; }
-  Determinism determinism() const noexcept override { return Determinism::kDeterministic; }
-  std::string_view describe() const noexcept override {
-    return "serial Gray-code double kernel, O(3^n) per point (n <= 20, homogeneous only)";
-  }
-  bool supports(const EvalRequest& request) const override {
-    // The Gray-code walk hard-codes the U[0,1] two-bin game; generalized
-    // scenarios are declined honestly so policy code routes around it.
-    if (!request.scenario.is_default()) return false;
-    const std::uint32_t n = request_n(request);
-    return n >= 1 && n <= kKernelMaxN;
-  }
-  EvalOutcome evaluate(const EvalRequest& request) const override {
-    EvalOutcome outcome;
-    outcome.engine_id = "kernel";
-    outcome.values.resize(request.size(), 0.0);
-    const double t_d = request.t.to_double();
-    if (request.is_symmetric()) {
-      std::vector<double> point(request.n, 0.0);
-      for (std::size_t k = 0; k < request.betas.size(); ++k) {
-        throw_if_stopped(request, "engine.kernel", k);
-        point.assign(request.n, request.betas[k]);
-        outcome.values[k] = core::threshold_winning_probability(point, t_d);
-      }
-    } else {
-      for (std::size_t k = 0; k < request.points.size(); ++k) {
-        throw_if_stopped(request, "engine.kernel", k);
-        outcome.values[k] = core::threshold_winning_probability(request.points[k], t_d);
-      }
-    }
-    return outcome;
-  }
-};
-
 /// batch — the block-amortized parallel batch kernel: one Gray-code subset
 /// walk per run of same-size points within a block, fanned across the thread
-/// pool, bitwise equal to single-point calls. The universal fallback of the
-/// auto policy.
+/// pool, bitwise equal to the serial core::threshold_winning_probability
+/// point for point. Auto's engine for general per-player points and the
+/// compiled engine's fallback.
 class BatchEvaluator final : public Evaluator {
  public:
   std::string_view id() const noexcept override { return "batch"; }
@@ -393,7 +348,8 @@ class MonteCarloEvaluator final : public Evaluator {
     outcome.values.resize(request.size(), 0.0);
     const double t_d = request.t.to_double();
     for (std::size_t k = 0; k < request.size(); ++k) {
-      throw_if_stopped(request, "engine.mc", k);
+      // A fired deadline/cancellation surfaces with the points finished.
+      ddm::throw_if_stopped(request.control, "engine.mc", k, request.size());
       const std::uint64_t point_id =
           k < request.point_ids.size() ? request.point_ids[k] : static_cast<std::uint64_t>(k);
       prob::Rng rng{request.seed + point_id};
@@ -463,7 +419,6 @@ void register_builtin_engines(Registry& registry) {
   registry.register_engine(std::make_unique<CertifiedEvaluator>());
   registry.register_engine(std::make_unique<CompiledEvaluator>());
   registry.register_engine(std::make_unique<ExactEvaluator>());
-  registry.register_engine(std::make_unique<KernelEvaluator>());
   registry.register_engine(std::make_unique<MonteCarloEvaluator>());
 }
 

@@ -1,6 +1,6 @@
 // engines.hpp — registration hook for the built-in evaluation engines.
 //
-// The six adapters themselves are implementation details of engines.cpp;
+// The five adapters themselves are implementation details of engines.cpp;
 // callers reach them by id through the registry (engine/registry.hpp).
 // Registry::instance() calls register_builtin_engines once on first use, so
 // only tests building private registries need this header.
@@ -10,8 +10,8 @@
 
 namespace ddm::engine {
 
-/// Registers the built-in engines (batch, certified, compiled, exact,
-/// kernel, mc) on `registry`. Throws ddm::Error if any id is already taken.
+/// Registers the built-in engines (batch, certified, compiled, exact, mc) on
+/// `registry`. Throws ddm::Error if any id is already taken.
 void register_builtin_engines(Registry& registry);
 
 }  // namespace ddm::engine

@@ -1,18 +1,18 @@
 // evaluator.hpp — the unified evaluation-engine interface of ddm::engine.
 //
 // Several backends can evaluate the Theorem 5.1 winning probability of a
-// threshold protocol: exact rational arithmetic, the O(3^n) Gray-code double
-// kernel (serial or block-amortized/batched), compiled Horner plans lowered
-// from the exact piecewise polynomial, the certified escalation ladder, and
-// Monte Carlo simulation. Before this layer existed, the policy choosing
-// among them lived as ad-hoc branching inside ddm_cli. ddm::engine puts all
-// of them behind ONE seam: a request describes *what* to evaluate (a
-// symmetric β-grid or general threshold vectors, plus capacity t and a
-// tolerance), an Evaluator adapter describes *how*, and the process-wide
-// registry (engine/registry.hpp) owns the which — including the automatic
-// compiled-vs-kernel policy (engine/policy.hpp) and the LRU plan cache
-// (engine/plan_cache.hpp). New backends register once and every caller (CLI
-// subcommands, the threshold optimizer, examples) picks them up for free.
+// threshold protocol: exact rational arithmetic, the block-amortized O(3^n)
+// Gray-code double kernel, compiled Horner plans lowered from the exact
+// piecewise polynomial, the certified escalation ladder, and Monte Carlo
+// simulation. Before this layer existed, the policy choosing among them
+// lived as ad-hoc branching inside ddm_cli. ddm::engine puts all of them
+// behind ONE seam: a request describes *what* to evaluate (a symmetric
+// β-grid or general threshold vectors, plus capacity t and a tolerance), an
+// Evaluator adapter describes *how*, and the process-wide registry
+// (engine/registry.hpp) owns the which — including the auto policy
+// (engine/policy.hpp) and the LRU plan cache (engine/plan_cache.hpp). New
+// backends register once and every caller (CLI subcommands, the threshold
+// optimizer, examples) picks them up for free.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ namespace ddm::engine {
 /// sense) — never to silently change them.
 enum class Determinism {
   /// Bitwise-reproducible double evaluation: same request, same bits, for
-  /// any thread count (kernel, batch, compiled, exact).
+  /// any thread count (batch, compiled, exact).
   kDeterministic,
   /// Rigorous enclosure semantics: every value carries a proven interval
   /// (the certified escalation ladder).
@@ -135,7 +135,7 @@ struct EvalOutcome {
   /// Uniform bound on |values[k] − exact| when the engine carries one:
   /// 0 for exact evaluation, the plan certificate for compiled plans, the
   /// largest per-point CertifiedValue::error_bound() for the certified
-  /// ladder, +inf when no a-priori bound exists (double kernels, Monte Carlo).
+  /// ladder, +inf when no a-priori bound exists (batch kernel, Monte Carlo).
   double certificate_bound = std::numeric_limits<double>::infinity();
   /// Escalation-ladder counters accumulated across the request (certified
   /// engine only; zero elsewhere).
@@ -164,8 +164,8 @@ class Evaluator {
  public:
   virtual ~Evaluator() = default;
 
-  /// Stable registry id ("exact", "kernel", "batch", "compiled",
-  /// "certified", "mc"). Must point at storage with static lifetime.
+  /// Stable registry id ("exact", "batch", "compiled", "certified", "mc").
+  /// Must point at storage with static lifetime.
   [[nodiscard]] virtual std::string_view id() const noexcept = 0;
 
   [[nodiscard]] virtual Determinism determinism() const noexcept = 0;

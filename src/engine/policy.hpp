@@ -6,16 +6,19 @@
 // names either a concrete engine id or "auto"; engine::select
 // (engine/registry.hpp) resolves it against a request.
 //
-// The auto rule for the homogeneous game:
-//   * general (per-player) points → batch kernel
-//   * symmetric grids → the compiled plan only when one is already RESIDENT
-//     (plan cache or plan store) and its certificate clears the tolerance;
-//     auto never lowers a plan — lowering costs O(#breakpoints · n³) exact
-//     algebra, more than the ladder spends on thousands of points;
+// The auto rule for the homogeneous game has one tolerance in it — the
+// request's own (EvalRequest::tolerance, 1e-9 by default):
+//   * symmetric grids → the compiled plan when one is already RESIDENT
+//     (plan cache or plan store) and its exact certificate is <= the request
+//     tolerance; auto never lowers a plan — lowering costs
+//     O(#breakpoints · n³) exact algebra, more than the ladder spends on
+//     thousands of points;
 //   * every other symmetric grid with n <= kCertifiedAutoMaxN → the
 //     certified O(n²) ladder, whose answers carry a proven bound;
-//   * symmetric n > kCertifiedAutoMaxN → batch, which declines with a named
-//     error before any work starts.
+//   * symmetric n > kCertifiedAutoMaxN with no admissible resident plan →
+//     select throws a ddm::Error naming the cap and the engines that serve
+//     such requests (`exact`, `certified`);
+//   * general (per-player) points → the batch kernel.
 // A resident plan whose certificate misses the tolerance is a *visible*
 // fallback: the Selection carries a note the caller surfaces (the CLI prints
 // it to stderr and stamps the engine into sweep JSON). Plans become resident
@@ -28,9 +31,6 @@
 
 namespace ddm::engine {
 
-/// Tolerance the auto policy holds the compiled plan's certificate to.
-inline constexpr double kCompiledAutoTolerance = 1e-9;
-
 /// The largest n auto sends to the certified ladder. Its exact rung grows
 /// about as n^3.6 (for a double beta: 0.25 s per point at n = 64, 3 s at
 /// n = 128), so past this cap auto refuses up front instead of pinning a
@@ -42,9 +42,6 @@ inline constexpr std::uint32_t kCertifiedAutoMaxN = 64;
 struct EnginePolicy {
   /// Registry id to force, or "auto" to let the policy decide.
   std::string engine = "auto";
-  /// Auto mode: maximum compiled-plan certificate accepted (a tighter
-  /// request tolerance tightens it further).
-  double compiled_tolerance = kCompiledAutoTolerance;
 
   [[nodiscard]] bool is_auto() const noexcept { return engine == "auto"; }
 };

@@ -1,36 +1,29 @@
 // registry.hpp — the process-wide engine registry and selection policy.
 //
 // Registry::instance() owns one Evaluator per backend (engine/evaluator.hpp)
-// and registers the six built-ins on first use:
+// and registers the five built-ins on first use:
 //
 //   id          determinism     backend
 //   ---------   -------------   ----------------------------------------------
 //   exact       deterministic   exact Rational Theorem 5.1 (O(n²) symmetric)
-//   kernel      deterministic   serial Gray-code double kernel, O(3^n)/point
-//   batch       deterministic   block-amortized parallel batch kernel
-//                               (bitwise equal to `kernel`, point for point)
+//   batch       deterministic   block-amortized parallel Gray-code kernel,
+//                               O(3^n)/point (bitwise equal to the serial
+//                               core::threshold_winning_probability)
 //   compiled    deterministic   certified Horner plan via the LRU plan cache
 //   certified   certified       escalation ladder (rigorous enclosures)
 //   mc          randomized      seeded Monte Carlo estimation
 //
 // `select` resolves an EnginePolicy against a request: a concrete id is
-// looked up directly, "auto" applies the policy of engine/policy.hpp —
-// symmetric grids go to a resident certified compiled plan or else the
-// certified O(n²) ladder (auto never lowers a plan), general points to the
-// batch kernel. The selection is returned — never applied silently: when
-// auto declines a resident plan, the Selection carries a human-readable note
-// so callers can surface the fallback (the CLI prints it to stderr and stamps the winning
-// engine into sweep JSON).
-//
-// When a policy table is loaded (engine/cost_model.hpp — `ddm_cli calibrate`
-// output via --policy / DDM_POLICY / --policy-table), "auto" holds the
-// compiled plan's certificate to the REQUEST tolerance instead of the fixed
-// compiled_tolerance, and ranks batch against kernel by predicted latency
-// for general points. Forced engine ids never consult the model.
+// looked up directly, "auto" applies the one rule of engine/policy.hpp —
+// symmetric grids go to a resident compiled plan whose certificate is <= the
+// REQUEST tolerance, or else the certified O(n²) ladder (auto never lowers a
+// plan); general points go to the batch kernel. The selection is returned —
+// never applied silently: when auto declines a resident plan, the Selection
+// carries a human-readable note so callers can surface the fallback (the CLI
+// prints it to stderr and stamps the winning engine into sweep JSON).
 //
 // Observability: `engine.select` spans (args: requested id, chosen id) and
-// `engine.selects` / `engine.fallbacks` counters; model consultation adds
-// `engine.policy.{consults,model_wins,static_wins}`; the plan cache adds
+// `engine.selects` / `engine.fallbacks` counters; the plan cache adds
 // `engine.cache` spans and hit/miss/eviction counters.
 #pragma once
 
@@ -89,17 +82,16 @@ struct Selection {
   /// The certified max-error bound of the resident compiled plan auto
   /// considered (NaN when no plan for the instance was resident).
   double compiled_bound = std::numeric_limits<double>::quiet_NaN();
-  /// True when auto consulted a loaded CostModel instead of the static rule
-  /// (forced engines and table-less processes never set it).
-  bool model_consulted = false;
 
   [[nodiscard]] std::string_view id() const noexcept { return evaluator->id(); }
 };
 
 /// Resolves `policy` against `request` on the process registry. Forced ids
-/// throw ddm::Error when unknown or unsupported for the request's shape;
-/// "auto" never throws for a well-formed request (past every cap it returns
-/// the batch kernel, whose evaluation then names the limit).
+/// throw ddm::Error when unknown or unsupported for the request's shape.
+/// "auto" throws ddm::Error for a symmetric homogeneous request with
+/// n > kCertifiedAutoMaxN and no admissible resident plan — the message
+/// names the cap and the engines that serve it (`exact`, `certified`) — and
+/// for a generalized scenario no engine supports.
 [[nodiscard]] Selection select(const EnginePolicy& policy, const EvalRequest& request);
 
 /// Adapts a registered engine into the threshold optimizer's batch-objective

@@ -1,11 +1,8 @@
 #include "engine/resilient.hpp"
 
-#include <algorithm>
 #include <exception>
-#include <memory>
 #include <string>
 
-#include "engine/cost_model.hpp"
 #include "engine/registry.hpp"
 #include "obs/metrics_registry.hpp"
 #include "util/fault.hpp"
@@ -49,13 +46,12 @@ std::vector<std::string_view> fallback_chain(std::string_view id, const Scenario
   if (!scenario.is_default()) {
     // Generalized games: the exact rational evaluators degrade to seeded
     // Monte Carlo (an estimate — honestly flagged via `degraded`); mc is
-    // already the last resort. The homogeneous-only double kernels never
-    // serve these requests, so they get no chain.
+    // already the last resort. The homogeneous-only compiled and batch
+    // engines never serve these requests, so they get no chain.
     if (id == "exact" || id == "certified") return {"mc"};
     return {};
   }
-  if (id == "compiled") return {"batch", "kernel"};
-  if (id == "batch") return {"kernel"};
+  if (id == "compiled") return {"batch"};
   if (id == "certified") return {"mc"};
   return {};
 }
@@ -68,22 +64,6 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
   chain.push_back(selection.id());
   for (const std::string_view id : fallback_chain(selection.id(), request.scenario)) {
     chain.push_back(id);
-  }
-  // With a policy table loaded, try the fallbacks cheapest-predicted-first:
-  // the chain HEAD is the selection contract and never moves, but the order
-  // we burn the remaining deadline budget in is a pure latency question.
-  // Engines without table data predict +infinity and keep the static order
-  // (stable sort), so a sparse table cannot reshuffle what it never measured.
-  if (chain.size() > 2) {
-    if (const std::shared_ptr<CostModel> model = CostModel::configured();
-        model != nullptr && !model->empty()) {
-      const std::string& scenario = request.scenario.digest();
-      std::stable_sort(chain.begin() + 1, chain.end(),
-                       [&model, &request, &scenario](std::string_view lhs, std::string_view rhs) {
-                         return model->predict(lhs, request.n, request.size(), scenario) <
-                                model->predict(rhs, request.n, request.size(), scenario);
-                       });
-    }
   }
 
   Registry& registry = Registry::instance();

@@ -7,11 +7,10 @@
 //
 //   preferred engine        fallback chain (homogeneous default scenario)
 //   ----------------        -----------------------------------------------
-//   compiled                batch, then kernel   (deterministic, same bits)
-//   batch                   kernel               (bitwise-equal by contract)
+//   compiled                batch                (deterministic double kernel)
 //   certified               mc                   (estimate under deadline
 //                                                 pressure — honestly flagged)
-//   exact / kernel / mc     none                 (already the last resort)
+//   exact / batch / mc      none                 (already the last resort)
 //
 // Under a generalized scenario (engine/scenario.hpp) the chains reshape:
 // exact and certified degrade to mc (the only other engine that serves

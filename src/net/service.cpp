@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/symmetric_threshold.hpp"
-#include "engine/cost_model.hpp"
 #include "net/ndjson.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -44,28 +43,6 @@ constexpr std::uint64_t kMaxTrials = 100'000'000;
 
 [[noreturn]] void reject(const std::string& why) { throw Error(why); }
 
-/// Folds one measured evaluation into the loaded policy table — the live,
-/// worker-safe half of profile-guided dispatch: a long-running daemon keeps
-/// refining its calibrated cells (EWMA) as the machine's real latency
-/// drifts. No-op when no table is configured; best-effort by design (an
-/// observation must never fail a request that was already answered).
-void observe_policy(const engine::EvalRequest& request, const std::string& engine_id,
-                    std::chrono::steady_clock::duration elapsed) {
-  std::shared_ptr<engine::CostModel> model;
-  try {
-    model = engine::CostModel::configured();
-  } catch (const std::exception&) {
-    return;  // a bad DDM_POLICY fails loudly at startup, not per-request
-  }
-  if (model == nullptr || request.betas.empty()) return;
-  const double seconds = std::chrono::duration<double>(elapsed).count();
-  // Samples measured under a generalized game refine that game's own
-  // "engine@digest" row, never the homogeneous cells (engine/cost_model.hpp).
-  model->observe(engine_id, request.n, request.betas.size(),
-                 seconds / static_cast<double>(request.betas.size()),
-                 request.scenario.digest());
-}
-
 [[nodiscard]] util::Rational parse_t(const JsonObject& request) {
   const JsonValue* value = find(request, "t");
   if (value == nullptr) reject("field 't' is required");
@@ -93,8 +70,7 @@ void add_bound(JsonWriter& reply, double bound) {
 /// True for engines whose per-point answers do not depend on request seeds,
 /// so jobs from different clients can share one batched evaluation.
 [[nodiscard]] bool coalescable_engine(const std::string& engine) {
-  return engine.empty() || engine == "auto" || engine == "batch" || engine == "compiled" ||
-         engine == "kernel";
+  return engine.empty() || engine == "auto" || engine == "batch" || engine == "compiled";
 }
 
 }  // namespace
@@ -331,9 +307,7 @@ void EvalService::serve_group(std::vector<std::shared_ptr<Job>>& group) {
     options.retry = config_.retry;
     if (any_deadline) options.control.deadline = util::Deadline::after(min_remaining);
     try {
-      const auto started = std::chrono::steady_clock::now();
       const engine::EvalOutcome outcome = engine::evaluate_resilient(options, request);
-      observe_policy(request, outcome.engine_id, std::chrono::steady_clock::now() - started);
       if (outcome.degraded) metrics.degraded.add();
       for (std::size_t k = 0; k < group.size(); ++k) {
         JsonWriter reply;
@@ -392,9 +366,7 @@ std::string EvalService::serve_job(const Job& job) const {
     if (!job.engine.empty()) options.policy.engine = job.engine;
     options.control = job.control;
     options.retry = config_.retry;
-    const auto started = std::chrono::steady_clock::now();
     const engine::EvalOutcome outcome = engine::evaluate_resilient(options, request);
-    observe_policy(request, outcome.engine_id, std::chrono::steady_clock::now() - started);
     if (outcome.degraded) metrics.degraded.add();
     reply.field("ok", true)
         .field("op", job.op)

@@ -53,16 +53,17 @@ void Rational::normalize() {
 }
 
 double Rational::to_double() const noexcept {
-  // For extreme magnitudes, shift both parts into a safe exponent range first.
   const std::size_t nb = num_.bit_length();
   const std::size_t db = den_.bit_length();
   if (nb < 900 && db < 900) return num_.to_double() / den_.to_double();
-  // Scale: keep ~128 top bits of each.
-  const std::size_t drop = std::max(nb, db) - 128;
-  const BigInt sn = num_ >> drop;
-  const BigInt sd = den_ >> drop;
-  if (sd.is_zero()) return num_.is_negative() ? -0.0 : 0.0;
-  return sn.to_double() / sd.to_double();
+  // Extreme magnitudes: shift each part to its own top 64 bits (each then
+  // converts with one rounding), divide, and scale the quotient back by the
+  // difference of the two shifts. Overflow gives +-inf; underflow gives a
+  // scaled subnormal or 0.
+  const std::size_t num_drop = nb > 64 ? nb - 64 : 0;
+  const std::size_t den_drop = db > 64 ? db - 64 : 0;
+  const double quotient = (num_ >> num_drop).to_double() / (den_ >> den_drop).to_double();
+  return std::ldexp(quotient, static_cast<int>(num_drop) - static_cast<int>(den_drop));
 }
 
 std::string Rational::to_string() const {

@@ -182,34 +182,6 @@ class PlanStoreError : public Error {
   bool stale_;
 };
 
-/// A persisted engine policy table (engine/cost_model.hpp) failed
-/// validate-on-load: unreadable file, bad magic line, malformed cell,
-/// checksum mismatch, or a truncated table with no checksum trailer. Carries
-/// the path and the configuration source that pointed at it ("DDM_POLICY",
-/// "--policy", "--policy-table"), so the operator knows WHICH knob to fix;
-/// `stale()` distinguishes a format-version skew (safe to re-calibrate and
-/// overwrite) from genuine corruption — the same split PlanStoreError makes.
-class PolicyError : public Error {
- public:
-  PolicyError(const std::string& reason, std::string path, std::string source,
-              bool stale = false)
-      : Error("policy table (" + source + ") '" + path + "': " + reason),
-        path_(std::move(path)),
-        source_(std::move(source)),
-        stale_(stale) {}
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// The flag or environment variable that named the table.
-  [[nodiscard]] const std::string& source() const noexcept { return source_; }
-  /// True when the file merely predates the current format version.
-  [[nodiscard]] bool stale() const noexcept { return stale_; }
-
- private:
-  std::string path_;
-  std::string source_;
-  bool stale_;
-};
-
 /// A DDM_FAULT_PLAN string (util/fault.hpp) does not match the plan grammar.
 class FaultPlanError : public Error {
  public:

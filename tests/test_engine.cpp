@@ -1,11 +1,13 @@
 // ddm::engine — registry, selection policy, plan cache, and fault injection.
 //
 // The selection tests pin the auto policy (engine/policy.hpp): compiled for
-// symmetric grids whose plan is resident and certified, the certified O(n²)
-// ladder for every other symmetric grid — auto never lowers a plan — batch
-// for general points, and every fallback visible in the Selection. A
-// property test holds every auto answer on the paper's t = n/3 grids to its
-// reported bound. The cache-fault tests pin satellite coverage:
+// symmetric grids whose plan is resident and certified to the REQUEST
+// tolerance, the certified O(n²) ladder for every other symmetric grid up to
+// n = 64 — auto never lowers a plan — a named refusal past that cap, batch
+// for general points, and every fallback visible in the Selection. Two
+// property tests hold the tolerance contract over random (n, tolerance)
+// draws and every auto answer on the paper's t = n/3 grids to its reported
+// bound. The cache-fault tests pin satellite coverage:
 // a fault that strikes during lowering must leave the plan cache
 // unpoisoned — no entry, no counted miss — and the next call re-lowers
 // successfully (matrix-run under DDM_THREADS=1/4 from tests/CMakeLists.txt).
@@ -15,6 +17,7 @@
 #include <cmath>
 #include <latch>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -40,19 +43,30 @@ EvalRequest small_grid(std::uint32_t n, Rational t) {
   return EvalRequest::symmetric(n, std::move(t), {0.25, 0.5, 0.625, 0.75});
 }
 
+/// A `points`-point interior grid at the given request tolerance.
+EvalRequest sweep_request(std::uint32_t n, Rational t, std::size_t points, Rational tolerance) {
+  std::vector<double> betas;
+  for (std::size_t k = 0; k < points; ++k) {
+    betas.push_back(static_cast<double>(k + 1) / static_cast<double>(points + 1));
+  }
+  EvalRequest request = EvalRequest::symmetric(n, std::move(t), std::move(betas));
+  request.tolerance = std::move(tolerance);
+  return request;
+}
+
 // --- registry ------------------------------------------------------------
 
 TEST(EngineRegistry, BuiltinsRegisteredAndSorted) {
   const auto ids = Registry::instance().ids();
-  const std::vector<std::string_view> expected{"batch", "certified", "compiled",
-                                               "exact", "kernel", "mc"};
+  const std::vector<std::string_view> expected{"batch", "certified", "compiled", "exact",
+                                               "mc"};
   EXPECT_EQ(ids, expected);
 }
 
 TEST(EngineRegistry, FindAndRequire) {
   Registry& registry = Registry::instance();
-  ASSERT_NE(registry.find("kernel"), nullptr);
-  EXPECT_EQ(registry.find("kernel")->id(), "kernel");
+  ASSERT_NE(registry.find("batch"), nullptr);
+  EXPECT_EQ(registry.find("batch")->id(), "batch");
   EXPECT_EQ(registry.find("bogus"), nullptr);
   EXPECT_EQ(&registry.require("batch"), registry.find("batch"));
   try {
@@ -73,7 +87,7 @@ TEST(EngineRegistry, DuplicateRegistrationThrows) {
 
 TEST(EngineRegistry, DeterminismMetadata) {
   Registry& registry = Registry::instance();
-  EXPECT_EQ(registry.require("kernel").determinism(), Determinism::kDeterministic);
+  EXPECT_EQ(registry.require("batch").determinism(), Determinism::kDeterministic);
   EXPECT_EQ(registry.require("certified").determinism(), Determinism::kCertified);
   EXPECT_EQ(registry.require("mc").determinism(), Determinism::kRandomized);
   EXPECT_STREQ(to_string(Determinism::kDeterministic), "deterministic");
@@ -85,9 +99,9 @@ TEST(EngineRegistry, DeterminismMetadata) {
 
 TEST(EngineSelect, ForcedIdIsHonored) {
   EnginePolicy policy;
-  policy.engine = "kernel";
+  policy.engine = "batch";
   const Selection selection = select(policy, small_grid(4, Rational{4, 3}));
-  EXPECT_EQ(selection.id(), "kernel");
+  EXPECT_EQ(selection.id(), "batch");
   EXPECT_FALSE(selection.auto_mode);
   EXPECT_FALSE(selection.fallback);
 }
@@ -100,7 +114,7 @@ TEST(EngineSelect, ForcedUnknownIdThrows) {
 
 TEST(EngineSelect, ForcedUnsupportedRequestThrows) {
   EnginePolicy policy;
-  policy.engine = "kernel";  // double kernels cap n at 20
+  policy.engine = "batch";  // the double kernel caps n at 20
   EXPECT_THROW((void)select(policy, small_grid(24, Rational{8})), Error);
 }
 
@@ -111,7 +125,7 @@ TEST(EngineSelect, AutoPicksCompiledWhenCertificateMeetsTolerance) {
   EXPECT_EQ(selection.id(), "compiled");
   EXPECT_TRUE(selection.auto_mode);
   EXPECT_FALSE(selection.fallback);
-  EXPECT_LE(selection.compiled_bound, kCompiledAutoTolerance);
+  EXPECT_LE(selection.compiled_bound, EvalRequest{}.tolerance.to_double());
 }
 
 /// The compiled.lowerings counter (metrics must be enabled to count).
@@ -147,50 +161,97 @@ TEST(EngineSelect, AutoLowersNothing) {
 
 TEST(EngineSelect, AutoFallsBackVisiblyOnCertificateMiss) {
   // n = 8, t = 8/3 lowers fine, but its certificate (~8e-10) misses a
-  // tighter compiled tolerance: the resident plan is declined visibly, and
-  // the certified ladder answers instead.
+  // 1e-12 request tolerance: the resident plan is declined visibly, and the
+  // certified ladder answers instead.
   (void)PlanCache::instance().get_or_lower(8, Rational{8, 3});
-  EnginePolicy policy;
-  policy.compiled_tolerance = 1e-12;
-  const Selection selection = select(policy, small_grid(8, Rational{8, 3}));
+  EvalRequest strict = small_grid(8, Rational{8, 3});
+  strict.tolerance = Rational{1, 1000000000000};
+  const Selection selection = select(EnginePolicy{}, strict);
   EXPECT_EQ(selection.id(), "certified");
   EXPECT_TRUE(selection.fallback);
   EXPECT_NE(selection.note.find("exceeds tolerance"), std::string::npos) << selection.note;
   EXPECT_NE(selection.note.find("certified ladder"), std::string::npos) << selection.note;
-  EXPECT_GT(selection.compiled_bound, policy.compiled_tolerance);
-  // A request tolerance tighter than the policy's holds the plan to it too.
-  EvalRequest strict = small_grid(8, Rational{8, 3});
-  strict.tolerance = Rational{1, 1000000000000};
-  EXPECT_EQ(select(EnginePolicy{}, strict).id(), "certified");
+  EXPECT_GT(selection.compiled_bound, 1e-12);
+  // The default 1e-9 request tolerance admits the same plan.
+  EXPECT_EQ(select(EnginePolicy{}, small_grid(8, Rational{8, 3})).id(), "compiled");
 }
 
 TEST(EngineSelect, AutoUsesResidentPlansPastTheNCap) {
-  // A resident plan is used when it certifies the tolerance, even past the
-  // n where plans stop certifying the default 1e-9: n = 10, t = 10/3
-  // certifies ~5e-8.
+  // A resident plan is used when it certifies the request tolerance, even
+  // past the n where plans stop certifying the default 1e-9: n = 10,
+  // t = 10/3 certifies ~5e-8.
   PlanCache::instance().clear();
-  EnginePolicy relaxed;
-  relaxed.compiled_tolerance = 1e-6;
-  EvalRequest request = small_grid(10, Rational{10, 3});
-  request.tolerance = Rational{1, 1000000};
-  EXPECT_EQ(select(relaxed, request).id(), "certified");  // not resident: no lowering
+  const EvalRequest relaxed = sweep_request(10, Rational{10, 3}, 16, Rational{1, 1000000});
+  EXPECT_EQ(select(EnginePolicy{}, relaxed).id(), "certified");  // not resident: no lowering
   (void)PlanCache::instance().get_or_lower(10, Rational{10, 3});
-  const Selection resident = select(relaxed, request);
+  const Selection resident = select(EnginePolicy{}, relaxed);
   EXPECT_EQ(resident.id(), "compiled");
   EXPECT_LE(resident.compiled_bound, 1e-6);
-  // The default 1e-9 rejects the same resident plan, visibly.
-  const Selection strict = select(EnginePolicy{}, small_grid(10, Rational{10, 3}));
+  // The default 1e-9 rejects the same resident plan, visibly...
+  const Selection strict =
+      select(EnginePolicy{}, sweep_request(10, Rational{10, 3}, 16, Rational{1, 1000000000}));
   EXPECT_EQ(strict.id(), "certified");
   EXPECT_TRUE(strict.fallback);
+  EXPECT_NE(strict.note.find("certificate"), std::string::npos) << strict.note;
+  // ...and relaxing the request tolerance readmits compiled.
+  EXPECT_EQ(select(EnginePolicy{}, sweep_request(10, Rational{10, 3}, 16, Rational{1, 1000})).id(),
+            "compiled");
+}
+
+TEST(EngineSelect, NoGridSizeForcesCompiledPastTolerance) {
+  // Residency is the only pull towards compiled, and the grid size does not
+  // strengthen it: the resident (10, 10/3) plan (~5e-8) is declined visibly
+  // at 1e-9 for one point as for 4096, and readmitted at 1e-3 for each.
+  (void)PlanCache::instance().get_or_lower(10, Rational{10, 3});
+  for (const std::size_t points : {std::size_t{1}, std::size_t{16}, std::size_t{4096}}) {
+    const Selection strict = select(
+        EnginePolicy{}, sweep_request(10, Rational{10, 3}, points, Rational{1, 1000000000}));
+    EXPECT_EQ(strict.id(), "certified") << points << " points";
+    EXPECT_TRUE(strict.fallback) << points << " points";
+    EXPECT_NE(strict.note.find("certificate"), std::string::npos) << strict.note;
+    const Selection relaxed =
+        select(EnginePolicy{}, sweep_request(10, Rational{10, 3}, points, Rational{1, 1000}));
+    EXPECT_EQ(relaxed.id(), "compiled") << points << " points";
+  }
+}
+
+TEST(EngineSelect, AutoNeverViolatesTheToleranceContract) {
+  // The one auto rule as a property: over random n and request tolerances,
+  // auto answers from a resident plan exactly when its certificate is <= the
+  // request tolerance, and from the certified ladder otherwise.
+  for (std::uint32_t n = 1; n <= 8; ++n) {
+    (void)PlanCache::instance().get_or_lower(n, Rational{n, 3});
+  }
+  (void)PlanCache::instance().get_or_lower(10, Rational{10, 3});
+  std::mt19937 rng(990817);
+  const Rational tolerances[] = {Rational{1, 1000000000000}, Rational{1, 1000000000},
+                                 Rational{1, 1000000}, Rational{1, 1000}};
+  for (int round = 0; round < 40; ++round) {
+    const std::uint32_t n = 1 + rng() % 14;
+    const Rational t{n, 3};
+    const EvalRequest request = sweep_request(n, t, 1 + rng() % 64, tolerances[rng() % 4]);
+    const Selection selection = select(EnginePolicy{}, request);
+    ASSERT_NE(selection.evaluator, nullptr);
+    EXPECT_TRUE(selection.evaluator->supports(request));
+    const auto plan = PlanCache::instance().find_resident(n, t);
+    const bool admissible =
+        plan != nullptr && plan->max_error_bound() <= request.tolerance.to_double();
+    EXPECT_EQ(selection.id(), admissible ? "compiled" : "certified")
+        << "round " << round << ": n=" << n << " tol=" << request.tolerance;
+  }
 }
 
 TEST(EngineSelect, AutoKeepsTheCertifiedCapForSymmetricRequests) {
-  // Past kCertifiedAutoMaxN auto keeps the batch kernel, which refuses the
-  // request with a named error before doing any work.
-  const Selection selection = select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN + 1,
-                                                                Rational{22}));
-  EXPECT_EQ(selection.id(), "batch");
-  EXPECT_FALSE(selection.evaluator->supports(small_grid(kCertifiedAutoMaxN + 1, Rational{22})));
+  // Past kCertifiedAutoMaxN auto refuses before doing any work, naming the
+  // cap and the engines that serve such requests.
+  try {
+    (void)select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN + 1, Rational{22}));
+    FAIL() << "auto selected an engine past the certified cap";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("n <= 64"), std::string::npos) << what;
+    EXPECT_NE(what.find("--engine=exact|certified"), std::string::npos) << what;
+  }
   EXPECT_EQ(select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN, Rational{21})).id(),
             "certified");
 }

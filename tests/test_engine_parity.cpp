@@ -2,7 +2,7 @@
 // of tests/test_golden.cpp (n = 2..6, β = k/8, t = n/3) plus the n = 12,
 // t = 4 acceptance instance, must agree with exact rational ground truth
 // within its *stated* tolerance — 0 for exact evaluation, the plan
-// certificate for compiled plans, tight float slack for the double kernels,
+// certificate for compiled plans, tight float slack for the batch kernel,
 // the request tolerance for the certified ladder, and statistical slack for
 // Monte Carlo. Any engine added to the registry is picked up automatically;
 // an engine with no tolerance entry here fails loudly rather than silently
@@ -74,7 +74,7 @@ double stated_tolerance(const Evaluator& evaluator, const EvalRequest& request,
                         const EvalOutcome& outcome) {
   const std::string id{evaluator.id()};
   if (id == "exact") return 0.0;  // same rational, same rounding
-  if (id == "kernel" || id == "batch") return 1e-9;  // double kernel float error
+  if (id == "batch") return 1e-9;  // double kernel float error
   if (id == "compiled") return outcome.certificate_bound + 1e-12;
   if (id == "certified") return request.tolerance.to_double() + 1e-12;
   if (id == "mc") {
@@ -108,19 +108,20 @@ TEST(EngineParity, EveryEngineMatchesExactGroundTruth) {
   }
 }
 
-TEST(EngineParity, KernelAndBatchAreBitwiseEqual) {
+TEST(EngineParity, BatchIsBitwiseEqualToTheSerialKernel) {
   // The batch kernel's documented contract: block amortization never changes
-  // a bit relative to the serial single-point kernel.
-  Registry& registry = Registry::instance();
-  const Evaluator& kernel = registry.require("kernel");
-  const Evaluator& batch = registry.require("batch");
+  // a bit relative to the serial single-point core::threshold_winning_probability,
+  // at every parity n.
+  const Evaluator& batch = Registry::instance().require("batch");
   for (const Instance& instance : parity_instances()) {
-    const EvalOutcome serial = kernel.evaluate(instance.request);
-    const EvalOutcome amortized = batch.evaluate(instance.request);
-    ASSERT_EQ(serial.values.size(), amortized.values.size());
-    for (std::size_t k = 0; k < serial.values.size(); ++k) {
-      EXPECT_EQ(serial.values[k], amortized.values[k])
-          << "n=" << instance.request.n << ", beta=" << instance.request.betas[k];
+    const EvalRequest& request = instance.request;
+    const EvalOutcome amortized = batch.evaluate(request);
+    ASSERT_EQ(amortized.values.size(), request.betas.size());
+    const double t = request.t.to_double();
+    for (std::size_t k = 0; k < request.betas.size(); ++k) {
+      const std::vector<double> point(request.n, request.betas[k]);
+      EXPECT_EQ(amortized.values[k], core::threshold_winning_probability(point, t))
+          << "n=" << request.n << ", beta=" << request.betas[k];
     }
   }
 }

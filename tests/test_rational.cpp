@@ -8,6 +8,8 @@
 #include <random>
 #include <sstream>
 
+#include "util/certify.hpp"
+
 namespace ddm::util {
 namespace {
 
@@ -120,6 +122,42 @@ TEST(Rational, ToDouble) {
   // Huge numerator/denominator pair still produces a finite sensible value.
   const Rational big{BigInt::pow(BigInt{7}, 500), BigInt::pow(BigInt{7}, 500) * BigInt{2}};
   EXPECT_DOUBLE_EQ(big.to_double(), 0.5);
+}
+
+/// Distance from `x` to `reference` in units of reference's ulp.
+double ulps(double x, double reference) {
+  const double ulp =
+      std::nextafter(reference, std::numeric_limits<double>::infinity()) - reference;
+  return std::fabs(x - reference) / ulp;
+}
+
+TEST(Rational, ToDoubleKeepsMagnitudeAtTheExtremes) {
+  // One part far past the 900-bit fast path, the other tiny: each part is
+  // scaled on its own, so neither collapses to 0.
+  const BigInt ten300 = BigInt::pow(BigInt{10}, 300);
+  EXPECT_LE(ulps(Rational(ten300, BigInt{1}).to_double(), 1e300), 1.0);
+  EXPECT_LE(ulps(Rational(BigInt{1}, ten300).to_double(), 1e-300), 1.0);
+  EXPECT_LE(ulps(Rational(-ten300, BigInt{1}).to_double(), -1e300), 1.0);
+  EXPECT_DOUBLE_EQ(Rational(ten300 * BigInt{3}, ten300 * BigInt{7}).to_double(), 3.0 / 7.0);
+  // Powers of two are exact; past the double range the value overflows to
+  // +inf, below it a power of two lands on its exact subnormal.
+  EXPECT_EQ(Rational(BigInt::pow(BigInt{2}, 1000), BigInt{1}).to_double(), std::ldexp(1.0, 1000));
+  EXPECT_EQ(Rational(BigInt{1}, BigInt::pow(BigInt{2}, 1000)).to_double(), std::ldexp(1.0, -1000));
+  EXPECT_EQ(Rational(BigInt::pow(BigInt{2}, 1100), BigInt{1}).to_double(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Rational(BigInt{1}, BigInt::pow(BigInt{2}, 1060)).to_double(), std::ldexp(1.0, -1060));
+}
+
+TEST(Rational, RoundUpAtTheExtremesIsTheNextDouble) {
+  // util::round_up starts from to_double and steps upward; a collapsed
+  // start would walk ~2^62 ulps. It must return the smallest double >= r.
+  const BigInt ten300 = BigInt::pow(BigInt{10}, 300);
+  for (const Rational& r : {Rational(ten300, BigInt{1}), Rational(BigInt{1}, ten300)}) {
+    const double up = round_up(r);
+    EXPECT_TRUE(exact_rational(up) >= r) << r.to_double();
+    const double below = std::nextafter(up, -std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(exact_rational(below) < r) << r.to_double();
+  }
 }
 
 TEST(Rational, FieldAxiomsRandomized) {

@@ -216,7 +216,7 @@ TEST(LadderControlTest, PollsBeforeEveryRung) {
 }
 
 TEST(EngineControlTest, EveryEngineSurfacesTypedStops) {
-  for (const char* id : {"kernel", "batch", "mc", "certified", "compiled"}) {
+  for (const char* id : {"batch", "mc", "certified", "compiled"}) {
     engine::EvalRequest request =
         engine::EvalRequest::symmetric(6, util::Rational{2}, {0.30, 0.40, 0.50});
     request.trials = 2000;

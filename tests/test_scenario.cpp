@@ -6,8 +6,8 @@
 // must never hand a homogeneous artifact to a generalized digest),
 // exact/mc/certified engine parity against the core/heterogeneous and
 // core/deviating ground truth, the auto-selection and fallback-chain
-// reshaping under generalized games, cost-model scenario rows, checkpoint
-// header round-trips, and the ddm_serve NDJSON scenario field. The caching
+// reshaping under generalized games, checkpoint header round-trips, and the
+// ddm_serve NDJSON scenario field. The caching
 // property tests are matrix-run under DDM_THREADS=1/4 (tests/CMakeLists.txt,
 // label "scenario").
 #include "engine/scenario.hpp"
@@ -22,7 +22,6 @@
 #include "core/deviating.hpp"
 #include "core/heterogeneous.hpp"
 #include "core/nonoblivious.hpp"
-#include "engine/cost_model.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
 #include "engine/resilient.hpp"
@@ -235,7 +234,7 @@ TEST(ScenarioEngines, CertifiedReturnsExactTierEnclosures) {
 TEST(ScenarioEngines, HomogeneousOnlyEnginesDeclineGeneralizedGames) {
   auto request = EvalRequest::symmetric(3, Rational{1}, {0.5});
   request.scenario = Scenario::deviating(1);
-  for (const char* id : {"kernel", "batch", "compiled"}) {
+  for (const char* id : {"batch", "compiled"}) {
     const engine::Evaluator* evaluator = engine::Registry::instance().find(id);
     ASSERT_NE(evaluator, nullptr) << id;
     EXPECT_FALSE(evaluator->supports(request)) << id;
@@ -335,53 +334,7 @@ TEST(ScenarioSelection, FallbackChainsReshape) {
             (std::vector<std::string_view>{"mc"}));
   EXPECT_TRUE(engine::fallback_chain("compiled", generalized).empty());
   // The one-argument form stays the homogeneous table.
-  EXPECT_EQ(engine::fallback_chain("compiled"),
-            (std::vector<std::string_view>{"batch", "kernel"}));
-}
-
-// --- cost-model scenario rows ------------------------------------------------
-
-TEST(ScenarioCostModel, ObserveAndPredictArePerScenario) {
-  engine::CostModel model;
-  model.set_cell("mc", 4, 16, 1e-6);
-  // Default-scenario reads: legacy empty and the homogeneous digest are the
-  // same row.
-  EXPECT_DOUBLE_EQ(model.predict("mc", 4, 16), 1e-6);
-  EXPECT_DOUBLE_EQ(model.predict("mc", 4, 16, "homogeneous"), 1e-6);
-  // A generalized digest has no data yet: +infinity, never the bare row.
-  EXPECT_TRUE(std::isinf(model.predict("mc", 4, 16, "deviating:2")));
-  model.observe("mc", 4, 16, 5e-5, "deviating:2");
-  EXPECT_NEAR(model.predict("mc", 4, 16, "deviating:2"), 5e-5, 5e-14);
-  EXPECT_DOUBLE_EQ(model.predict("mc", 4, 16), 1e-6);  // bare row untouched
-}
-
-TEST(ScenarioCostModel, RowsSurviveSaveLoadRoundTrip) {
-  engine::CostModel model;
-  model.set_cell("mc", 4, 16, 1e-6);
-  model.observe("mc", 4, 16, 5e-5, "heterogeneous:1/2,1,2,1");
-  const std::string path = testing::TempDir() + "scenario_policy.ddmpolicy";
-  model.save(path);
-  const auto loaded = engine::CostModel::load(path, "test");
-  EXPECT_DOUBLE_EQ(loaded->predict("mc", 4, 16), 1e-6);
-  EXPECT_NEAR(loaded->predict("mc", 4, 16, "heterogeneous:1/2,1,2,1"), 5e-5, 5e-14);
-  EXPECT_TRUE(std::isinf(loaded->predict("mc", 4, 16, "heterogeneous:1,2,1,2")));
-  std::remove(path.c_str());
-}
-
-TEST(ScenarioCostModel, LoadRejectsMalformedScenarioRows) {
-  engine::CostModel model;
-  model.set_cell("mc", 4, 16, 1e-6);
-  const std::string path = testing::TempDir() + "scenario_policy_bad.ddmpolicy";
-  model.save(path);
-  // Corrupt the cell's scenario token; the checksum guards bytes, so rebuild
-  // the file wholesale with a bogus digest but a fresh checksum via observe.
-  engine::CostModel bad;
-  bad.observe("mc", 4, 16, 1e-6, "deviating:0");  // never produced by Scenario
-  const std::string bad_path = testing::TempDir() + "scenario_policy_bad2.ddmpolicy";
-  bad.save(bad_path);
-  EXPECT_THROW((void)engine::CostModel::load(bad_path, "test"), PolicyError);
-  std::remove(path.c_str());
-  std::remove(bad_path.c_str());
+  EXPECT_EQ(engine::fallback_chain("compiled"), (std::vector<std::string_view>{"batch"}));
 }
 
 // --- checkpoint headers ------------------------------------------------------

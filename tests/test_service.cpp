@@ -6,7 +6,9 @@
 //     instance, engine, tolerance, trials, seed, scenario), and a coalesced
 //     job's value and bound equal its solo reply's, randomized answers
 //     included;
-//   * every answer that has a proven bound carries it (`bound`);
+//   * every answer that has a proven bound carries it (`bound`), and auto
+//     answers from a resident plan only when its certificate meets the
+//     request's own tolerance;
 //   * a deadline bounds worker time even inside the certified ladder's exact
 //     rung, which polls its control once per outer term, and inside the
 //     symbolic `analyze`, which polls once per piece.
@@ -157,6 +159,44 @@ TEST(ServeBound, RepliesCarryTheirProvenBound) {
       R"({"op":"threshold","engine":"mc","n":6,"t":"2","beta":0.5,"trials":1000})");
   EXPECT_NE(mc.find("\"ok\":true"), std::string::npos) << mc;
   EXPECT_TRUE(field_text(mc, "bound").empty()) << mc;
+}
+
+TEST(ServeBound, ResidentPlanAnswersWithinTheRequestTolerance) {
+  // auto holds a resident plan to the request's own tolerance: the (10, 10/3)
+  // plan certifies ~5e-8, so once a forced compiled request has made it
+  // resident a tol = 1e-5 request takes it, while the default 1e-9 request
+  // stays on the certified ladder.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const std::string forced = service.handle_line(
+      R"({"op":"threshold","engine":"compiled","n":10,"t":"10/3","beta":0.4})");
+  ASSERT_NE(forced.find("\"engine\":\"compiled\""), std::string::npos) << forced;
+  const std::string relaxed =
+      service.handle_line(R"({"op":"threshold","n":10,"t":"10/3","beta":0.4,"tol":1e-5})");
+  EXPECT_NE(relaxed.find("\"engine\":\"compiled\""), std::string::npos) << relaxed;
+  const std::string bound = field_text(relaxed, "bound");
+  ASSERT_FALSE(bound.empty()) << relaxed;
+  EXPECT_LE(std::strtod(bound.c_str(), nullptr), 1e-5) << relaxed;
+  const std::string strict =
+      service.handle_line(R"({"op":"threshold","n":10,"t":"10/3","beta":0.4})");
+  EXPECT_NE(strict.find("\"engine\":\"certified\""), std::string::npos) << strict;
+}
+
+TEST(ServeAuto, NamesTheCertifiedCapPastIt) {
+  // Past n = 64 auto refuses by name; the detail points at the engines that
+  // serve the request, and `exact` does.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const std::string refused =
+      service.handle_line(R"({"op":"threshold","n":65,"t":"22","beta":0.3})");
+  EXPECT_NE(refused.find("\"error\":\"evaluation_failed\""), std::string::npos) << refused;
+  EXPECT_NE(refused.find("n <= 64"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("--engine=exact|certified"), std::string::npos) << refused;
+  const std::string exact =
+      service.handle_line(R"({"op":"threshold","engine":"exact","n":65,"t":"22","beta":0.3})");
+  EXPECT_NE(exact.find("\"ok\":true"), std::string::npos) << exact;
 }
 
 TEST(ServeDeadline, CutsTheExactRungMidSum) {

@@ -3,10 +3,12 @@
 // Verbs:
 //   * precompile <n_max> <t> [tol]: lower the Theorem 5.1 plan for every
 //     n = 1..n_max at capacity t and persist each plan whose certified
-//     max-error bound clears the tolerance (default 1e-9, the auto-policy
-//     bound). Plans over the bound are reported and skipped — the store only
-//     ever holds plans that can honor their own advertisement. Exit 0 when
-//     at least one plan was stored, exit 3 when every n was skipped.
+//     max-error bound clears the tolerance (default 1e-9, EvalRequest's
+//     default tolerance, so a store holds exactly what `auto` admits for a
+//     default request). Plans over the bound are reported and skipped — the
+//     store only ever holds plans that can honor their own advertisement.
+//     Exit 0 when at least one plan was stored, exit 3 when every n was
+//     skipped.
 //   * list: one JSON row per store file, through full validate-on-load, with
 //     rejected files reported (exit stays 0 — list is an inventory).
 //   * validate: same walk, but any rejected file makes the exit status 3 —
@@ -22,7 +24,7 @@
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
 #include "core/symmetric_threshold.hpp"
-#include "engine/policy.hpp"
+#include "engine/evaluator.hpp"
 #include "obs/trace.hpp"
 #include "poly/plan_store.hpp"
 #include "util/status.hpp"
@@ -55,7 +57,7 @@ int plans_precompile(const std::vector<std::string>& args, const Options& option
   const Rational t = parse_rational("t", args[3]);
   if (n_max == 0) throw BadArgument("invalid n_max '0' (precompile needs n_max >= 1)");
   if (t.signum() <= 0) throw BadArgument("invalid t '" + args[3] + "' (capacity must be > 0)");
-  double tolerance = engine::kCompiledAutoTolerance;
+  double tolerance = engine::EvalRequest{}.tolerance.to_double();
   if (args.size() == 5) {
     const Rational tol = parse_rational("tol", args[4]);
     if (tol.signum() <= 0) {

@@ -5,7 +5,6 @@
 
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
-#include "engine/cost_model.hpp"
 #include "util/simd.hpp"
 
 namespace ddm::cli {
@@ -14,7 +13,7 @@ namespace {
 
 constexpr std::size_t kNoMax = static_cast<std::size_t>(-1);
 
-constexpr std::array<Command, 11> kCommands{{
+constexpr std::array<Command, 10> kCommands{{
     {"oblivious", "oblivious <n> <t>",
      "exact optimal oblivious protocol (Thm 4.3)",
      "Computes the optimal oblivious (input-ignoring, anonymous) protocol:\n"
@@ -86,8 +85,9 @@ constexpr std::array<Command, 11> kCommands{{
      "Evaluates P(beta) on a uniform grid and emits one JSON row per point.\n"
      "The default --engine=auto picks the compiled Horner plan when one is\n"
      "resident (cached, or in a plan store) and its certified error bound is\n"
-     "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64);\n"
-     "auto never lowers a plan itself.\n"
+     "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64; past\n"
+     "that auto refuses and names --engine=exact|certified); auto never\n"
+     "lowers a plan itself.\n"
      "auto mode stamps the chosen engine and its proven error bound into\n"
      "every row and announces fallbacks on stderr. Forcing an engine keeps\n"
      "the row format of the pre-engine CLI (and --engine=compiled surfaces\n"
@@ -106,28 +106,14 @@ constexpr std::array<Command, 11> kCommands{{
      "Operates on the on-disk compiled-plan store (poly/plan_store.hpp).\n"
      "`precompile` lowers the Theorem 5.1 plan for every n <= n_max at\n"
      "capacity t and persists each plan that clears the tolerance (default\n"
-     "1e-9, the auto-policy bound) together with its exact rational error\n"
-     "certificates. `list` and `validate` read every *.plan file back\n"
-     "through full validate-on-load; `validate` exits 3 when any file is\n"
-     "rejected. The store directory comes from --store=<dir> or the\n"
-     "DDM_PLAN_STORE environment variable; a store-backed `ddm_cli sweep`\n"
-     "or ddm_serve answers its first compiled query without lowering.",
+     "1e-9, the request tolerance auto holds plans to by default) together\n"
+     "with its exact rational error certificates. `list` and `validate` read\n"
+     "every *.plan file back through full validate-on-load; `validate` exits\n"
+     "3 when any file is rejected. The store directory comes from\n"
+     "--store=<dir> or the DDM_PLAN_STORE environment variable; a\n"
+     "store-backed `ddm_cli sweep` or ddm_serve answers its first compiled\n"
+     "query without lowering.",
      2, 5, false, false, false, false, true, false, run_plans},
-    {"calibrate", "calibrate [n_max=12] [--policy=<out>] [--store=<dir>]",
-     "measure per-engine latency, write a policy table for self-tuning auto",
-     "Runs the deterministic calibration sweep: for every (engine, n, batch)\n"
-     "grid cell — engines compiled/batch/kernel, n log-spaced up to n_max,\n"
-     "batches 1/16/256 — one warmup run (absorbing plan lowering) followed\n"
-     "by median-of-3 timed runs of a fixed beta-grid request at t = n/3,\n"
-     "recording seconds per point. The result is a versioned + checksummed\n"
-     "policy table; once loaded (--policy / DDM_POLICY / ddm_serve\n"
-     "--policy-table) `--engine=auto` picks the predicted-fastest engine\n"
-     "whose accuracy contract still meets the request tolerance instead of\n"
-     "applying the static rule. The table is written to --policy=<out>, or\n"
-     "to <store>/policy.ddmpolicy next to the plan store. Refuses non-\n"
-     "release builds, like scripts/run_bench.sh (timings from a debug build\n"
-     "would mistune dispatch on every later run).",
-     1, 2, false, false, false, false, true, false, run_calibrate},
     {"merge", "merge <ckpt> [<ckpt>...]",
      "merge sharded sweep checkpoints into the unsharded JSON output",
      "Validates that the given checkpoints belong to ONE sharded sweep —\n"
@@ -170,15 +156,12 @@ usage:
                     [--shard=i/k] [--scenario=<desc>] [--ranges=c_1,..,c_n]
   ddm_cli plans     <precompile <n_max> <t> [tol] | list | validate>
                     [--store=<dir>]
-  ddm_cli calibrate [n_max=12] [--policy=<out>] [--store=<dir>]
   ddm_cli merge     <ckpt> [<ckpt>...]
   ddm_cli help      <command>
 
 any subcommand also accepts:
   --trace=<file>         export a Chrome trace of the run to <file>
   --metrics[=json|prom]  dump the metrics registry to stderr at exit
-  --policy=<file>        load a calibrated engine policy table; auto mode
-                         then dispatches on measured cost (see calibrate)
 
 scenarios (--scenario=<desc>, docs/scenarios.md):
   homogeneous                 x_i ~ U[0, 1] — the paper's game (default)
@@ -187,14 +170,14 @@ scenarios (--scenario=<desc>, docs/scenarios.md):
   deviating:<k>               k players deviate adversarially; worst case
 
 engines (--engine=<id>, docs/architecture.md):
-  auto       symmetric grids: compiled plan when cheap and certified to
-             1e-9, else the certified O(n^2) ladder (n <= 64); general
-             points: batch kernel — the choice is reported (default)
+  auto       symmetric grids: a resident compiled plan certified to the
+             request tolerance (1e-9), else the certified O(n^2) ladder
+             (n <= 64); general points: batch kernel — the choice is
+             reported (default)
   batch      block-amortized parallel Gray-code kernel (n <= 20)
   certified  escalation ladder with rigorous enclosures
   compiled   certified double Horner plan via the LRU plan cache
   exact      exact rational Theorem 5.1 evaluation
-  kernel     serial Gray-code double kernel (n <= 20)
   mc         seeded Monte Carlo estimation
 
 rationals may be written a/b (e.g. 4/3). Examples:
@@ -213,8 +196,6 @@ rationals may be written a/b (e.g. 4/3). Examples:
   ddm_cli sweep 6 2 0 1 30 --shard=0/3 --checkpoint s0.ckpt   # 1 of 3 shards
   ddm_cli merge s0.ckpt s1.ckpt s2.ckpt   # byte-identical unsharded output
   ddm_cli plans precompile 12 4 --store=plans/   # warm-start plan store
-  ddm_cli calibrate 12 --policy=policy.ddmpolicy   # measure engine costs
-  ddm_cli sweep 12 4 0 1 10000 --policy=policy.ddmpolicy   # self-tuned auto
 )";
 }
 
@@ -229,8 +210,7 @@ void print_command_help(const Command& command) {
             << command.help << "\n\n"
             << "common options:\n"
             << "  --trace=<file>         export a Chrome trace of the run to <file>\n"
-            << "  --metrics[=json|prom]  dump the metrics registry to stderr at exit\n"
-            << "  --policy=<file>        load a calibrated engine policy table\n";
+            << "  --metrics[=json|prom]  dump the metrics registry to stderr at exit\n";
 }
 
 int dispatch(const std::vector<std::string>& args, const Options& options) {
@@ -284,23 +264,9 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
     }
   }
   if (args.size() < command->min_args || args.size() > command->max_args) return usage();
-  // Resolve the engine policy table STRICTLY before the handler runs:
-  // --policy loads and validates the named table, and with no flag a set
-  // DDM_POLICY is forced to resolve now, so a corrupt table fails here with
-  // exit 2 naming its source instead of surfacing mid-evaluation (the
-  // DDM_THREADS/DDM_SIMD precedent). `calibrate` is the producer — its
-  // --policy names the OUTPUT file, so nothing is loaded for it.
-  if (std::string_view(command->name) != "calibrate") {
-    if (options.policy_set) {
-      engine::CostModel::set_configured(
-          engine::CostModel::load(options.policy_path, "--policy"));
-    } else {
-      (void)engine::CostModel::configured();
-    }
-  }
-  // DDM_SIMD likewise resolves now: an auto sweep answered by the certified
-  // ladder never reaches a vector kernel, and a malformed value must fail
-  // the same way whichever engine answers.
+  // DDM_SIMD resolves before the handler runs: an auto sweep answered by
+  // the certified ladder never reaches a vector kernel, and a malformed
+  // value must fail the same way whichever engine answers.
   (void)util::simd::dispatch_width();
   return command->run(args, options);
 }

@@ -23,6 +23,5 @@ int run_deviate(const std::vector<std::string>& args, const Options& options);
 int run_sweep(const std::vector<std::string>& args, const Options& options);
 int run_plans(const std::vector<std::string>& args, const Options& options);
 int run_merge(const std::vector<std::string>& args, const Options& options);
-int run_calibrate(const std::vector<std::string>& args, const Options& options);
 
 }  // namespace ddm::cli

@@ -105,14 +105,6 @@ CommandLine parse_command_line(int argc, char** argv) {
       }
     } else if (arg == "--ranges") {
       throw BadArgument("--ranges requires a value (use --ranges=c_1,..,c_n)");
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      options.policy_path = arg.substr(9);
-      options.policy_set = true;
-      if (options.policy_path.empty()) {
-        throw BadArgument("invalid --policy '' (expected --policy=<file>)");
-      }
-    } else if (arg == "--policy") {
-      throw BadArgument("--policy requires a file (use --policy=<file>)");
     } else if (arg.rfind("--store=", 0) == 0) {
       options.store_dir = arg.substr(8);
       if (options.store_dir.empty()) {

@@ -6,8 +6,6 @@
 //   --checkpoint <file>   append-only JSONL checkpoint (sweep)
 //   --resume <file>       reuse rows already in <file>, append the rest
 //   --engine=<id>         evaluation engine: "auto" or any registered id
-//   --policy=<file>       calibrated engine policy table (overrides DDM_POLICY;
-//                         for `calibrate` it names the OUTPUT file instead)
 //   --shard=i/k           evaluate grid rows with index % k == i (sweep)
 //   --scenario=<desc>     decision game: homogeneous (default),
 //                         heterogeneous[:c_1,..,c_n], or deviating:<k>
@@ -63,11 +61,6 @@ struct Options {
   bool ranges_set = false;
   /// Plan store directory (--store=<dir>); empty means DDM_PLAN_STORE.
   std::string store_dir;
-  /// Engine policy table (--policy=<file>); empty means DDM_POLICY. Loaded
-  /// strictly by dispatch() before any handler runs — except `calibrate`,
-  /// where it names the table the calibration sweep WRITES.
-  std::string policy_path;
-  bool policy_set = false;
   bool help = false;
 };
 

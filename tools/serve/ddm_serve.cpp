@@ -19,8 +19,6 @@
 //   DDM_SERVE_WORKERS      --workers=N      evaluation worker threads   [2]
 //   DDM_PLAN_STORE         --plan-store=DIR persistent compiled-plan
 //                                           store (warm start)          [off]
-//   DDM_POLICY             --policy-table=F calibrated engine policy
-//                                           table (self-tuning auto)    [off]
 //
 // Knob edges are deliberate: PORT=0 (ephemeral) and DEADLINE_MS=0 (none)
 // are valid sentinels; BACKLOG/QUEUE/WORKERS have a minimum of 1 — a
@@ -35,12 +33,6 @@
 // validated on-disk plans before lowering, so a cold-started daemon answers
 // its first compiled query without paying the exact-algebra lowering cost
 // (engine.store.hits on /metrics; docs/performance.md).
-//
-// With a policy table configured (`ddm_cli calibrate` output), auto dispatch
-// holds compiled plans to each request's own tolerance and ranks the double
-// kernels for general points by measured cost, and the workers fold every
-// request's observed latency back into the table (EWMA), so the daemon
-// self-tunes while serving (engine.policy.* on /metrics).
 //
 // Lifecycle: the daemon PRE-WARMS before announcing readiness — every
 // registered engine answers one tiny dispatch (pool spin-up), and with a
@@ -66,7 +58,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/cost_model.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
 #include "net/ndjson.hpp"
@@ -84,8 +75,7 @@ namespace {
 struct ServeConfig {
   std::uint16_t port = 0;
   int backlog = 64;
-  std::string plan_store;    ///< empty = DDM_PLAN_STORE (or no store at all)
-  std::string policy_table;  ///< empty = DDM_POLICY (or static dispatch)
+  std::string plan_store;  ///< empty = DDM_PLAN_STORE (or no store at all)
   ddm::net::ServiceConfig service;
 };
 
@@ -119,7 +109,6 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
   const std::string* deadline_flag = nullptr;
   const std::string* workers_flag = nullptr;
   std::string config_plan_store;
-  std::string config_policy_table;
   std::vector<std::string> values;  // stable storage for flag payloads
   values.reserve(args.size());
   for (const std::string& arg : args) {
@@ -146,15 +135,10 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
         throw ddm::Error("ddm_serve: invalid --plan-store '' (expected --plan-store=<dir>)");
       }
       config_plan_store = *v;
-    } else if (const std::string* v = take("--policy-table=")) {
-      if (v->empty()) {
-        throw ddm::Error("ddm_serve: invalid --policy-table '' (expected --policy-table=<file>)");
-      }
-      config_policy_table = *v;
     } else {
       throw ddm::Error("ddm_serve: unknown argument '" + arg +
                        "' (expected --port= --backlog= --queue= --deadline-ms= --workers= "
-                       "--plan-store= --policy-table= --check-config)");
+                       "--plan-store= --check-config)");
     }
   }
   ServeConfig config;
@@ -177,19 +161,6 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
   }
   if (const auto store = ddm::poly::PlanStore::configured()) {
     config.plan_store = store->directory();
-  }
-  // Same eager treatment for the engine policy table: the flag overrides
-  // DDM_POLICY, and either one naming an unloadable table is a configuration
-  // error (exit 2 from --check-config too), never a silently static daemon.
-  if (!config_policy_table.empty()) {
-    ddm::engine::CostModel::set_configured(
-        ddm::engine::CostModel::load(config_policy_table, "--policy-table"));
-    config.policy_table = config_policy_table;
-  } else {
-    if (ddm::engine::CostModel::configured() != nullptr) {
-      const char* env = std::getenv("DDM_POLICY");
-      config.policy_table = env != nullptr ? env : "";
-    }
   }
   return config;
 }
@@ -317,8 +288,7 @@ int main(int argc, char** argv) {
               << " queue=" << config.service.queue_capacity
               << " workers=" << config.service.workers << " backlog=" << config.backlog
               << " deadline_ms=" << config.service.default_deadline.count() << " plan_store="
-              << (config.plan_store.empty() ? "<none>" : config.plan_store) << " policy_table="
-              << (config.policy_table.empty() ? "<none>" : config.policy_table) << "\n";
+              << (config.plan_store.empty() ? "<none>" : config.plan_store) << "\n";
     return 0;
   }
 
@@ -337,10 +307,6 @@ int main(int argc, char** argv) {
     ddm::net::EvalService service(config.service);
     if (!config.plan_store.empty()) {
       std::cerr << "ddm_serve: plan store '" << config.plan_store << "' (warm start)\n";
-    }
-    if (!config.policy_table.empty()) {
-      std::cerr << "ddm_serve: policy table '" << config.policy_table
-                << "' (self-tuning dispatch)\n";
     }
     prewarm();
     std::cout << "listening on 127.0.0.1:" << listener.port() << std::endl;
