@@ -157,7 +157,7 @@ void BM_SymbolicPiecewiseBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(ddm::core::SymmetricThresholdAnalysis::build(n, t));
   }
 }
-BENCHMARK(BM_SymbolicPiecewiseBuild)->Arg(3)->Arg(5)->Arg(7);
+BENCHMARK(BM_SymbolicPiecewiseBuild)->Arg(3)->Arg(5)->Arg(7)->Arg(12)->Arg(16);
 
 void BM_SymbolicOptimize(benchmark::State& state) {
   const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));
@@ -167,10 +167,11 @@ void BM_SymbolicOptimize(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis.optimize());
   }
 }
-BENCHMARK(BM_SymbolicOptimize)->Arg(3)->Arg(5)->Arg(7);
+BENCHMARK(BM_SymbolicOptimize)->Arg(3)->Arg(5)->Arg(7)->Arg(12)->Arg(16);
 
-void BM_SturmIsolation(benchmark::State& state) {
-  // Wilkinson-style polynomial with roots k/10, k = 1..d.
+void BM_RootIsolation(benchmark::State& state) {
+  // Wilkinson-style polynomial with roots k/10, k = 1..d (Descartes'
+  // rule on Bernstein coefficients; 1/2 is a subdivision point).
   const int d = static_cast<int>(state.range(0));
   ddm::poly::QPoly p{Rational{1}};
   for (int k = 1; k <= d; ++k) {
@@ -180,7 +181,7 @@ void BM_SturmIsolation(benchmark::State& state) {
     benchmark::DoNotOptimize(ddm::poly::isolate_roots(p, Rational{0}, Rational{1}));
   }
 }
-BENCHMARK(BM_SturmIsolation)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK(BM_RootIsolation)->Arg(4)->Arg(6)->Arg(8);
 
 void BM_IntervalRulesExact(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -8,10 +8,12 @@
 #      (parses, complete "X" events, spans for the parallel chunks / certify
 #      tiers / kernels present, and the intervals of every tid nest properly
 #      — RAII spans close on the thread that opened them, so any overlap
-#      would be an exporter or clock bug).
+#      would be an exporter or clock bug); the compiled, engine and symbolic
+#      (`analyze`) layers carry their own spans and counters.
 #
-#   2. Tracing is observation only: the numeric output of a sweep is
-#      byte-identical with --trace on and off, under DDM_THREADS=1 and 4.
+#   2. Tracing is observation only: the numeric output of a sweep (and of
+#      `analyze`) is byte-identical with --trace on and off, under
+#      DDM_THREADS=1 and 4.
 #
 # Usage: run_trace_check.sh /path/to/ddm_cli
 set -euo pipefail
@@ -154,5 +156,31 @@ DDM_THREADS=1 "$CLI" sweep 6 2 0 1 16 --engine=compiled \
 grep -q "engine.cache.misses 1" "$TMP/cache.metrics" || fail "blocked sweep re-lowered the plan"
 grep -q "engine.cache.hits 2" "$TMP/cache.metrics" \
   || fail "blocked sweep did not hit the plan cache: $(grep engine "$TMP/cache.metrics")"
+
+# --- 5. the symbolic optimizer's spans and counters -------------------------
+# A traced `analyze 12 4` must show both phases — the integer build of the
+# pieces and the pruned maximization — each with its n and pieces args, and
+# --metrics must count the pieces the Bernstein bounds pruned and the ones
+# searched for critical points. Output stays byte-identical.
+analyze_plain="$("$CLI" analyze 12 4)"
+analyze_traced="$("$CLI" analyze 12 4 --trace="$TMP/analyze.json" --metrics 2> "$TMP/analyze.metrics")"
+[ "$analyze_plain" = "$analyze_traced" ] || fail "analyze output differs with --trace/--metrics"
+python3 - "$TMP/analyze.json" <<'PY' || fail "analyze span validation failed"
+import json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+for required in ("core.analysis.build", "poly.maximize"):
+    spans = [e for e in events if e["name"] == required]
+    assert len(spans) == 1, f"expected one {required!r} span, got {len(spans)}"
+    args = spans[0].get("args", {})
+    assert args.get("n") == 12, f"{required}: n arg {args.get('n')!r}"
+    assert args.get("pieces", 0) > 1, f"{required}: pieces arg {args.get('pieces')!r}"
+print(f"analyze spans ok: {len(events)} events")
+PY
+grep -Eq "poly.maximize.pieces_pruned [1-9]" "$TMP/analyze.metrics" \
+  || fail "poly.maximize.pieces_pruned missing or zero"
+grep -q "poly.maximize.pieces_isolated 1" "$TMP/analyze.metrics" \
+  || fail "poly.maximize.pieces_isolated != 1: $(grep poly.maximize "$TMP/analyze.metrics")"
 
 echo "trace checks passed"

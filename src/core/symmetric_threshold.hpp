@@ -48,8 +48,11 @@ struct SymmetricOptimum {
 class SymmetricThresholdAnalysis {
  public:
   /// Derive the exact piecewise polynomial. Throws std::invalid_argument for
-  /// n == 0 or t <= 0. Cost is O(#breakpoints · n³) exact polynomial algebra
-  /// (breakpoints are O(n²)). `control` is polled once per piece; a stop
+  /// n == 0 or t <= 0. The brackets are integer polynomials, each built once
+  /// from the one before it; a piece is an integer numerator over n!·s^n
+  /// (t = r/s), updated from its left neighbour by the terms whose brackets
+  /// changed and normalized once per coefficient (breakpoints are O(n²)).
+  /// `control` is polled once per piece and once per recomputed term; a stop
   /// throws ddm::DeadlineExceeded / ddm::Cancelled carrying pieces done of
   /// pieces total.
   [[nodiscard]] static SymmetricThresholdAnalysis build(std::uint32_t n, util::Rational t,

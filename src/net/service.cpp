@@ -40,6 +40,10 @@ struct ServeMetrics {
 /// deadline is the real backstop for compute).
 constexpr std::uint64_t kMaxN = 1000;
 constexpr std::uint64_t kMaxTrials = 100'000'000;
+/// The exact optimizer behind op 'analyze' is admitted only where it takes
+/// about a second or less: `analyze 47 47/3` takes 0.9 s and `analyze 64
+/// 64/3` 3.7 s on a 4-vCPU x86-64 VM (Release).
+constexpr std::uint64_t kMaxAnalyzeN = 48;
 
 [[noreturn]] void reject(const std::string& why) { throw Error(why); }
 
@@ -160,6 +164,10 @@ std::string EvalService::handle_line(const std::string& line) {
     const std::uint64_t n = require_u64(request, "n");
     if (n < 1 || n > kMaxN) {
       reject("field 'n' out of range [1, " + std::to_string(kMaxN) + "]");
+    }
+    if (job->op == "analyze" && n > kMaxAnalyzeN) {
+      reject("op 'analyze' admits n <= " + std::to_string(kMaxAnalyzeN) +
+             " (the exact optimizer takes about a second there and grows steeply past it)");
     }
     job->n = static_cast<std::uint32_t>(n);
     job->t = parse_t(request);
@@ -339,9 +347,10 @@ std::string EvalService::serve_job(const Job& job) const {
   if (!job.id.empty()) reply.field("id", job.id);
   try {
     if (job.op == "analyze") {
-      // Both phases poll the request's control once per piece (and the
-      // maximizer once per certification round), so a deadline cuts the
-      // symbolic analysis mid-build instead of after it.
+      // Both phases poll the request's control once per piece (the build
+      // also per recomputed term, the maximizer per certification round),
+      // so a deadline cuts the symbolic analysis mid-build instead of after
+      // it.
       const auto analysis = core::SymmetricThresholdAnalysis::build(job.n, job.t, job.control);
       const auto opt = analysis.optimize(job.control);
       reply.field("ok", true)

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/metrics_registry.hpp"
+#include "obs/trace.hpp"
+#include "poly/bernstein.hpp"
 #include "util/status.hpp"
 
 namespace ddm::poly {
@@ -77,41 +80,86 @@ MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
                                            const util::RunControl& control) const {
   using util::RationalInterval;
   constexpr const char* kLabel = "PiecewisePolynomial::maximize";
+  static const obs::Counter pieces_pruned = obs::counter("poly.maximize.pieces_pruned");
+  static const obs::Counter pieces_isolated = obs::counter("poly.maximize.pieces_isolated");
+  const std::size_t count = pieces_.size();
+  int max_degree = 0;
+  for (const Piece& piece : pieces_) max_degree = std::max(max_degree, piece.poly.degree());
+  DDM_SPAN("poly.maximize", {{"n", max_degree}, {"pieces", count}});
 
-  std::vector<MaxCandidate> candidates;
-  const auto refresh_bounds = [this](MaxCandidate& candidate) {
-    const QPoly& poly = pieces_[candidate.piece_index].poly;
-    if (candidate.location.is_exact()) {
-      candidate.value = poly(candidate.location.lo);
-      candidate.value_bounds = RationalInterval{candidate.value};
-    } else {
-      candidate.value = poly(candidate.location.midpoint());
-      candidate.value_bounds =
-          evaluate_interval(poly, RationalInterval{candidate.location.lo,
-                                                   candidate.location.hi});
-    }
-  };
+  // Every piece over the integers: pieces_[i].poly == numerators[i] / dens[i].
+  std::vector<ZPoly> numerators(count);
+  std::vector<util::BigInt> dens(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    numerators[i] = clear_denominators(pieces_[i].poly, &dens[i]);
+  }
 
-  for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    throw_if_stopped(control, kLabel, i, pieces_.size());
+  // 1. Every breakpoint, exactly: the domain's left end on piece 0, then each
+  //    piece's right end on that piece.
+  const Rational first_value = evaluate(numerators[0], dens[0], pieces_[0].lo);
+  std::vector<Rational> right_values(count);
+  Rational best_breakpoint = first_value;
+  for (std::size_t i = 0; i < count; ++i) {
+    right_values[i] = evaluate(numerators[i], dens[i], pieces_[i].hi);
+    best_breakpoint = std::max(best_breakpoint, right_values[i]);
+  }
+
+  // 2. A piece whose Bernstein bound does not exceed the best breakpoint
+  //    cannot hold the maximum in its interior: drop it. 3. On the rest,
+  //    isolate the derivative's roots by Descartes' rule and refine them by
+  //    integer sign bisection.
+  std::vector<ZPoly> derivatives(count);
+  std::vector<std::vector<RootInterval>> critical(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    throw_if_stopped(control, kLabel, i, count);
     const Piece& piece = pieces_[i];
-    // Endpoints of the piece (the left endpoint of piece 0 plus every hi).
-    if (i == 0) {
-      candidates.push_back(
-          MaxCandidate{RootInterval{piece.lo, piece.lo}, Rational{0}, i, false});
+    if (piece.poly.degree() < 2) continue;  // a linear piece has no critical point
+    const Rational bound = to_bernstein(numerators[i], piece.lo, piece.hi).upper_bound() /
+                           Rational{dens[i], util::BigInt{1}};
+    if (bound <= best_breakpoint) {
+      pieces_pruned.add();
+      continue;
     }
-    candidates.push_back(MaxCandidate{RootInterval{piece.hi, piece.hi}, Rational{0}, i, false});
-    // Interior critical points: roots of the derivative strictly inside.
-    const QPoly deriv = piece.poly.derivative();
-    if (deriv.is_zero() || deriv.degree() < 1) continue;
-    for (RootInterval root : isolate_roots(deriv, piece.lo, piece.hi)) {
-      root = refine_root(deriv, root, refine_width);
+    pieces_isolated.add();
+    derivatives[i] = numerators[i].derivative();
+    for (RootInterval root : isolate_roots(derivatives[i], piece.lo, piece.hi)) {
+      root = refine_root(derivatives[i], root, refine_width);
       const Rational point = root.midpoint();
       if (point <= piece.lo || point >= piece.hi) continue;  // endpoint, already covered
-      candidates.push_back(MaxCandidate{root, Rational{0}, i, true});
+      critical[i].push_back(std::move(root));
     }
   }
-  for (MaxCandidate& candidate : candidates) refresh_bounds(candidate);
+
+  // An interior candidate's enclosure is the mean-value form
+  // p(m) + p'(X)·(X − m) over its isolating interval X with midpoint m. p'
+  // vanishes inside X, so the form is about |p''|·|X|² wide, where interval
+  // Horner on p over X would be about Σ|c_i|·|X| — loose once cancellation
+  // makes the monomial coefficients large.
+  const auto refresh_bounds = [&](MaxCandidate& candidate) {
+    const std::size_t i = candidate.piece_index;
+    const Rational mid = candidate.location.midpoint();
+    candidate.value = evaluate(numerators[i], dens[i], mid);
+    const RationalInterval slope = evaluate_interval(
+        pieces_[i].poly.derivative(),
+        RationalInterval{candidate.location.lo, candidate.location.hi});
+    candidate.value_bounds =
+        RationalInterval{candidate.value} +
+        slope * RationalInterval{candidate.location.lo - mid, candidate.location.hi - mid};
+  };
+  std::vector<MaxCandidate> candidates;
+  const auto add_breakpoint = [&candidates](const Rational& at, const Rational& value,
+                                            std::size_t i) {
+    candidates.push_back(
+        MaxCandidate{RootInterval{at, at}, value, i, false, RationalInterval{value}});
+  };
+  add_breakpoint(pieces_[0].lo, first_value, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    add_breakpoint(pieces_[i].hi, right_values[i], i);
+    for (RootInterval& root : critical[i]) {
+      candidates.push_back(MaxCandidate{std::move(root), Rational{0}, i, true});
+      refresh_bounds(candidates.back());
+    }
+  }
 
   // Certification loop: pick the champion by upper bound; any other candidate
   // whose enclosure reaches the champion's lower bound blocks the proof,
@@ -122,7 +170,7 @@ MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
   bool certified = false;
   constexpr int kMaxRounds = 128;
   for (int round = 0; round < kMaxRounds; ++round) {
-    throw_if_stopped(control, kLabel, pieces_.size(), pieces_.size());
+    throw_if_stopped(control, kLabel, count, count);
     champion_index = 0;
     for (std::size_t c = 1; c < candidates.size(); ++c) {
       if (candidates[c].value_bounds.hi() > candidates[champion_index].value_bounds.hi()) {
@@ -148,9 +196,8 @@ MaxCandidate PiecewisePolynomial::maximize(const Rational& refine_width,
     for (const std::size_t c : blockers) {
       MaxCandidate& candidate = candidates[c];
       if (candidate.location.is_exact()) continue;
-      const QPoly deriv = pieces_[candidate.piece_index].poly.derivative();
-      candidate.location =
-          refine_root(deriv, candidate.location, candidate.location.width() * Rational{1, 2});
+      candidate.location = refine_root(derivatives[candidate.piece_index], candidate.location,
+                                       candidate.location.width() * Rational{1, 2});
       refresh_bounds(candidate);
       refined_any = true;
     }

@@ -7,7 +7,8 @@
 // between consecutive breakpoints P is a single polynomial. Section 5.2
 // derives those pieces by hand for n = 3 and n = 4; this class holds them in
 // exact form and finds the global maximum certifiably: the optimum is either
-// a breakpoint or an isolated root of a piece's derivative.
+// a breakpoint or an isolated root of a piece's derivative, and a piece whose
+// Bernstein bound falls below the best breakpoint is never searched.
 #pragma once
 
 #include <vector>
@@ -41,8 +42,9 @@ struct MaxCandidate {
   /// True when the candidate is an interior critical point (root of the
   /// derivative), false for an interval endpoint.
   bool interior_critical = false;
-  /// Certified enclosure of the piece value over `location` (interval
-  /// Horner); for endpoint candidates this is the exact point value.
+  /// Certified enclosure of the piece value over `location` (the mean-value
+  /// form p(m) + p'(X)·(X − m), p' by interval Horner); for endpoint
+  /// candidates this is the exact point value.
   util::RationalInterval value_bounds{util::Rational{0}};
   /// True when interval refinement PROVED this candidate is the global
   /// maximum (its value enclosure separates from, or exactly ties, every
@@ -82,13 +84,20 @@ class PiecewisePolynomial {
   [[nodiscard]] util::Rational integral(const util::Rational& a,
                                         const util::Rational& b) const;
 
-  /// Global maximum over the full domain, CERTIFIED by interval arithmetic:
-  /// interior critical points are isolated with Sturm sequences, refined to
-  /// `refine_width`, then candidates' value enclosures (interval Horner over
-  /// the isolating intervals) are separated by further bisection until one
-  /// candidate provably dominates (or exactly ties) all others — see
+  /// Global maximum over the full domain, CERTIFIED by interval arithmetic,
+  /// in four steps:
+  ///   1. every breakpoint is evaluated exactly;
+  ///   2. a piece whose exact Bernstein upper bound on [lo, hi] is ≤ the best
+  ///      breakpoint value cannot beat it and is dropped;
+  ///   3. on the surviving pieces the derivative's roots are isolated by
+  ///      Descartes' rule of signs (isolate_roots) and
+  ///   4. refined to `refine_width` by integer sign bisection.
+  /// The candidates' value enclosures (mean-value forms over the isolating
+  /// intervals) are then separated by further bisection until one candidate
+  /// provably dominates (or exactly ties) all others — see
   /// MaxCandidate::certified. Returns the best candidate; `all_candidates`
-  /// (when non-null) receives every candidate examined, sorted by location.
+  /// (when non-null) receives every candidate examined — the breakpoints and
+  /// the critical points of the surviving pieces — sorted by location.
   /// `control` is polled once per piece and once per certification round; a
   /// stop throws ddm::DeadlineExceeded / ddm::Cancelled carrying pieces done
   /// of pieces total.

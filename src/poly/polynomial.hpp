@@ -215,6 +215,10 @@ class Polynomial {
 
 using QPoly = Polynomial<util::Rational>;
 using DPoly = Polynomial<double>;
+/// Integer polynomials. Only the ring operations (+, −, ×, derivative,
+/// compose, pow) are meaningful over the integers; division, gcd and
+/// antiderivative need a field and stay on QPoly.
+using ZPoly = Polynomial<util::BigInt>;
 
 /// Convert an exact polynomial to its double-precision shadow.
 [[nodiscard]] DPoly to_double(const QPoly& p);
@@ -223,6 +227,24 @@ using DPoly = Polynomial<double>;
 /// exclusion term like (t - lβ)^m in Theorems 4.1/5.1.
 [[nodiscard]] QPoly binomial_power(const util::Rational& a, const util::Rational& b,
                                    std::uint32_t k);
+/// The same over the integers.
+[[nodiscard]] ZPoly binomial_power(const util::BigInt& a, const util::BigInt& b,
+                                   std::uint32_t k);
+
+/// The integer polynomial den·p, where den > 0 is the least common multiple
+/// of p's coefficient denominators; `den` (when non-null) receives it. Roots
+/// and signs of the result are those of p.
+[[nodiscard]] ZPoly clear_denominators(const QPoly& p, util::BigInt* den = nullptr);
+
+/// Sign (−1, 0, +1) of p(a/b) for b > 0, in integers: sign(Σ c_i a^i b^(d−i)).
+/// a/b need not be in lowest terms.
+[[nodiscard]] int sign_at(const ZPoly& p, const util::BigInt& a, const util::BigInt& b);
+/// Sign of p(x).
+[[nodiscard]] int sign_at(const ZPoly& p, const util::Rational& x);
+
+/// Exact p(x) / den as one normalized rational (den > 0).
+[[nodiscard]] util::Rational evaluate(const ZPoly& p, const util::BigInt& den,
+                                      const util::Rational& x);
 
 /// Interval extension of Horner evaluation: an enclosure of
 /// { p(x) : x ∈ interval }, exact rational endpoints. (Horner's interval

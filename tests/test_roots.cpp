@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 namespace ddm::poly {
 namespace {
@@ -143,6 +145,101 @@ TEST(RootIsolation, DenseRootClusters) {
                                              tiny_width());
     EXPECT_LE((refined.midpoint() - Rational(k, 10)).abs(), tiny_width()) << k;
   }
+}
+
+TEST(RefineRoot, EvenMultiplicityRootFallsBackToTheSquareFreePart) {
+  // (3x − 1)² (x + 5): no sign change across the double root at 1/3, so the
+  // refinement bisects the square-free part instead.
+  const QPoly p = make({-1, 3}).pow(2) * make({5, 1});
+  const auto roots = isolate_roots(p, Rational{0}, Rational{1});
+  ASSERT_EQ(roots.size(), 1u);
+  const RootInterval refined = refine_root(p, roots[0], tiny_width());
+  EXPECT_LE(refined.width(), tiny_width());
+  EXPECT_LE(refined.lo, Rational(1, 3));
+  EXPECT_GE(refined.hi, Rational(1, 3));
+}
+
+TEST(RootIsolation, RootsAtTheEndsAndAtDyadicMidpoints) {
+  // Roots at lo = 0 (excluded: the interval is (lo, hi]), at the dyadic
+  // points 1/2 and 3/4 of the subdivision, and at hi = 1 (included).
+  const QPoly p = make({0, 1}) * make({-1, 2}) * make({-3, 4}) * make({-1, 1}) * make({-1, 5});
+  const auto roots = isolate_roots(p, Rational{0}, Rational{1});
+  ASSERT_EQ(roots.size(), 4u);
+  EXPECT_EQ(refine_root(p, roots[0], tiny_width()).lo <= Rational(1, 5) &&
+                Rational(1, 5) <= refine_root(p, roots[0], tiny_width()).hi,
+            true);
+  EXPECT_TRUE(roots[1].is_exact());
+  EXPECT_EQ(roots[1].lo, Rational(1, 2));
+  EXPECT_TRUE(roots[2].is_exact());
+  EXPECT_EQ(roots[2].lo, Rational(3, 4));
+  EXPECT_TRUE(roots[3].is_exact());
+  EXPECT_EQ(roots[3].lo, Rational{1});
+}
+
+TEST(RootIsolation, DescartesCountsMatchSturmOnRandomPolynomials) {
+  // ~200 seeded integer polynomials of degree <= 12, each a product of
+  // planted linear factors — repeated roots, roots at the interval's ends
+  // and at its dyadic subdivision points — and a random integer cofactor.
+  // The Descartes isolator must find exactly as many distinct roots in
+  // (lo, hi] as the Sturm chain of the square-free part counts, in sorted,
+  // disjoint intervals that each hold exactly one of them.
+  std::mt19937_64 rng{20261017};
+  const auto draw = [&rng](std::int64_t below) {
+    return static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(below));
+  };
+  int total_roots = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const Rational lo{draw(17) - 8, 1 + draw(4)};
+    const Rational hi = lo + Rational{1 + draw(24), 1 + draw(6)};
+    // Root candidates: interior rationals, the ends, dyadic midpoints.
+    const Rational span = hi - lo;
+    const std::vector<Rational> planted = {
+        lo,
+        hi,
+        lo + span * Rational{1, 2},
+        lo + span * Rational{3, 4},
+        lo + span * Rational{5, 16},
+        lo + span * Rational{1 + draw(9), 11},
+        lo + span * Rational{1 + draw(29), 31},
+        lo - Rational{1 + draw(5)},
+    };
+    QPoly p{Rational{1}};
+    const int linear = static_cast<int>(draw(8));
+    for (int f = 0; f < linear; ++f) {
+      const Rational& root = planted[static_cast<std::size_t>(draw(8))];
+      const int power = 1 + static_cast<int>(draw(3));
+      p = p * QPoly{std::vector<Rational>{-root, Rational{1}}}.pow(
+                  static_cast<std::uint32_t>(power));
+      if (p.degree() >= 10) break;
+    }
+    const int extra = static_cast<int>(draw(std::max(1, 13 - p.degree())));
+    std::vector<Rational> cofactor;
+    for (int i = 0; i <= extra; ++i) cofactor.emplace_back(draw(41) - 20);
+    if (cofactor.back().is_zero()) cofactor.back() = Rational{1};
+    p = p * QPoly{std::move(cofactor)};
+    ASSERT_LE(p.degree(), 12);
+
+    const SturmSequence oracle{p.square_free_part()};
+    const int expected = oracle.count_roots(lo, hi);
+    const auto roots = isolate_roots(p, lo, hi);
+    ASSERT_EQ(static_cast<int>(roots.size()), expected)
+        << "trial " << trial << ": p = " << p.to_string() << " on (" << lo << ", " << hi << "]";
+    total_roots += expected;
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      const RootInterval& root = roots[i];
+      if (root.is_exact()) {
+        EXPECT_TRUE(p(root.lo).is_zero()) << "trial " << trial;
+      } else {
+        EXPECT_EQ(oracle.count_roots(root.lo, root.hi), 1) << "trial " << trial;
+      }
+      EXPECT_GT(root.hi, lo);
+      EXPECT_LE(root.hi, hi);
+      if (i > 0) {
+        EXPECT_LE(roots[i - 1].hi, root.lo) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(total_roots, 300);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //     request's own tolerance;
 //   * a deadline bounds worker time even inside the certified ladder's exact
 //     rung, which polls its control once per outer term, and inside the
-//     symbolic `analyze`, which polls once per piece.
+//     symbolic `analyze`, which polls once per piece (and per recomputed
+//     term while building).
 #include "net/service.hpp"
 
 #include <gtest/gtest.h>
@@ -223,15 +224,15 @@ TEST(ServeDeadline, CutsTheExactRungMidSum) {
 }
 
 TEST(ServeDeadline, CutsTheSymbolicAnalysis) {
-  // The n = 12 analysis takes seconds (its slowest single piece about half a
-  // second to maximize); build and maximize poll the request's control once
+  // The n = 47 analysis takes about a second (some 470 pieces to build and
+  // as many to bound); build and maximize poll the request's control once
   // per piece, so a 50 ms budget ends it well inside two seconds.
   ServiceConfig config;
   config.workers = 1;
   EvalService service(config);
   const auto started = std::chrono::steady_clock::now();
   const std::string reply =
-      service.handle_line(R"({"op":"analyze","n":12,"t":"4","deadline_ms":50})");
+      service.handle_line(R"({"op":"analyze","n":47,"t":"47/3","deadline_ms":50})");
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
   // The detail names the phase the stop struck and its pieces done / total.
@@ -240,6 +241,26 @@ TEST(ServeDeadline, CutsTheSymbolicAnalysis) {
       << reply;
   EXPECT_LT(elapsed, std::chrono::seconds(2))
       << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+}
+
+TEST(ServeAdmission, CapsTheSymbolicAnalysis) {
+  // op 'analyze' runs the exact optimizer, about a second at n = 47 and
+  // steeply more past it: it is admitted up to n = 48 and refused past it by
+  // name, while threshold requests keep the general n <= 1000 cap.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  const std::string refused =
+      service.handle_line(R"({"id":"big","op":"analyze","n":49,"t":"49/3"})");
+  EXPECT_NE(refused.find("\"error\":\"bad_request\""), std::string::npos) << refused;
+  EXPECT_NE(refused.find("n <= 48"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("\"id\":\"big\""), std::string::npos) << refused;
+  const std::string admitted = service.handle_line(R"({"op":"analyze","n":24,"t":"8"})");
+  EXPECT_NE(admitted.find("\"ok\":true"), std::string::npos) << admitted;
+  EXPECT_NE(admitted.find("\"certified\":true"), std::string::npos) << admitted;
+  const std::string threshold =
+      service.handle_line(R"({"op":"threshold","n":49,"t":"49/3","beta":0.7})");
+  EXPECT_NE(threshold.find("\"ok\":true"), std::string::npos) << threshold;
 }
 
 }  // namespace

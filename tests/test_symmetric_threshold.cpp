@@ -6,7 +6,10 @@
 
 #include <cmath>
 
+#include "combinat/binomial.hpp"
 #include "core/nonoblivious.hpp"
+#include "poly/bernstein.hpp"
+#include "poly/sturm.hpp"
 #include "prob/uniform_sum.hpp"
 
 namespace ddm::core {
@@ -17,6 +20,87 @@ using util::Rational;
 
 QPoly make(std::initializer_list<Rational> coeffs_low_first) {
   return QPoly{std::vector<Rational>(coeffs_low_first)};
+}
+
+// The per-piece construction over Q, bracket by bracket with a gcd after
+// every operation, exactly as SymmetricThresholdAnalysis::build derived its
+// pieces before it moved to integer brackets — the reference the integer
+// construction must reproduce coefficient for coefficient.
+QPoly reference_zero_bracket(std::uint32_t m, const Rational& t, const Rational& probe) {
+  if (m == 0) return QPoly{Rational{1}};
+  QPoly sum;
+  for (std::uint32_t l = 0; l <= m; ++l) {
+    const Rational ll{static_cast<std::int64_t>(l)};
+    if ((t - ll * probe).signum() <= 0) continue;
+    QPoly term = poly::binomial_power(t, -ll, m);
+    term *= Rational{combinat::binomial(m, l), util::BigInt{1}};
+    if (l % 2 == 0) {
+      sum += term;
+    } else {
+      sum -= term;
+    }
+  }
+  sum *= combinat::inverse_factorial(m);
+  return sum;
+}
+
+QPoly reference_one_bracket(std::uint32_t k, const Rational& t, const Rational& probe) {
+  if (k == 0) return QPoly{Rational{1}};
+  const Rational kk{static_cast<std::int64_t>(k)};
+  QPoly sum;
+  for (std::uint32_t l = 0; l <= k; ++l) {
+    const Rational ll{static_cast<std::int64_t>(l)};
+    const Rational constant = kk - t - ll;
+    if ((constant + ll * probe).signum() <= 0) continue;
+    QPoly term = poly::binomial_power(constant, ll, k);
+    term *= Rational{combinat::binomial(k, l), util::BigInt{1}};
+    if (l % 2 == 0) {
+      sum += term;
+    } else {
+      sum -= term;
+    }
+  }
+  sum *= combinat::inverse_factorial(k);
+  return poly::binomial_power(Rational{1}, Rational{-1}, k) - sum;
+}
+
+QPoly reference_piece(std::uint32_t n, const Rational& t, const Rational& lo,
+                      const Rational& hi) {
+  const Rational probe = (lo + hi) * Rational{1, 2};
+  QPoly piece;
+  for (std::uint32_t k = 0; k <= n; ++k) {
+    QPoly term = reference_zero_bracket(n - k, t, probe) * reference_one_bracket(k, t, probe);
+    term *= Rational{combinat::binomial(n, k), util::BigInt{1}};
+    piece += term;
+  }
+  return piece;
+}
+
+// Distinct critical points of `p` in (lo, hi], located by Sturm counts alone
+// (independent of the Descartes isolator) to within 2^-40; returns a point
+// of each bracket.
+std::vector<Rational> sturm_critical_points(const QPoly& p, const Rational& lo,
+                                            const Rational& hi) {
+  const QPoly derivative = p.derivative().square_free_part();
+  if (derivative.degree() < 1) return {};
+  const poly::SturmSequence sturm{derivative};
+  const Rational width{util::BigInt{1}, util::BigInt::pow(util::BigInt{2}, 40)};
+  std::vector<Rational> points;
+  std::vector<std::pair<Rational, Rational>> open{{lo, hi}};
+  while (!open.empty()) {
+    const auto [a, b] = open.back();
+    open.pop_back();
+    const int count = sturm.count_roots(a, b);
+    if (count == 0) continue;
+    if (count == 1 && b - a <= width) {
+      points.push_back(b);
+      continue;
+    }
+    const Rational mid = (a + b) * Rational{1, 2};
+    open.emplace_back(a, mid);
+    open.emplace_back(mid, b);
+  }
+  return points;
 }
 
 TEST(SymmetricAnalysis, ValidatesInput) {
@@ -175,6 +259,67 @@ TEST(SymmetricAnalysis, LargeCapacityGivesConstantOne) {
   }
   const SymmetricOptimum opt = analysis.optimize();
   EXPECT_EQ(opt.value, Rational{1});
+}
+
+TEST(SymmetricAnalysis, IntegerPiecesEqualTheRationalConstruction) {
+  for (std::uint32_t n = 1; n <= 10; ++n) {
+    const auto nn = static_cast<std::int64_t>(n);
+    for (const Rational& t : {Rational{nn, 3}, Rational{nn, 4}, Rational{1}, Rational{2 * nn + 1, 7}}) {
+      const auto analysis = SymmetricThresholdAnalysis::build(n, t);
+      for (const poly::Piece& piece : analysis.winning_probability().pieces()) {
+        EXPECT_EQ(piece.poly, reference_piece(n, t, piece.lo, piece.hi))
+            << "n=" << n << " t=" << t << " piece [" << piece.lo << ", " << piece.hi << "]";
+      }
+    }
+  }
+}
+
+TEST(SymmetricAnalysis, PruningIsSound) {
+  // maximize drops a piece when its Bernstein bound is <= the best
+  // breakpoint value. Every dropped piece's true maximum — its endpoints and
+  // its critical points, located by the Sturm oracle — must then lie below
+  // the certified optimum's upper enclosure.
+  std::size_t pruned = 0;
+  for (std::uint32_t n = 2; n <= 10; ++n) {
+    for (const Rational& t : {Rational{static_cast<std::int64_t>(n), 3}, Rational{1}}) {
+      const auto analysis = SymmetricThresholdAnalysis::build(n, t);
+      const poly::PiecewisePolynomial& pw = analysis.winning_probability();
+      const poly::MaxCandidate best = pw.maximize();
+      ASSERT_TRUE(best.certified) << "n=" << n << " t=" << t;
+      const Rational& ceiling = best.value_bounds.hi();
+      Rational best_breakpoint = pw(pw.domain_lo());
+      for (const poly::Piece& piece : pw.pieces()) {
+        best_breakpoint = std::max(best_breakpoint, piece.poly(piece.hi));
+      }
+      for (const poly::Piece& piece : pw.pieces()) {
+        util::BigInt den;
+        const poly::ZPoly numerator = poly::clear_denominators(piece.poly, &den);
+        const Rational bound = poly::to_bernstein(numerator, piece.lo, piece.hi).upper_bound() /
+                               Rational{den, util::BigInt{1}};
+        if (piece.poly.degree() < 2 || bound > best_breakpoint) continue;
+        ++pruned;
+        EXPECT_LE(piece.poly(piece.lo), ceiling);
+        EXPECT_LE(piece.poly(piece.hi), ceiling);
+        for (const Rational& point : sturm_critical_points(piece.poly, piece.lo, piece.hi)) {
+          EXPECT_LE(piece.poly(point), bound) << "n=" << n << " t=" << t;
+          EXPECT_LE(piece.poly(point), ceiling)
+              << "n=" << n << " t=" << t << " piece [" << piece.lo << ", " << piece.hi << "]";
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 100u);
+}
+
+TEST(SymmetricAnalysis, CertifiesTheN24Optimum) {
+  // n = 24 took minutes with a Sturm chain per piece; the pruned search
+  // certifies it with one piece searched.
+  const auto analysis = SymmetricThresholdAnalysis::build(24, Rational{8});
+  const SymmetricOptimum opt = analysis.optimize();
+  EXPECT_TRUE(opt.certified);
+  EXPECT_TRUE(opt.interior);
+  EXPECT_NEAR(opt.beta.approx(), 0.716787076680519, 1e-12);
+  EXPECT_NEAR(opt.value.to_double(), 0.813751529347479, 1e-12);
 }
 
 }  // namespace
