@@ -9,8 +9,10 @@
 # harness, certified evaluation, checkpointing, and the SIMD lane-width
 # parity matrix are run (they cover the code most likely to harbour races,
 # lifetime bugs, or lane over-reads — the parity matrix's ragged grid tails
-# are exactly where a vector path would read past the end of an array);
-# pass a ctest regex to run a different slice, or '.*' for everything.
+# are exactly where a vector path would read past the end of an array),
+# plus the cli_robustness and sweep_shard_merge_check scripts, which drive
+# the instrumented ddm_cli through argument and checkpoint parsing; pass a
+# ctest regex to run a different slice, or '.*' for everything.
 #
 # Usage: scripts/run_sanitizers.sh [ctest -R regex]
 #   scripts/run_sanitizers.sh                 # default robustness slice
@@ -18,7 +20,7 @@
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|Checkpoint|MonteCarlo|Simd|simd_parity}"
+FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|Checkpoint|MonteCarlo|Simd|simd_parity|cli_robustness|sweep_shard_merge_check}"
 
 run_flavour() {
   local flavour="$1"

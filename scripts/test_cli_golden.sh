@@ -2,11 +2,11 @@
 # test_cli_golden.sh — byte-identity pins for the forced-engine CLI surface,
 # registered as the ctest `cli_engine_golden` test (tools/CMakeLists.txt).
 #
-# Each file under tests/golden_cli/ is the pre-engine-layer output of one
-# ddm_cli invocation with a pinned evaluation path (--engine=batch,
-# --engine=compiled, or --certify) or a default scalar subcommand. The
-# engine-layer refactor is allowed to change how those paths are reached,
-# never what they print: every capture must match byte for byte.
+# Each file under tests/golden_cli/ is the output of one ddm_cli invocation
+# with a pinned evaluation path (--engine=batch, --engine=compiled, or
+# --certify) or a default scalar subcommand. Every capture must match byte
+# for byte; a capture changes only when an output format is re-pinned on
+# purpose, and then every digit it shared with the old capture stays.
 #
 # Usage: test_cli_golden.sh /path/to/ddm_cli /path/to/tests/golden_cli
 set -euo pipefail
@@ -40,6 +40,7 @@ run_checks() {
   check sweep_n12_batch.txt      sweep 12 4 0 1 8 --engine=batch
   check sweep_n12_compiled.txt   sweep 12 4 0 1 8 --engine=compiled
   check sweep_n4_certify.txt     sweep 4 4/3 0 1 16 --certify
+  check sweep_n4_certify.txt     sweep 4 4/3 0 1 16 --engine=certified
   check threshold_n3.txt         threshold 3 1 0.622
   check threshold_n24_certify.txt threshold 24 8 3/8 --certify
   check volume_m2.txt            volume 2 1 1 3/4 3/4

@@ -54,20 +54,29 @@ expect_reject "invalid steps '0'" "$CLI" sweep 3 1 0 1 0
 expect_reject "invalid digits" "$CLI" analyze 3 1 0
 expect_reject "invalid m" "$CLI" volume 0
 expect_reject "volume argument count" "$CLI" volume 2 1/2
-# --certify cannot combine with checkpointing (certified rows carry extra
-# columns the checkpoint format does not persist).
-expect_reject "--certify" "$CLI" sweep 3 1 0 1 4 --certify --checkpoint "$TMP/c.ckpt"
+# A grid too large for a uint32_t point count (steps + 1 wrapped to 0 and
+# the sweep wrote past an empty grid) or for memory is refused naming the
+# cap, on every engine and shard; so is a checkpoint header claiming one.
+for extra in "" --certify --shard=0/2; do
+  # shellcheck disable=SC2086
+  expect_reject "invalid steps '4294967295' (sweep needs steps <= 10000000)" \
+    "$CLI" sweep 3 1 0 1 4294967295 $extra
+done
+expect_reject "steps <= 10000000" "$CLI" sweep 3 1 0 1 1000000000
+"$CLI" sweep 3 1 0 1 4 --checkpoint "$TMP/cap.ckpt" >/dev/null || fail "checkpointed sweep failed"
+sed -i '1s/"steps": 4,/"steps": 4294967295,/' "$TMP/cap.ckpt"
+expect_reject "past the sweep cap" "$CLI" merge "$TMP/cap.ckpt"
+expect_reject "past the sweep cap" "$CLI" sweep 3 1 0 1 4 --resume "$TMP/cap.ckpt"
 
 # Engine selection: the value set is closed (registry ids + auto), the flag
 # is accepted by the evaluating subcommands only, and it cannot combine with
-# --certify (the ladder picks its own evaluation tiers).
+# --certify (which already means --engine=certified).
 expect_reject "invalid --engine 'bogus'" "$CLI" sweep 3 1 0 1 4 --engine=bogus
 expect_reject "invalid --engine 'bogus'" "$CLI" analyze 3 1 --engine=bogus
 expect_reject "--engine requires a value" "$CLI" sweep 3 1 0 1 4 --engine
 expect_reject "--engine is only supported by" "$CLI" oblivious 3 1 --engine=batch
 expect_reject "--engine is only supported by" "$CLI" ladder 3 1 --engine=batch
 expect_reject "--engine cannot be combined with --certify" "$CLI" sweep 3 1 0 1 4 --certify --engine=compiled
-expect_reject "--engine=certified cannot be combined" "$CLI" sweep 3 1 0 1 4 --engine=certified --checkpoint "$TMP/ce.ckpt"
 # A forced engine that cannot serve the request is a named error, not a
 # silent substitution: the double kernel caps n at 20.
 expect_reject "does not support" "$CLI" threshold 24 8 3/8 --engine=batch
@@ -208,7 +217,6 @@ expect_reject "invalid --shard '3/3'" "$CLI" sweep 3 1 0 1 4 --shard=3/3
 expect_reject "invalid --shard '0/0'" "$CLI" sweep 3 1 0 1 4 --shard=0/0
 expect_reject "--shard requires a value" "$CLI" sweep 3 1 0 1 4 --shard
 expect_reject "--shard is only supported by 'sweep'" "$CLI" threshold 3 1 0.5 --shard=0/2
-expect_reject "--certify cannot be combined with --shard" "$CLI" sweep 3 1 0 1 4 --certify --shard=0/2
 # Resuming a sharded checkpoint without (or with the wrong) --shard is a
 # named mismatch, not silently partial output.
 cs="$TMP/shard0.ckpt"
@@ -296,8 +304,7 @@ within_bound "$TMP/lower.out" "$TMP/lower.exact" || fail "n=16 sweep values are 
 
 # A resident plan is used: with a store built by `plans precompile`, the same
 # n = 6 sweep loads the plan (no lowering), reports the compiled engine and
-# its bound, and stripping those fields leaves output byte-identical to
-# forcing --engine=compiled.
+# its bound, and prints exactly what forcing --engine=compiled prints.
 "$CLI" plans precompile 6 2 --store="$TMP/auto_store" >/dev/null || fail "plans precompile 6 2 failed"
 DDM_PLAN_STORE="$TMP/auto_store" "$CLI" sweep 6 2 0 1 24 --metrics \
   >"$TMP/stored.out" 2>"$TMP/stored.err" || fail "store-backed auto sweep failed"
@@ -308,13 +315,22 @@ esac
 if grep -Eq "^compiled\.lowerings [1-9]" "$TMP/stored.err"; then
   fail "store-backed auto sweep lowered a plan: $(grep -E 'lowerings' "$TMP/stored.err")"
 fi
-stored_stripped="$(sed 's/, "engine": "compiled", "bound": [^}]*//' "$TMP/stored.out")"
 compiled_out="$("$CLI" sweep 6 2 0 1 24 --engine=compiled)"
-[ "$stored_stripped" = "$compiled_out" ] || fail "store-backed auto output (engine field stripped) differs from --engine=compiled at n=6"
+[ "$(cat "$TMP/stored.out")" = "$compiled_out" ] \
+  || fail "store-backed auto output differs from --engine=compiled at n=6"
 
-# Forcing --engine=compiled lowers on demand, so an injected lowering fault
-# surfaces as an error (exit 2) — it never falls back silently.
-expect_reject "injected" env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled
+# Forcing --engine=compiled lowers on demand; an injected lowering fault
+# walks the degradation chain to batch, visibly: the rows name batch and
+# stderr names the chain. A checkpoint pins one engine, so there the
+# degraded block is an error naming the degradation.
+env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled \
+  >"$TMP/degraded.out" 2>"$TMP/degraded.err" || fail "degraded compiled sweep did not exit 0"
+grep -q '"engine": "batch"' "$TMP/degraded.out" || fail "degraded rows do not name batch"
+if grep -q '"engine": "compiled"' "$TMP/degraded.out"; then fail "degraded rows name compiled"; fi
+grep -q "compiled: evaluation failed -> batch" "$TMP/degraded.err" \
+  || fail "degradation not announced on stderr: $(cat "$TMP/degraded.err")"
+expect_reject "compiled: evaluation failed -> batch" env DDM_FAULT_PLAN=throw@0 \
+  "$CLI" sweep 6 2 0 1 4 --engine=compiled --checkpoint "$TMP/degraded.ckpt"
 
 # --- scenario descriptors (engine/scenario.hpp) --------------------------
 # The value set is closed, the flag grammar is strict, and every malformed
@@ -400,6 +416,21 @@ expect_reject "unknown command 'bogus'" "$CLI" help bogus
   || fail "analyze --engine=batch does not print the cross-check"
 "$CLI" simulate 3 1 0.622 20000 7 --engine=compiled | grep -q "\[engine: compiled\]" \
   || fail "simulate --engine=compiled does not name the engine"
+
+# Certified sweeps checkpoint like any other engine: --certify and
+# --engine=certified print identical bytes, and a torn checkpoint resumes to
+# them.
+ckv="$TMP/sweep_certified.ckpt"
+refv="$("$CLI" sweep 12 4 0 1 12 --certify)"
+[ "$refv" = "$("$CLI" sweep 12 4 0 1 12 --engine=certified)" ] \
+  || fail "--certify and --engine=certified sweeps differ"
+fullv="$("$CLI" sweep 12 4 0 1 12 --certify --checkpoint "$ckv")"
+[ "$refv" = "$fullv" ] || fail "certified checkpointed sweep output differs from plain certified sweep"
+head -n 6 "$ckv" > "$ckv.tmp"
+printf '{"k": 5, "beta":' >> "$ckv.tmp"
+mv "$ckv.tmp" "$ckv"
+resumedv="$("$CLI" sweep 12 4 0 1 12 --certify --resume "$ckv")"
+[ "$refv" = "$resumedv" ] || fail "certified resumed sweep output is not byte-identical"
 
 # The checkpoint/resume round-trip holds on the compiled path too.
 ckc="$TMP/sweep_compiled.ckpt"

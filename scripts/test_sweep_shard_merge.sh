@@ -4,9 +4,9 @@
 # pinned DDM_THREADS values:
 #
 #   * a 3-way sharded sweep (`--shard=i/3`), merged by `ddm_cli merge`, is
-#     byte-identical to the unsharded run — for the deterministic compiled
-#     path AND for the seeded Monte-Carlo engine (point identity: global
-#     grid indices key the per-point RNG streams);
+#     byte-identical to the unsharded run — for the auto-selected engine, the
+#     certified ladder (--certify) AND the seeded Monte-Carlo engine (point
+#     identity: global grid indices key the per-point RNG streams);
 #   * the shard assignment is recorded in the checkpoint header, a torn
 #     shard checkpoint resumes to the same bytes, and rows outside the
 #     shard are rejected;
@@ -56,9 +56,10 @@ round_trip() {
     || fail "[$tag] merged output is not byte-identical to the unsharded run"
 }
 
-# --- byte-identity: auto-selected engine and seeded Monte Carlo ---------
+# --- byte-identity: auto, seeded Monte Carlo, and certified -------------
 round_trip auto
 round_trip mc --engine=mc
+round_trip certified --certify
 # Generalized games shard and merge like the homogeneous one: the scenario
 # digest rides in every checkpoint header and output row.
 round_trip het --scenario=heterogeneous:1/2,1,2,1,1,2
@@ -74,15 +75,22 @@ head -n 1 "$TMP/auto.s1.ckpt" | grep -q '"shard": "1/3"' \
 # --- crash mid-shard, resume, merge again -------------------------------
 # Tear the trailing row off shard 1 (simulated crash mid-write), resume it,
 # and merge again: still byte-identical.
-lines="$(wc -l <"$TMP/auto.s1.ckpt")"
-head -n "$((lines - 1))" "$TMP/auto.s1.ckpt" >"$TMP/torn" && mv "$TMP/torn" "$TMP/auto.s1.ckpt"
-printf '{"k": 10, "beta":' >>"$TMP/auto.s1.ckpt"  # torn tail, no newline
-"$CLI" sweep 6 2 0 1 12 --shard=1/3 --checkpoint "$TMP/auto.s1.ckpt" >/dev/null \
-  || fail "resume of a torn shard checkpoint failed"
-"$CLI" merge "$TMP/auto.s0.ckpt" "$TMP/auto.s1.ckpt" "$TMP/auto.s2.ckpt" \
-  >"$TMP/auto.remerged" || fail "merge after shard resume failed"
-cmp -s "$TMP/auto.golden" "$TMP/auto.remerged" \
-  || fail "merge after a shard crash/resume is not byte-identical"
+torn_resume() {
+  local tag="$1"
+  shift
+  local lines
+  lines="$(wc -l <"$TMP/$tag.s1.ckpt")"
+  head -n "$((lines - 1))" "$TMP/$tag.s1.ckpt" >"$TMP/torn" && mv "$TMP/torn" "$TMP/$tag.s1.ckpt"
+  printf '{"k": 10, "beta":' >>"$TMP/$tag.s1.ckpt"  # torn tail, no newline
+  "$CLI" sweep 6 2 0 1 12 "$@" --shard=1/3 --resume "$TMP/$tag.s1.ckpt" >/dev/null \
+    || fail "[$tag] resume of a torn shard checkpoint failed"
+  "$CLI" merge "$TMP/$tag.s0.ckpt" "$TMP/$tag.s1.ckpt" "$TMP/$tag.s2.ckpt" \
+    >"$TMP/$tag.remerged" || fail "[$tag] merge after shard resume failed"
+  cmp -s "$TMP/$tag.golden" "$TMP/$tag.remerged" \
+    || fail "[$tag] merge after a shard crash/resume is not byte-identical"
+}
+torn_resume auto
+torn_resume certified --certify
 
 # --- merge input validation ---------------------------------------------
 expect_reject "3 shards but 2 checkpoints" \

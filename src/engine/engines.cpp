@@ -1,9 +1,9 @@
 // engines.cpp — the built-in Evaluator adapters.
 //
 // Each adapter wraps one pre-existing backend behind the engine seam without
-// changing a single floating-point operation: the forced-engine CLI outputs
-// are pinned byte-identical to the pre-engine ddm_cli by tests/golden_cli/.
-// The adapters are stateless; compiled plans live in the shared PlanCache.
+// changing a single floating-point operation: the values every forced-engine
+// CLI row prints are pinned by tests/golden_cli/. The adapters are
+// stateless; compiled plans live in the shared PlanCache.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -147,7 +147,7 @@ class ExactEvaluator final : public Evaluator {
             const util::Rational value =
                 request.scenario.is_default()
                     ? core::symmetric_threshold_winning_probability(
-                          request.n, exact_point(request, k), request.t)
+                          request.n, exact_point(request, k), request.t, request.control)
                     : exact_scenario_value(request, k);
             outcome.values[k] = value.to_double();
             outcome.certificates[k] = exact_certificate(value);

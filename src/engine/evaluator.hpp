@@ -51,9 +51,9 @@ enum class Determinism {
 /// players sharing each threshold) or general per-player threshold vectors
 /// (`points`); `points` non-empty means general. The symmetric form may also
 /// carry the exact rational image of the grid (`exact_betas`) for engines
-/// that evaluate in exact arithmetic on the caller's *intended* grid points
-/// (the certified sweep); engines without such a grid evaluate the double
-/// values exactly via util::exact_rational.
+/// that evaluate in exact arithmetic on the caller's *intended* points (a
+/// `ddm_cli threshold` beta such as 311/500); without it they evaluate the
+/// double values exactly via util::exact_rational.
 struct EvalRequest {
   std::uint32_t n = 0;                      ///< players (symmetric form)
   util::Rational t;                         ///< bin capacity

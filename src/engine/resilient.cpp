@@ -57,8 +57,13 @@ std::vector<std::string_view> fallback_chain(std::string_view id, const Scenario
 }
 
 EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalRequest& request) {
+  return evaluate_resilient(select(options.policy, request), request, options.control,
+                            options.retry);
+}
+
+EvalOutcome evaluate_resilient(const Selection& selection, const EvalRequest& request,
+                               const util::RunControl& control, const util::RetryPolicy& retry) {
   const ResilienceMetrics& metrics = ResilienceMetrics::get();
-  const Selection selection = select(options.policy, request);
 
   std::vector<std::string_view> chain;
   chain.push_back(selection.id());
@@ -78,7 +83,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
     for (unsigned tries = 0;; ++tries) {
       // Poll the REAL control before every attempt: a cancelled request or a
       // spent budget must not start (or re-start) work.
-      switch (options.control.should_stop()) {
+      switch (control.should_stop()) {
         case util::StopReason::kNone:
           break;
         case util::StopReason::kCancelled:
@@ -86,7 +91,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         case util::StopReason::kDeadline:
           throw DeadlineExceeded("engine.resilient", stage, chain.size());
       }
-      attempt.control = attempt_control(options.control, has_fallback);
+      attempt.control = attempt_control(control, has_fallback);
       try {
         // Engine ids are literal-backed (Evaluator::id contract), so .data()
         // is a valid C string for the span attribute.
@@ -104,7 +109,7 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
       } catch (const DeadlineExceeded&) {
         // Real deadline spent: propagate. Soft deadline: fall through to the
         // next engine with the remaining (real) budget.
-        if (options.control.should_stop() == util::StopReason::kDeadline) throw;
+        if (control.should_stop() == util::StopReason::kDeadline) throw;
         last_error = std::current_exception();
         if (!note.empty()) note += " -> ";
         note += std::string(chain[stage]) + ": deadline pressure";
@@ -113,26 +118,26 @@ EvalOutcome evaluate_resilient(const ResilientOptions& options, const EvalReques
         // A chunk exhausted its in-region retries — transient territory, so
         // retry the whole request under the backoff policy before degrading.
         last_error = std::current_exception();
-        if (tries >= options.retry.max_retries) {
+        if (tries >= retry.max_retries) {
           if (!note.empty()) note += " -> ";
           note += std::string(chain[stage]) + ": evaluation failed";
           break;
         }
         metrics.retries.add();
-        util::sleep_with_deadline(options.retry.delay_before(tries + 1, stage),
-                                  options.control.deadline);
+        util::sleep_with_deadline(retry.delay_before(tries + 1, stage),
+                                  control.deadline);
       } catch (const util::fault::TransientFault&) {
         // An injected fault outside any parallel region (e.g. striking plan
         // lowering) — same transient treatment as ParallelError.
         last_error = std::current_exception();
-        if (tries >= options.retry.max_retries) {
+        if (tries >= retry.max_retries) {
           if (!note.empty()) note += " -> ";
           note += std::string(chain[stage]) + ": evaluation failed";
           break;
         }
         metrics.retries.add();
-        util::sleep_with_deadline(options.retry.delay_before(tries + 1, stage),
-                                  options.control.deadline);
+        util::sleep_with_deadline(retry.delay_before(tries + 1, stage),
+                                  control.deadline);
       } catch (const Error&) {
         // Lowering failure, unsupported edge, injected hard fault: move down
         // the chain immediately — repeating a deterministic failure is waste.

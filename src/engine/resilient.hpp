@@ -46,6 +46,8 @@
 
 namespace ddm::engine {
 
+struct Selection;  // engine/registry.hpp
+
 /// The documented fallback chain for a preferred engine id (see the table
 /// above); empty for engines that are already the last resort. The
 /// one-argument form is the homogeneous default scenario's chain.
@@ -69,8 +71,18 @@ struct ResilientOptions {
 /// Evaluates `request` with retry + degradation as documented above. Throws
 /// ddm::Cancelled on cancellation, ddm::DeadlineExceeded when the deadline
 /// fires with no fallback able to answer in time, and the last engine's
-/// error when the whole chain fails.
+/// error when the whole chain fails. Equivalent to engine::select followed
+/// by the overload below.
 [[nodiscard]] EvalOutcome evaluate_resilient(const ResilientOptions& options,
                                              const EvalRequest& request);
+
+/// The same walk from an already-resolved `selection`: engine::select's
+/// answer for this request, or for the grid this request is one block of. A
+/// caller that splits one grid into blocks or shards resolves once and hands
+/// every block the same selection, so they all start from the same engine.
+[[nodiscard]] EvalOutcome evaluate_resilient(const Selection& selection,
+                                             const EvalRequest& request,
+                                             const util::RunControl& control = {},
+                                             const util::RetryPolicy& retry = {.max_retries = 0});
 
 }  // namespace ddm::engine

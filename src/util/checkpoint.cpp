@@ -209,6 +209,11 @@ std::uintmax_t parse_checkpoint_file(const std::string& path, LoadedCheckpoint& 
   if (!parse_header(lines.front(), out.params)) {
     throw CheckpointError("checkpoint: '" + path + "' has an unparseable header line");
   }
+  if (out.params.steps > kMaxSweepSteps) {
+    throw CheckpointError("checkpoint: '" + path + "' header has steps " +
+                          std::to_string(out.params.steps) + ", past the sweep cap of " +
+                          std::to_string(kMaxSweepSteps));
+  }
   std::uintmax_t valid_bytes = lines.front().size() + 1;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     SweepRow row;

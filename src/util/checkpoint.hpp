@@ -36,6 +36,11 @@
 
 namespace ddm::util {
 
+/// The largest grid a sweep may have: steps + 1 points, so the point count
+/// never wraps a uint32_t. `ddm_cli sweep` rejects a larger `steps`, and a
+/// checkpoint header past it is a CheckpointError.
+inline constexpr std::uint32_t kMaxSweepSteps = 10'000'000;
+
 /// The sweep parameters stamped into the checkpoint header. Rational-valued
 /// fields are kept as their exact "a/b" strings so header comparison is
 /// exact, not floating-point.

@@ -303,6 +303,27 @@ TEST_F(CheckpointTest, RowIndexBeyondStepsIsAnError) {
   EXPECT_THROW(SweepCheckpoint(path_, test_params(), true), CheckpointError);
 }
 
+TEST_F(CheckpointTest, StepsPastTheSweepCapIsAnError) {
+  // steps + 1 wraps to 0 at 2^32 - 1; a header that large must be refused
+  // before anyone sizes a grid from it.
+  SweepParams params = test_params();
+  params.steps = kMaxSweepSteps;
+  { SweepCheckpoint checkpoint(path_, params, false); }
+  EXPECT_EQ(read_checkpoint(path_).params.steps, kMaxSweepSteps);
+  for (const std::uint32_t steps : {kMaxSweepSteps + 1, std::uint32_t{4294967295u}}) {
+    params.steps = steps;
+    { SweepCheckpoint checkpoint(path_, params, false); }
+    try {
+      (void)read_checkpoint(path_);
+      ADD_FAILURE() << "steps " << steps << " was accepted";
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find("past the sweep cap"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(SweepCheckpoint(path_, params, /*resume=*/true), CheckpointError);
+  }
+}
+
 TEST_F(CheckpointTest, AppendFlushesEachRowDurably) {
   const SweepParams params = test_params();
   SweepCheckpoint checkpoint(path_, params, false);

@@ -213,14 +213,19 @@ TEST(ServeDeadline, CutsTheExactRungMidSum) {
   ServiceConfig config;
   config.workers = 1;
   EvalService service(config);
-  const auto started = std::chrono::steady_clock::now();
-  const std::string reply = service.handle_line(
-      R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"deadline_ms":20})");
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
-  EXPECT_LT(elapsed, point_cost / 2)
-      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms vs one point "
-      << std::chrono::duration<double, std::milli>(point_cost).count() << " ms";
+  // The forced exact engine has no fallback; its sum polls the same control.
+  for (const char* line :
+       {R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"deadline_ms":20})",
+        R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"engine":"exact","deadline_ms":20})"}) {
+    const auto started = std::chrono::steady_clock::now();
+    const std::string reply = service.handle_line(line);
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
+    EXPECT_LT(elapsed, point_cost / 2)
+        << line << ": " << std::chrono::duration<double, std::milli>(elapsed).count()
+        << " ms vs one point " << std::chrono::duration<double, std::milli>(point_cost).count()
+        << " ms";
+  }
 }
 
 TEST(ServeDeadline, CutsTheSymbolicAnalysis) {

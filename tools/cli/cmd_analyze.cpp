@@ -8,7 +8,6 @@
 #include "cli/report.hpp"
 #include "core/oblivious.hpp"
 #include "core/symmetric_threshold.hpp"
-#include "engine/registry.hpp"
 #include "poly/roots.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
@@ -30,8 +29,6 @@ int run_analyze_scenario(const engine::Scenario& scenario, std::uint32_t n,
   std::cout << "Scenario: " << scenario.digest() << "\n"
             << "Numeric optimization of P(beta), n = " << n << ", t = " << t
             << " (no closed-form pieces for this game):\n";
-  engine::EnginePolicy policy;
-  policy.engine = options.engine;
   double lo = 0.0;
   double hi = 1.0;
   double best_beta = 0.0;
@@ -39,22 +36,26 @@ int run_analyze_scenario(const engine::Scenario& scenario, std::uint32_t n,
   std::string engine_id;
   constexpr std::uint32_t kGrid = 64;
   constexpr int kRounds = 4;
-  for (int round = 0; round < kRounds; ++round) {
+  const auto grid = [&] {
     std::vector<double> betas(kGrid + 1);
     for (std::uint32_t k = 0; k <= kGrid; ++k) {
       betas[k] = lo + (hi - lo) * static_cast<double>(k) / static_cast<double>(kGrid);
     }
-    auto request = engine::EvalRequest::symmetric(n, t, betas);
-    request.scenario = scenario;
-    const engine::Selection selection = engine::select(policy, request);
-    if (round == 0) report_fallback(selection);
-    const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
+    return betas;
+  };
+  // Resolved once on the first grid; every round's grid poses the same game.
+  auto request = engine::EvalRequest::symmetric(n, t, grid());
+  request.scenario = scenario;
+  const engine::Selection selection = select_engine(options, request);
+  for (int round = 0; round < kRounds; ++round) {
+    if (round > 0) request.betas = grid();
+    const engine::EvalOutcome outcome = evaluate(selection, request);
     engine_id = outcome.engine_id;
     std::size_t arg = 0;
     for (std::size_t k = 0; k <= kGrid; ++k) {
       if (outcome.values[k] > outcome.values[arg]) arg = k;
     }
-    best_beta = betas[arg];
+    best_beta = request.betas[arg];
     best_value = outcome.values[arg];
     // Zoom into the bracketing cells around the argmax for the next round.
     const double cell = (hi - lo) / static_cast<double>(kGrid);
@@ -111,14 +112,9 @@ int run_analyze(const std::vector<std::string>& args, const Options& options) {
             << "\n";
   if (options.engine_set) {
     // Cross-check: re-evaluate P at the certified beta* through the
-    // requested engine. Appended after the unchanged default report so the
-    // flagless output stays byte-identical.
-    engine::EnginePolicy policy;
-    policy.engine = options.engine;
-    const auto request = engine::EvalRequest::symmetric(n, t, {beta.approx()});
-    const engine::Selection selection = engine::select(policy, request);
-    report_fallback(selection);
-    const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
+    // requested engine, after the unchanged default report.
+    auto request = engine::EvalRequest::symmetric(n, t, {beta.approx()});
+    const engine::EvalOutcome outcome = evaluate(select_engine(options, request), request);
     std::cout << "Engine cross-check [" << outcome.engine_id
               << "]: P(beta*) = " << util::fmt(outcome.values.at(0), 15) << "\n";
   }

@@ -11,14 +11,12 @@
 // byte-identity is exact, not approximate. Mismatched, duplicate, or
 // incomplete inputs are rejected with exit 2 naming the offending field,
 // shard, or row.
-#include <cmath>
-#include <iomanip>
 #include <iostream>
-#include <limits>
 #include <vector>
 
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
+#include "cli/report.hpp"
 #include "obs/trace.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rational.hpp"
@@ -100,7 +98,8 @@ int run_merge(const std::vector<std::string>& args, const Options& options) {
 
   // Every grid row, from its owning shard. A missing row means that shard's
   // sweep was killed before finishing — resume it, then merge again.
-  std::vector<const util::SweepRow*> rows(base.steps + 1, nullptr);
+  std::vector<util::SweepRow> rows;
+  rows.reserve(base.steps + 1);
   for (std::uint32_t k = 0; k <= base.steps; ++k) {
     const util::LoadedCheckpoint& owner = *by_index[k % base.shard_count];
     const auto found = owner.rows.find(k);
@@ -110,28 +109,14 @@ int run_merge(const std::vector<std::string>& args, const Options& options) {
                         std::to_string(base.shard_count) +
                         " (resume that shard's sweep, then merge again)");
     }
-    rows[k] = &found->second;
+    rows.push_back(found->second);
   }
 
   // Byte-identical to the unsharded sweep: t as a double from the exact
   // header rational, beta/p_win/bound straight from the lossless checkpoint
-  // rows, the "engine" field stamped only when the sweep ran in auto mode.
-  const double t_d = util::Rational::parse(base.t).to_double();
-  const bool auto_mode = base.engine == "auto";
-  // Generalized-game sweeps stamp the scenario into every row; the merged
-  // output mirrors `ddm_cli sweep --scenario=...` byte for byte, and the
-  // default game keeps the pre-scenario row format.
-  const bool generalized = base.scenario != "homogeneous";
-  std::cout << std::setprecision(std::numeric_limits<double>::max_digits10) << "[\n";
-  for (std::uint32_t k = 0; k <= base.steps; ++k) {
-    std::cout << "  {\"n\": " << base.n << ", \"t\": " << t_d << ", \"beta\": " << rows[k]->beta
-              << ", \"p_win\": " << rows[k]->p_win;
-    if (generalized) std::cout << ", \"scenario\": \"" << base.scenario << "\"";
-    if (auto_mode) std::cout << ", \"engine\": \"" << base.resolved << "\"";
-    if (std::isfinite(rows[k]->bound)) std::cout << ", \"bound\": " << rows[k]->bound;
-    std::cout << "}" << (k < base.steps ? "," : "") << "\n";
-  }
-  std::cout << "]\n";
+  // rows, every row answered by the engine the header pins.
+  print_sweep_rows(base.n, util::Rational::parse(base.t).to_double(), base.scenario,
+                   base.resolved, rows);
   return 0;
 }
 

@@ -5,9 +5,7 @@
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
 #include "cli/report.hpp"
-#include "core/nonoblivious.hpp"
 #include "core/protocol.hpp"
-#include "engine/registry.hpp"
 #include "prob/rng.hpp"
 #include "sim/monte_carlo.hpp"
 
@@ -25,25 +23,12 @@ int run_simulate(const std::vector<std::string>& args, const Options& options) {
   std::cout << "Simulated " << trials << " trials (seed " << seed << "):\n"
             << "  estimate = " << result.estimate << "  95% CI [" << result.ci_low << ", "
             << result.ci_high << "]\n";
-  if (options.engine_set) {
-    // Reference value through the requested engine instead of the built-in
-    // exact evaluation (the default line below stays byte-identical without
-    // the flag).
-    engine::EnginePolicy policy;
-    policy.engine = options.engine;
-    auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
-    request.exact_betas = {beta};
-    const engine::Selection selection = engine::select(policy, request);
-    report_fallback(selection);
-    const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
-    const double reference = outcome.values.at(0);
-    std::cout << "  reference = " << reference << "  [engine: " << outcome.engine_id << "]  ("
-              << (result.covers(reference) ? "covered" : "NOT covered") << ")\n";
-    return 0;
-  }
-  const double exact = core::symmetric_threshold_winning_probability(n, beta, t).to_double();
-  std::cout << "  exact    = " << exact << "  ("
-            << (result.covers(exact) ? "covered" : "NOT covered") << ")\n";
+  auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
+  request.exact_betas = {beta};
+  const engine::EvalOutcome outcome = evaluate(select_engine(options, request, "exact"), request);
+  const double reference = outcome.values.at(0);
+  std::cout << "  reference = " << reference << "  [engine: " << outcome.engine_id << "]  ("
+            << (result.covers(reference) ? "covered" : "NOT covered") << ")\n";
   return 0;
 }
 

@@ -1,4 +1,6 @@
-// threshold — exact P of a symmetric threshold protocol (Theorem 5.1).
+// threshold — P of a symmetric threshold protocol (Theorem 5.1), as one
+// engine request. The paper's game defaults to the exact engine, a
+// generalized --scenario to auto (exact within its cap, else seeded MC).
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -7,49 +9,9 @@
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
 #include "cli/report.hpp"
-#include "core/certified.hpp"
-#include "core/nonoblivious.hpp"
-#include "engine/registry.hpp"
 #include "util/status.hpp"
 
 namespace ddm::cli {
-
-namespace {
-
-/// Generalized-game evaluation: route through the engine layer (the only
-/// seam that knows which backend serves which scenario). --certify forces
-/// the certified engine so the answer carries a rigorous enclosure; the
-/// default lets auto resolve (exact within the cap, else seeded MC).
-int run_threshold_scenario(const engine::Scenario& scenario, std::uint32_t n,
-                           const util::Rational& t, const util::Rational& beta,
-                           const Options& options) {
-  std::cout << "Scenario: " << scenario.digest() << "\n";
-  engine::EnginePolicy policy;
-  policy.engine = options.certify.enabled ? "certified" : options.engine;
-  auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
-  request.exact_betas = {beta};
-  request.scenario = scenario;
-  if (options.certify.enabled) request.tolerance = options.certify.policy.tolerance;
-  const engine::Selection selection = engine::select(policy, request);
-  report_fallback(selection);
-  const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
-  if (options.certify.enabled) {
-    const ddm::CertifiedValue& result = outcome.certificates.at(0);
-    print_certified(result, options.certify.policy);
-    return result.met_tolerance ? 0 : 3;
-  }
-  const auto flags = std::cout.flags();
-  const auto precision = std::cout.precision();
-  std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
-            << "  P(no overflow) = " << outcome.values.at(0) << "  [engine: "
-            << outcome.engine_id << ", "
-            << engine::to_string(selection.evaluator->determinism()) << "]\n";
-  std::cout.flags(flags);
-  std::cout.precision(precision);
-  return 0;
-}
-
-}  // namespace
 
 int run_threshold(const std::vector<std::string>& args, const Options& options) {
   const std::uint32_t n = parse_u32("n", args[1]);
@@ -64,34 +26,30 @@ int run_threshold(const std::vector<std::string>& args, const Options& options) 
     }
   }
   std::cout << "Symmetric single-threshold protocol, beta = " << beta << "\n";
-  if (!scenario.is_default()) return run_threshold_scenario(scenario, n, t, beta, options);
-  if (options.certify.enabled) {
-    const auto result =
-        core::certified_symmetric_threshold_winning_probability(n, beta, t,
-                                                                options.certify.policy);
-    print_certified(result, options.certify.policy);
+  if (!scenario.is_default()) std::cout << "Scenario: " << scenario.digest() << "\n";
+  auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
+  request.exact_betas = {beta};
+  request.scenario = scenario;
+  const engine::Selection selection =
+      select_engine(options, request, scenario.is_default() ? "exact" : "auto");
+  const engine::EvalOutcome outcome = evaluate(selection, request);
+  if (outcome.engine_id == "certified") {
+    const ddm::CertifiedValue& result = outcome.certificates.at(0);
+    print_certified(result, request.tolerance);
     return result.met_tolerance ? 0 : 3;
   }
-  if (options.engine_set) {
-    engine::EnginePolicy policy;
-    policy.engine = options.engine;
-    auto request = engine::EvalRequest::symmetric(n, t, {beta.to_double()});
-    request.exact_betas = {beta};
-    const engine::Selection selection = engine::select(policy, request);
-    report_fallback(selection);
-    const engine::EvalOutcome outcome = selection.evaluator->evaluate(request);
-    const auto flags = std::cout.flags();
-    const auto precision = std::cout.precision();
+  // An exact point prints its rational and a short double; any other value
+  // prints every digit of its double.
+  std::cout << "  P(no overflow) = ";
+  if (!outcome.certificates.empty() && outcome.certificates[0].tier == ddm::EvalTier::kExact) {
+    std::cout << outcome.certificates[0].enclosure().lo() << " = " << outcome.values.at(0);
+  } else {
     std::cout << std::setprecision(std::numeric_limits<double>::max_digits10)
-              << "  P(no overflow) = " << outcome.values.at(0) << "  [engine: "
-              << outcome.engine_id << ", "
-              << engine::to_string(selection.evaluator->determinism()) << "]\n";
-    std::cout.flags(flags);
-    std::cout.precision(precision);
-    return 0;
+              << outcome.values.at(0);
   }
-  const util::Rational p = core::symmetric_threshold_winning_probability(n, beta, t);
-  std::cout << "  P(no overflow) = " << p << " = " << p.to_double() << "\n";
+  const engine::Evaluator& answered = engine::Registry::instance().require(outcome.engine_id);
+  std::cout << "  [engine: " << outcome.engine_id << ", "
+            << engine::to_string(answered.determinism()) << "]\n";
   return 0;
 }
 

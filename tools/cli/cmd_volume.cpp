@@ -27,9 +27,11 @@ int run_volume(const std::vector<std::string>& args, const Options& options) {
     pi.push_back(parse_rational("pi", args[2 + m + l]));
   }
   std::cout << "Vol(Sigma(sigma) ∩ Pi(pi))  [Proposition 2.2]\n";
-  if (options.certify.enabled) {
-    const auto result = geom::certified_simplex_box_volume(sigma, pi, options.certify.policy);
-    print_certified(result, options.certify.policy);
+  if (options.certify) {
+    ddm::EvalPolicy policy;
+    policy.tolerance = *options.certify;
+    const auto result = geom::certified_simplex_box_volume(sigma, pi, policy);
+    print_certified(result, policy.tolerance);
     return result.met_tolerance ? 0 : 3;
   }
   const util::Rational volume = geom::simplex_box_volume(sigma, pi);

@@ -23,17 +23,18 @@ constexpr std::array<Command, 10> kCommands{{
      3, 3, false, false, false, false, false, false, run_oblivious},
     {"threshold", "threshold <n> <t> <beta> [--certify[=tol]] [--engine=<id>]\n"
                   "                      [--scenario=<desc>] [--ranges=c_1,..,c_n]",
-     "exact P of a symmetric threshold (Thm 5.1)",
+     "P of a symmetric threshold protocol (Thm 5.1)",
      "Evaluates the winning probability of the symmetric single-threshold\n"
-     "protocol (every player chooses bin 1 iff its input <= beta) via the\n"
-     "exact Theorem 5.1 formula. --certify replaces the exact evaluation\n"
-     "with the escalation ladder and prints a rigorous enclosure (exit 3\n"
-     "when the tolerance is missed). --engine routes the evaluation through\n"
-     "a named engine instead and reports which one answered. --scenario\n"
-     "poses the same protocol over a generalized game (docs/scenarios.md):\n"
-     "heterogeneous ranges x_i ~ U[0, c_i] (beta then scales each player's\n"
-     "threshold to beta*c_i) or k adversarially deviating players\n"
-     "(deviating:<k>, worst case over the adversary's bin split).",
+     "protocol (every player chooses bin 1 iff its input <= beta) as one\n"
+     "engine request: the exact Theorem 5.1 formula by default (auto under\n"
+     "--scenario), or the engine --engine names; the value line names the\n"
+     "engine that answered. --certify is --engine=certified with tolerance\n"
+     "tol and prints a rigorous enclosure (exit 3 when the tolerance is\n"
+     "missed). --scenario poses the same protocol over a generalized game\n"
+     "(docs/scenarios.md): heterogeneous ranges x_i ~ U[0, c_i] (beta then\n"
+     "scales each player's threshold to beta*c_i) or k adversarially\n"
+     "deviating players (deviating:<k>, worst case over the adversary's bin\n"
+     "split).",
      4, 4, true, false, true, false, false, true, run_threshold},
     {"analyze", "analyze <n> <t> [digits=30] [--engine=<id>] [--scenario=<desc>]\n"
                 "                    [--ranges=c_1,..,c_n]",
@@ -51,8 +52,7 @@ constexpr std::array<Command, 10> kCommands{{
      "Monte Carlo cross-check",
      "Estimates the threshold protocol's winning probability by simulation\n"
      "and checks that the 95% confidence interval covers the reference\n"
-     "value. The reference is the exact Theorem 5.1 evaluation by default;\n"
-     "--engine computes it through the named engine instead.",
+     "value, computed by the exact engine or the one --engine names.",
      5, 6, false, false, true, false, false, false, run_simulate},
     {"volume", "volume <m> <sigma_1..sigma_m> <pi_1..pi_m> [--certify[=tol]]",
      "Vol(simplex ∩ box), Proposition 2.2",
@@ -87,19 +87,17 @@ constexpr std::array<Command, 10> kCommands{{
      "resident (cached, or in a plan store) and its certified error bound is\n"
      "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64; past\n"
      "that auto refuses and names --engine=exact|certified); auto never\n"
-     "lowers a plan itself.\n"
-     "auto mode stamps the chosen engine and its proven error bound into\n"
-     "every row and announces fallbacks on stderr. Forcing an engine keeps\n"
-     "the row format of the pre-engine CLI (and --engine=compiled surfaces\n"
-     "lowering errors as exit 2). --engine=certified is the same as\n"
-     "--certify. --checkpoint\n"
-     "and --resume make the sweep crash-safe, and --shard=i/k evaluates\n"
-     "only the rows with index % k == i — run k sharded sweeps (each with\n"
-     "its own checkpoint), then `ddm_cli merge` reconstructs the byte-\n"
-     "identical unsharded output (docs/robustness.md). --scenario sweeps\n"
-     "the same grid over a generalized game (docs/scenarios.md); rows then\n"
-     "carry a \"scenario\" field and the checkpoint header pins the game, so\n"
-     "shards of different games can never be merged.",
+     "lowers a plan itself. Every row names the engine that answered it and,\n"
+     "when finite, its proven error bound; fallbacks and degradations are\n"
+     "announced on stderr. --certify is --engine=certified with tolerance\n"
+     "tol (exit 3 when a point misses it). --checkpoint and --resume make\n"
+     "the sweep crash-safe, and --shard=i/k evaluates only the rows with\n"
+     "index % k == i: run k sharded sweeps (each with its own checkpoint),\n"
+     "then `ddm_cli merge` reconstructs the byte-identical unsharded output\n"
+     "(docs/robustness.md). --scenario sweeps the same grid over a\n"
+     "generalized game (docs/scenarios.md); rows then carry a \"scenario\"\n"
+     "field and the checkpoint header pins the game, so shards of different\n"
+     "games can never be merged.",
      6, 6, true, true, true, true, false, true, run_sweep},
     {"plans", "plans <precompile <n_max> <t> [tol] | list | validate> [--store=<dir>]",
      "persistent plan store: precompile, inspect, validate (docs/performance.md)",
@@ -175,7 +173,7 @@ engines (--engine=<id>, docs/architecture.md):
              (n <= 64); general points: batch kernel — the choice is
              reported (default)
   batch      block-amortized parallel Gray-code kernel (n <= 20)
-  certified  escalation ladder with rigorous enclosures
+  certified  escalation ladder with rigorous enclosures (--certify)
   compiled   certified double Horner plan via the LRU plan cache
   exact      exact rational Theorem 5.1 evaluation
   mc         seeded Monte Carlo estimation
@@ -237,7 +235,7 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
   }
   // Flag-set validation precedes arity so flag misuse is diagnosed by name
   // (exit 2), matching the pre-refactor CLI.
-  if (options.certify.enabled && !command->accepts_certify) {
+  if (options.certify && !command->accepts_certify) {
     throw BadArgument("--certify is only supported by 'threshold', 'volume', and 'sweep'");
   }
   if (!options.checkpoint_path.empty() && !command->accepts_checkpoint) {
@@ -258,9 +256,9 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
       throw BadArgument(
           "--engine is only supported by 'threshold', 'analyze', 'simulate', and 'sweep'");
     }
-    if (options.certify.enabled) {
+    if (options.certify) {
       throw BadArgument(
-          "--engine cannot be combined with --certify (the ladder picks its own tiers)");
+          "--engine cannot be combined with --certify (--certify is --engine=certified)");
     }
   }
   if (args.size() < command->min_args || args.size() > command->max_args) return usage();

@@ -4,6 +4,7 @@
 
 #include "cli/parse.hpp"
 #include "engine/registry.hpp"
+#include "util/certify.hpp"
 #include "util/status.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -12,7 +13,7 @@ namespace ddm::cli {
 
 namespace {
 
-/// "auto, batch, ..., kernel, or mc" — built from the registry so a newly
+/// "auto, batch, ..., exact, or mc" — built from the registry so a newly
 /// registered engine is accepted (and named in rejections) automatically.
 std::string engine_choices() {
   const auto ids = engine::Registry::instance().ids();
@@ -41,11 +42,10 @@ CommandLine parse_command_line(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--certify") {
-      options.certify.enabled = true;
+      options.certify = ddm::EvalPolicy{}.tolerance;
     } else if (arg.rfind("--certify=", 0) == 0) {
-      options.certify.enabled = true;
-      options.certify.policy.tolerance = parse_rational("--certify tolerance", arg.substr(10));
-      if (options.certify.policy.tolerance.signum() < 0) {
+      options.certify = parse_rational("--certify tolerance", arg.substr(10));
+      if (options.certify->signum() < 0) {
         throw BadArgument("invalid --certify tolerance '" + arg.substr(10) + "' (must be >= 0)");
       }
     } else if (arg == "--checkpoint" || arg == "--resume") {

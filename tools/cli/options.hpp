@@ -2,7 +2,8 @@
 //
 // Flag grammar (identical across subcommands; per-command *acceptance* is
 // enforced by cli::dispatch against the command table):
-//   --certify[=tol]       certified evaluation via the escalation ladder
+//   --certify[=tol]       --engine=certified with tolerance tol (volume: the
+//                         geometric escalation ladder)
 //   --checkpoint <file>   append-only JSONL checkpoint (sweep)
 //   --resume <file>       reuse rows already in <file>, append the rest
 //   --engine=<id>         evaluation engine: "auto" or any registered id
@@ -17,33 +18,27 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/scenario.hpp"
-#include "util/certify.hpp"
+#include "util/rational.hpp"
 
 namespace ddm::cli {
 
-/// Certification options distilled from --certify[=tol].
-struct CertifyRequest {
-  bool enabled = false;
-  ddm::EvalPolicy policy;
-};
-
 /// Options pulled out of argv before positional dispatch.
 struct Options {
-  CertifyRequest certify;
+  /// The tolerance of --certify[=tol] (1e-9 when bare); unset without it.
+  std::optional<util::Rational> certify;
   std::string checkpoint_path;
   bool resume = false;
   std::string trace_path;
   bool metrics = false;
   enum class MetricsFormat { kText, kJson, kProm } metrics_format = MetricsFormat::kText;
   /// Engine-selection policy: "auto" or a registered engine id. engine_set
-  /// records whether --engine appeared at all — subcommands keep their
-  /// pre-engine output byte-identical unless the flag was given explicitly
-  /// (sweep is the exception: its auto mode always reports the chosen
-  /// engine, see cmd_sweep.cpp).
+  /// records whether --engine appeared at all; without it each subcommand
+  /// applies its own default engine (cli::select_engine).
   std::string engine = "auto";
   bool engine_set = false;
   /// Deterministic grid partition (--shard=i/k): this process evaluates the
