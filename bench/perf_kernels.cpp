@@ -8,6 +8,7 @@
 
 #include "core/certified.hpp"
 #include "core/communication.hpp"
+#include "core/deviating.hpp"
 #include "core/interval_rules.hpp"
 #include "core/nonoblivious.hpp"
 #include "core/oblivious.hpp"
@@ -244,7 +245,39 @@ void BM_MonteCarloTrials(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
-BENCHMARK(BM_MonteCarloTrials)->Arg(3)->Arg(8);
+BENCHMARK(BM_MonteCarloTrials)->Arg(3)->Arg(8)->Arg(12);
+
+// The deviating estimator with k = n/4 deviators: k + 1 adversary
+// strategies of 10,000 trials each, one after the other on one stream.
+void BM_MonteCarloDeviating(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const std::uint32_t deviators = n / 4;
+  ddm::prob::Rng rng{1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::core::estimate_worst_case_deviating(
+        n, deviators, 0.5, static_cast<double>(n) / 3.0, 10000, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000 *
+                          static_cast<std::int64_t>(deviators + 1));
+}
+BENCHMARK(BM_MonteCarloDeviating)->Arg(8)->Arg(12);
+
+// The `mc` engine on a heterogeneous game: n − 1 unit ranges and one of
+// width 2, one point at β = 1/2 with 10,000 trials on one stream.
+void BM_MonteCarloHeterogeneous(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<Rational> ranges(n, Rational{1});
+  ranges.back() = Rational{2};
+  auto request = ddm::engine::EvalRequest::symmetric(n, Rational(n, 3), {0.5});
+  request.scenario = ddm::engine::Scenario::heterogeneous(std::move(ranges));
+  request.trials = 10000;
+  const ddm::engine::Evaluator* mc = ddm::engine::Registry::instance().find("mc");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mc->evaluate(request));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
+}
+BENCHMARK(BM_MonteCarloHeterogeneous)->Arg(8)->Arg(12);
 
 // Same workload fanned across the pool: near-linear scaling is the target,
 // and the wins tally is bitwise identical to the serial run by construction.

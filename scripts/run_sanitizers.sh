@@ -6,8 +6,9 @@
 #   build-tsan  -DDDM_SANITIZE=thread    (ThreadSanitizer)
 #
 # By default only the suites that exercise the parallel engine, the fault
-# harness, certified evaluation, checkpointing, and the SIMD lane-width
-# parity matrix are run (they cover the code most likely to harbour races,
+# harness, certified evaluation, checkpointing, Monte Carlo (EstimateWinning
+# spreads trial blocks across the pool; ThresholdTrials is the trial loop
+# they share), and the SIMD lane-width parity matrix are run (they cover the code most likely to harbour races,
 # lifetime bugs, or lane over-reads — the parity matrix's ragged grid tails
 # are exactly where a vector path would read past the end of an array),
 # plus the cli_robustness and sweep_shard_merge_check scripts, which drive
@@ -20,7 +21,7 @@
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|Checkpoint|MonteCarlo|Simd|simd_parity|cli_robustness|sweep_shard_merge_check}"
+FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|Checkpoint|MonteCarlo|EstimateWinning|ThresholdTrials|Simd|simd_parity|cli_robustness|sweep_shard_merge_check}"
 
 run_flavour() {
   local flavour="$1"

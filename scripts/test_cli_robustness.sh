@@ -209,6 +209,12 @@ ceng="$TMP/engine.ckpt"
 "$CLI" sweep 3 1 0 1 4 --engine=exact --checkpoint "$ceng" >/dev/null
 expect_reject "field 'engine': checkpoint exact vs requested mc" \
   "$CLI" sweep 3 1 0 1 4 --engine=mc --resume "$ceng"
+# So is the request tolerance: rows certified to 1/1000 must not be resumed
+# by a run that asks for 1e-30 (they would print the old, wider rows).
+ctol="$TMP/tolerance.ckpt"
+"$CLI" sweep 3 1 0 1 4 --certify=1/1000 --checkpoint "$ctol" >/dev/null
+expect_reject "field 'tolerance': checkpoint 1/1000 vs requested 1/1000000000000000000000000000000" \
+  "$CLI" sweep 3 1 0 1 4 --certify=1/1000000000000000000000000000000 --resume "$ctol"
 
 # --- sharding flags -------------------------------------------------------
 expect_reject "invalid --shard 'x/3'" "$CLI" sweep 3 1 0 1 4 --shard=x/3

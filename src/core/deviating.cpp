@@ -1,8 +1,11 @@
 #include "core/deviating.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 #include "combinat/binomial.hpp"
+#include "core/protocol.hpp"
 #include "prob/uniform_sum.hpp"
 #include "util/status.hpp"
 
@@ -87,43 +90,26 @@ Rational worst_case_deviating_winning_probability(std::uint32_t n, std::uint32_t
 
 DeviatingSimResult estimate_worst_case_deviating(std::uint32_t n, std::uint32_t deviators,
                                                  double beta, double t, std::uint64_t trials,
-                                                 prob::Rng& rng) {
+                                                 prob::Rng& rng, const util::RunControl& control) {
   const char* what = "estimate_worst_case_deviating";
   check_instance(n, deviators, util::Rational::from_double(beta), what);
   if (trials == 0) throw Error(std::string(what) + ": zero trials");
 
-  const std::uint32_t followers = n - deviators;
+  // Draw order: deviators, then followers. Strategy j pins the first j
+  // deviators to bin 0 (threshold +∞) and the rest to bin 1 (−∞).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> ranges(n, 1.0);
+  std::vector<double> thresholds(n, beta);
   DeviatingSimResult result;
   result.trials = trials;
-  bool first = true;
   for (std::uint32_t j = 0; j <= deviators; ++j) {
-    std::uint64_t wins = 0;
-    for (std::uint64_t trial = 0; trial < trials; ++trial) {
-      double load0 = 0.0;
-      double load1 = 0.0;
-      for (std::uint32_t d = 0; d < deviators; ++d) {
-        const double x = rng.uniform(0.0, 1.0);
-        if (d < j) {
-          load0 += x;
-        } else {
-          load1 += x;
-        }
-      }
-      for (std::uint32_t f = 0; f < followers; ++f) {
-        const double x = rng.uniform(0.0, 1.0);
-        if (x <= beta) {
-          load0 += x;
-        } else {
-          load1 += x;
-        }
-      }
-      if (load0 <= t && load1 <= t) ++wins;
-    }
+    std::fill_n(thresholds.begin(), j, kInf);
+    std::fill(thresholds.begin() + j, thresholds.begin() + deviators, -kInf);
+    const std::uint64_t wins = count_threshold_wins(ranges, thresholds, t, trials, rng, control);
     const double estimate = static_cast<double>(wins) / static_cast<double>(trials);
-    if (first || estimate < result.estimate) {
+    if (j == 0 || estimate < result.estimate) {
       result.estimate = estimate;
       result.worst_bin0 = j;
-      first = false;
     }
   }
   return result;

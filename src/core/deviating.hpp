@@ -30,6 +30,7 @@
 
 #include "prob/rng.hpp"
 #include "util/rational.hpp"
+#include "util/resilience.hpp"
 
 namespace ddm::core {
 
@@ -53,18 +54,16 @@ inline constexpr std::uint32_t kDeviatingMaxExactN = 14;
 
 /// Monte Carlo cross-check of the worst case: simulates the same model per
 /// adversary strategy j (deviator bin choices fixed, follower inputs and
-/// choices drawn) and returns the minimum estimate over j. Point streams are
-/// keyed on `rng`'s current state; throws ddm::Error on zero trials or
-/// invalid (n, k, beta).
+/// choices drawn), one strategy after the other on `rng`, and returns the
+/// minimum estimate over j. Throws ddm::Error on zero trials or invalid
+/// (n, k, beta); polls `control` every kTrialsPerBlock trials.
 struct DeviatingSimResult {
   double estimate = 0.0;        ///< min over j of the per-strategy estimates
   std::uint32_t worst_bin0 = 0; ///< the j attaining the minimum
   std::uint64_t trials = 0;     ///< trials per strategy
 };
-[[nodiscard]] DeviatingSimResult estimate_worst_case_deviating(std::uint32_t n,
-                                                               std::uint32_t deviators,
-                                                               double beta, double t,
-                                                               std::uint64_t trials,
-                                                               prob::Rng& rng);
+[[nodiscard]] DeviatingSimResult estimate_worst_case_deviating(
+    std::uint32_t n, std::uint32_t deviators, double beta, double t, std::uint64_t trials,
+    prob::Rng& rng, const util::RunControl& control = {});
 
 }  // namespace ddm::core

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/status.hpp"
+
 namespace ddm::core {
 
 using util::Rational;
@@ -16,6 +18,19 @@ void check_probability_vector(std::span<const Rational> values, const char* what
       throw std::invalid_argument(std::string(what) + ": entries must lie in [0, 1]");
     }
   }
+}
+
+/// Adds x to `load0` when x <= a and to `load1` otherwise, with no branch on
+/// the draw: a compare mask keeps x for one load and +0.0, which leaves a
+/// nonnegative load unchanged, for the other. GCC/Clang vector types keep
+/// the compare and both masks in vector registers (lane 0 is the value).
+void route(double x, double a, double& load0, double& load1) {
+  using Lane = double __attribute__((vector_size(16)));
+  using Bits = std::int64_t __attribute__((vector_size(16)));
+  const Lane value{x, 0.0};
+  const Bits to_load0 = value <= Lane{a, 0.0};
+  load0 += ((Lane)((Bits)value & to_load0))[0];
+  load1 += ((Lane)((Bits)value & ~to_load0))[0];
 }
 
 std::vector<double> to_doubles(std::span<const Rational> values) {
@@ -114,6 +129,29 @@ BinLoads play(const Protocol& protocol, std::span<const double> inputs, prob::Rn
 bool wins(const Protocol& protocol, std::span<const double> inputs, double t, prob::Rng& rng) {
   const BinLoads loads = play(protocol, inputs, rng);
   return loads.bin0 <= t && loads.bin1 <= t;
+}
+
+std::uint64_t count_threshold_wins(std::span<const double> ranges,
+                                   std::span<const double> thresholds, double t,
+                                   std::uint64_t trials, prob::Rng& rng,
+                                   const util::RunControl& control) {
+  if (ranges.size() != thresholds.size()) {
+    throw std::invalid_argument("count_threshold_wins: ranges and thresholds differ in size");
+  }
+  const std::uint64_t blocks = (trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
+  std::uint64_t won = 0;
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    if (trial % kTrialsPerBlock == 0) {
+      throw_if_stopped(control, "monte_carlo", trial / kTrialsPerBlock, blocks);
+    }
+    double load0 = 0.0;
+    double load1 = 0.0;
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+      route(rng.uniform(0.0, ranges[i]), thresholds[i], load0, load1);
+    }
+    won += std::uint64_t{load0 <= t} & std::uint64_t{load1 <= t};
+  }
+  return won;
 }
 
 }  // namespace ddm::core

@@ -23,6 +23,7 @@
 
 #include "prob/rng.hpp"
 #include "util/rational.hpp"
+#include "util/resilience.hpp"
 
 namespace ddm::core {
 
@@ -86,6 +87,10 @@ class SingleThresholdProtocol final : public Protocol {
   [[nodiscard]] std::span<const util::Rational> thresholds() const noexcept {
     return thresholds_;
   }
+  /// The thresholds as the doubles `decide` compares against.
+  [[nodiscard]] std::span<const double> threshold_values() const noexcept {
+    return thresholds_double_;
+  }
 
  private:
   std::vector<util::Rational> thresholds_;
@@ -125,5 +130,20 @@ struct BinLoads {
 /// Convenience: did the protocol win (no overflow) on these inputs?
 [[nodiscard]] bool wins(const Protocol& protocol, std::span<const double> inputs, double t,
                         prob::Rng& rng);
+
+/// Trials per Monte Carlo block: the RunControl poll interval of the loops.
+inline constexpr std::uint64_t kTrialsPerBlock = 16384;
+
+/// The trial loop of every Monte Carlo estimate of a threshold game. Per
+/// trial, player i draws x_i = rng.uniform(0, ranges[i]) in player order and
+/// adds it to bin 0 iff x_i <= thresholds[i] (±∞ pins a bin); the trial wins
+/// iff both loads are <= t. Draws, loads and verdicts are bitwise those of
+/// `wins` on a protocol with that rule. Returns the wins; polls `control`
+/// every kTrialsPerBlock trials; throws std::invalid_argument on a size
+/// mismatch.
+[[nodiscard]] std::uint64_t count_threshold_wins(std::span<const double> ranges,
+                                                 std::span<const double> thresholds, double t,
+                                                 std::uint64_t trials, prob::Rng& rng,
+                                                 const util::RunControl& control = {});
 
 }  // namespace ddm::core

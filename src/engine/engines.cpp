@@ -315,9 +315,10 @@ class CertifiedEvaluator final : public Evaluator {
 };
 
 /// mc — seeded Monte Carlo estimation. Point k draws from its own stream
-/// (seed + point_ids[k], defaulting to seed + k) and each point's trial
-/// blocks fan across the pool, so the estimate is reproducible for any
-/// thread count, evaluation order, and request partitioning.
+/// (seed + point_ids[k], defaulting to seed + k) through
+/// core::count_threshold_wins, which polls the request's control, so the
+/// estimate is reproducible for any thread count, evaluation order, and
+/// request partitioning.
 class MonteCarloEvaluator final : public Evaluator {
  public:
   std::string_view id() const noexcept override { return "mc"; }
@@ -347,6 +348,8 @@ class MonteCarloEvaluator final : public Evaluator {
     outcome.engine_id = "mc";
     outcome.values.resize(request.size(), 0.0);
     const double t_d = request.t.to_double();
+    std::vector<double> ranges;
+    for (const auto& range : request.scenario.ranges()) ranges.push_back(range.to_double());
     for (std::size_t k = 0; k < request.size(); ++k) {
       // A fired deadline/cancellation surfaces with the points finished.
       ddm::throw_if_stopped(request.control, "engine.mc", k, request.size());
@@ -371,44 +374,27 @@ class MonteCarloEvaluator final : public Evaluator {
                   .estimate;
           break;
         }
-        case Scenario::Kind::kHeterogeneous:
-          outcome.values[k] = heterogeneous_estimate(request, k, t_d, rng);
+        case Scenario::Kind::kHeterogeneous: {
+          // Absolute thresholds: β·c_i, or the point's own a_i (may exceed 1).
+          std::vector<double> thresholds(ranges.size());
+          for (std::size_t i = 0; i < ranges.size(); ++i) {
+            thresholds[i] = request.is_symmetric() ? request.betas[k] * ranges[i]
+                                                   : request.points[k][i];
+          }
+          const std::uint64_t wins = core::count_threshold_wins(
+              ranges, thresholds, t_d, request.trials, rng, request.control);
+          outcome.values[k] = static_cast<double>(wins) / static_cast<double>(request.trials);
           break;
+        }
         case Scenario::Kind::kDeviating:
           outcome.values[k] = core::estimate_worst_case_deviating(
                                   request_n(request), request.scenario.deviators(),
-                                  request.betas[k], t_d, request.trials, rng)
+                                  request.betas[k], t_d, request.trials, rng, request.control)
                                   .estimate;
           break;
       }
     }
     return outcome;
-  }
-
- private:
-  /// Heterogeneous estimation: per-player absolute thresholds (relative
-  /// beta * c_i on the symmetric grid) as a FunctorProtocol —
-  /// SingleThresholdProtocol caps thresholds at 1, which ranges above 1
-  /// legitimately exceed — driven through the core simulation cross-check.
-  static double heterogeneous_estimate(const EvalRequest& request, std::size_t k, double t_d,
-                                       prob::Rng& rng) {
-    const std::vector<util::Rational>& ranges = request.scenario.ranges();
-    std::vector<double> ranges_d;
-    ranges_d.reserve(ranges.size());
-    for (const util::Rational& range : ranges) ranges_d.push_back(range.to_double());
-    std::vector<core::FunctorProtocol::Rule> rules;
-    rules.reserve(ranges.size());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      const double threshold =
-          request.is_symmetric() ? request.betas[k] * ranges_d[i] : request.points[k][i];
-      rules.push_back([threshold](double input, prob::Rng&) {
-        return input <= threshold ? core::kBin0 : core::kBin1;
-      });
-    }
-    const core::FunctorProtocol protocol{std::move(rules), "heterogeneous-threshold"};
-    return core::estimate_heterogeneous_winning_probability(protocol, ranges_d, t_d,
-                                                            request.trials, rng)
-        .estimate;
   }
 };
 

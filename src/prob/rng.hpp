@@ -25,13 +25,24 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
-  /// Next 64 random bits.
-  result_type operator()() noexcept;
+  /// Next 64 random bits. Inline, like the two uniform draws below, so a
+  /// Monte Carlo trial loop pays no call per draw.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1) with 53 random bits.
-  [[nodiscard]] double uniform() noexcept;
-  /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  /// Uniform double in [0, 1): the top 53 bits scaled by 2^-53.
+  [[nodiscard]] double uniform() noexcept { return static_cast<double>((*this)() >> 11) * 0x1p-53; }
+  /// Uniform double in [lo, hi); exactly uniform() when lo = 0 and hi = 1.
+  [[nodiscard]] double uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   [[nodiscard]] std::uint64_t uniform_below(std::uint64_t bound) noexcept;
   /// Bernoulli draw with success probability p.
@@ -42,6 +53,9 @@ class Rng {
   [[nodiscard]] Rng split(std::uint64_t stream) const noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
   std::array<std::uint64_t, 4> state_;
 };
 

@@ -31,17 +31,10 @@ SimResult wilson_interval(std::uint64_t wins, std::uint64_t trials) {
   return result;
 }
 
-namespace {
-
-/// Trials per scheduling block. The partition of the trial range into blocks
-/// — and the RNG stream each block uses — depends only on `trials`, never on
-/// the thread count, so the wins tally is bitwise identical for any number
-/// of workers. 16384 trials keep a block in the microsecond range: small
-/// enough to load-balance across the pool, large enough to amortize
-/// scheduling.
-constexpr std::uint64_t kTrialsPerBlock = 16384;
-
-}  // namespace
+// The blocks (core::kTrialsPerBlock trials each) and their streams depend
+// only on `trials`, never on the thread count, so the wins tally is bitwise
+// identical for any number of workers.
+using core::kTrialsPerBlock;
 
 SimResult estimate_winning_probability(const core::Protocol& protocol, double t,
                                        std::uint64_t trials, prob::Rng& rng, unsigned threads,
@@ -54,6 +47,10 @@ SimResult estimate_winning_probability(const core::Protocol& protocol, double t,
 
   // Block b covers trials [b·B, min((b+1)·B, trials)) with RNG stream
   // rng.split(b); `threads` only caps how many blocks run concurrently.
+  // A threshold protocol runs the branch-free trial loop on unit ranges; it
+  // draws and tallies exactly as the generic loop below would.
+  const auto* threshold = dynamic_cast<const core::SingleThresholdProtocol*>(&protocol);
+  const std::vector<double> unit_ranges(threshold != nullptr ? n : 0, 1.0);
   const std::uint64_t blocks = (trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
   std::vector<std::uint64_t> wins(static_cast<std::size_t>(blocks), 0);
   util::parallel_for(
@@ -64,6 +61,11 @@ SimResult estimate_winning_probability(const core::Protocol& protocol, double t,
           prob::Rng block_rng = rng.split(static_cast<std::uint64_t>(b));
           const std::uint64_t begin = static_cast<std::uint64_t>(b) * kTrialsPerBlock;
           const std::uint64_t end = std::min(trials, begin + kTrialsPerBlock);
+          if (threshold != nullptr) {
+            wins[b] = core::count_threshold_wins(unit_ranges, threshold->threshold_values(), t,
+                                                 end - begin, block_rng);
+            continue;
+          }
           std::uint64_t block_wins = 0;
           for (std::uint64_t trial = begin; trial < end; ++trial) {
             for (double& x : inputs) x = block_rng.uniform();

@@ -79,7 +79,8 @@ std::string header_line(const SweepParams& params) {
      << params.beta_lo << "\", \"beta_hi\": \"" << params.beta_hi << "\", \"steps\": "
      << params.steps << ", \"engine\": \"" << params.engine << "\", \"resolved\": \""
      << params.resolved << "\", \"shard\": \"" << params.shard_index << "/"
-     << params.shard_count << "\", \"scenario\": \"" << params.scenario << "\"}}";
+     << params.shard_count << "\", \"scenario\": \"" << params.scenario
+     << "\", \"tolerance\": \"" << params.tolerance << "\"}}";
   return os.str();
 }
 
@@ -131,6 +132,10 @@ bool parse_header(std::string_view line, SweepParams& params) {
   // evaluated the homogeneous game — defaulting (rather than rejecting)
   // keeps old default-scenario checkpoints resumable.
   if (!extract_field(line, "scenario", params.scenario)) params.scenario = "homogeneous";
+  // Likewise every sweep before the tolerance field ran at the default.
+  if (!extract_field(line, "tolerance", params.tolerance)) {
+    params.tolerance = SweepParams{}.tolerance;
+  }
   return true;
 }
 
@@ -163,6 +168,10 @@ std::string describe_mismatch(const SweepParams& header, const SweepParams& requ
   // would hide the real disagreement.
   if (header.scenario != requested.scenario) {
     return field("scenario", header.scenario, requested.scenario);
+  }
+  // So does the tolerance, which decides whether a resident plan answers.
+  if (header.tolerance != requested.tolerance) {
+    return field("tolerance", header.tolerance, requested.tolerance);
   }
   if (header.engine != requested.engine) return field("engine", header.engine, requested.engine);
   if (header.resolved != requested.resolved) {

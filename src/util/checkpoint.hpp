@@ -12,16 +12,17 @@
 // Format (one JSON object per line):
 //   {"sweep": {"n": 4, "t": "4/3", "beta_lo": "0", "beta_hi": "1",
 //              "steps": 100, "engine": "auto", "resolved": "batch",
-//              "shard": "0/1"}}
+//              "shard": "0/1", "scenario": "homogeneous", "tolerance": "1/1000000000"}}
 //   {"k": 0, "beta": 0, "p_win": 0.62, "bound": 1.5e-13}
 //   ...
 // The header records the FULL identity of the run: the grid, the requested
 // engine, the engine that actually produced the rows (auto mode can resolve
 // differently across environments, and rows from different engines must
-// never be glued together), and the shard assignment for sharded sweeps
-// (`ddm_cli sweep --shard=i/k`). A resume validates every field and rejects
-// with the first mismatching field NAMED — a checkpoint from a different
-// grid, engine, or shard must fail loudly, not silently mix rows.
+// never be glued together), the shard assignment for sharded sweeps
+// (`ddm_cli sweep --shard=i/k`), the game and the request tolerance. A
+// resume validates every field and rejects with the first mismatching field
+// NAMED — a checkpoint from a different grid, engine, or shard must fail
+// loudly, not silently mix rows.
 // A crash can tear at most the final line (appends are single writes); a
 // torn trailing line fails to parse and is truncated away on resume, so the
 // recomputed row starts on a fresh line. Corruption
@@ -67,6 +68,10 @@ struct SweepParams {
   /// under — so old default-scenario checkpoints keep resuming; rows from
   /// different games can never be glued together.
   std::string scenario = "homogeneous";
+  /// The request tolerance as exact "a/b" text (it picks the certified rung
+  /// that answers a row). Headers without the field parse as this default,
+  /// the tolerance of every sweep run without `--certify=tol`.
+  std::string tolerance = "1/1000000000";
 
   friend bool operator==(const SweepParams&, const SweepParams&) = default;
 };

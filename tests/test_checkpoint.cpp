@@ -214,6 +214,48 @@ TEST_F(CheckpointTest, HeaderMismatchNamesTheField) {
       << what;
 }
 
+TEST_F(CheckpointTest, ToleranceIsPartOfTheRunIdentity) {
+  // The tolerance decides which rung of the certified ladder answers a row,
+  // so rows computed at 1/1000 must not be resumed by a run asking 1e-30.
+  SweepParams coarse = test_params();
+  coarse.engine = "certified";
+  coarse.resolved = "certified";
+  coarse.tolerance = "1/1000";
+  {
+    SweepCheckpoint checkpoint(path_, coarse, false);
+    checkpoint.append({0, 0.0, 0.25, 4.2e-8});
+  }
+  EXPECT_NE(read_file().find("\"tolerance\": \"1/1000\""), std::string::npos) << read_file();
+  SweepParams fine = coarse;
+  fine.tolerance = "1/1000000000000000000000000000000";
+  const std::string what = expect_mismatch(path_, fine);
+  EXPECT_NE(what.find("field 'tolerance': checkpoint 1/1000 vs requested "
+                      "1/1000000000000000000000000000000"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(read_checkpoint(path_).params.tolerance, "1/1000");
+}
+
+TEST_F(CheckpointTest, HeaderWithoutToleranceParsesAsTheDefault) {
+  // Every sweep before the field existed ran at the request default, 1e-9,
+  // so such a header resumes under it and under nothing else.
+  append_raw("{\"sweep\": {\"n\": 4, \"t\": \"4/3\", \"beta_lo\": \"0\", \"beta_hi\": \"1\", "
+             "\"steps\": 8, \"engine\": \"auto\", \"resolved\": \"batch\", \"shard\": \"0/1\", "
+             "\"scenario\": \"homogeneous\"}}\n");
+  append_raw("{\"k\": 0, \"beta\": 0, \"p_win\": 0.25}\n");
+  EXPECT_EQ(read_checkpoint(path_).params.tolerance, "1/1000000000");
+  {
+    SweepCheckpoint resumed(path_, test_params(), true);
+    EXPECT_EQ(resumed.completed().size(), 1u);
+  }
+  SweepParams other = test_params();
+  other.tolerance = "1/1000";
+  const std::string what = expect_mismatch(path_, other);
+  EXPECT_NE(what.find("field 'tolerance': checkpoint 1/1000000000 vs requested 1/1000"),
+            std::string::npos)
+      << what;
+}
+
 TEST_F(CheckpointTest, PreEngineHeaderIsRejectedNamingTheAbsentField) {
   // A header written before the engine/resolved/shard fields existed parses
   // (lenient reader), but rows from an unknown engine must never be glued

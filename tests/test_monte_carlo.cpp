@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -63,21 +64,65 @@ TEST(EstimateWinning, CoversExactValue) {
   EXPECT_TRUE(result.covers(exact)) << result.estimate;
 }
 
+/// A FunctorProtocol with the rule of a single-threshold protocol: x <= a_i.
+core::FunctorProtocol as_functor(const core::SingleThresholdProtocol& protocol) {
+  std::vector<core::FunctorProtocol::Rule> rules;
+  for (const double a : protocol.threshold_values()) {
+    rules.push_back([a](double x, prob::Rng&) { return x <= a ? core::kBin0 : core::kBin1; });
+  }
+  return core::FunctorProtocol{std::move(rules), "threshold-functor"};
+}
+
 TEST(EstimateWinning, WinsTallyIndependentOfThreadCount) {
   // The trial range is cut into fixed blocks with per-block rng streams, so
   // the tally must be bitwise identical for every thread count — including
-  // trial counts that are not multiples of the block size.
-  const auto protocol = core::ObliviousProtocol::uniform(3);
-  for (const std::uint64_t trials : {50000ull, 100000ull, 16384ull * 3 + 123}) {
-    prob::Rng rng_1{42};
-    prob::Rng rng_2{42};
-    prob::Rng rng_8{42};
-    const SimResult one = estimate_winning_probability(protocol, 1.0, trials, rng_1, 1);
-    const SimResult two = estimate_winning_probability(protocol, 1.0, trials, rng_2, 2);
-    const SimResult eight = estimate_winning_probability(protocol, 1.0, trials, rng_8, 8);
-    EXPECT_EQ(one.wins, two.wins) << trials;
-    EXPECT_EQ(one.wins, eight.wins) << trials;
-    EXPECT_EQ(one.trials, trials);
+  // trial counts that are not multiples of the block size — on the generic
+  // trial loop and on the threshold kernel alike.
+  const auto oblivious = core::ObliviousProtocol::uniform(3);
+  const auto symmetric = core::SingleThresholdProtocol::symmetric(6, Rational(3, 5));
+  const core::SingleThresholdProtocol per_player{
+      {Rational(1, 4), Rational(1, 2), Rational(3, 4), Rational(1), Rational(0)}};
+  const std::pair<const core::Protocol*, double> cases[] = {
+      {&oblivious, 1.0}, {&symmetric, 2.0}, {&per_player, 5.0 / 3.0}};
+  for (const auto& [protocol, t] : cases) {
+    for (const std::uint64_t trials : {50000ull, 100000ull, 16384ull * 3 + 123}) {
+      prob::Rng rng_1{42};
+      prob::Rng rng_2{42};
+      prob::Rng rng_8{42};
+      const SimResult one = estimate_winning_probability(*protocol, t, trials, rng_1, 1);
+      const SimResult two = estimate_winning_probability(*protocol, t, trials, rng_2, 2);
+      const SimResult eight = estimate_winning_probability(*protocol, t, trials, rng_8, 8);
+      EXPECT_EQ(one.wins, two.wins) << protocol->name() << " " << trials;
+      EXPECT_EQ(one.wins, eight.wins) << protocol->name() << " " << trials;
+      EXPECT_EQ(one.trials, trials);
+    }
+  }
+}
+
+TEST(EstimateWinning, SingleThresholdMatchesTheGenericPath) {
+  // A threshold protocol runs the branch-free kernel; a FunctorProtocol with
+  // the same rule runs the generic loop through core::wins. Same seed, same
+  // tally, on any thread count.
+  const auto symmetric = core::SingleThresholdProtocol::symmetric(12, Rational(5, 8));
+  const core::SingleThresholdProtocol per_player{
+      {Rational(1, 3), Rational(1), Rational(0), Rational(7, 10), Rational(1, 2)}};
+  const std::pair<const core::SingleThresholdProtocol*, double> cases[] = {
+      {&symmetric, 4.0}, {&per_player, 1.25}};
+  for (const auto& [protocol, t] : cases) {
+    const core::FunctorProtocol functor = as_functor(*protocol);
+    for (const std::uint64_t trials : {1000ull, 16384ull * 2 + 5}) {
+      for (const unsigned threads : {1u, 4u}) {
+        prob::Rng kernel_rng{9};
+        prob::Rng generic_rng{9};
+        const SimResult kernel =
+            estimate_winning_probability(*protocol, t, trials, kernel_rng, threads);
+        const SimResult generic =
+            estimate_winning_probability(functor, t, trials, generic_rng, threads);
+        EXPECT_EQ(kernel.wins, generic.wins) << protocol->name() << " " << trials;
+        EXPECT_GT(kernel.wins, 0u);
+        EXPECT_LT(kernel.wins, trials);
+      }
+    }
   }
 }
 

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "util/status.hpp"
 
 namespace ddm::core {
 namespace {
@@ -139,6 +145,101 @@ TEST(Wins, BoundaryIsInclusive) {
   // overflow (Σ_b <= t).
   EXPECT_TRUE(wins(protocol, std::vector<double>{0.5, 0.6}, 0.6, rng));
   EXPECT_FALSE(wins(protocol, std::vector<double>{0.5, 0.6}, 0.59, rng));
+}
+
+// The kernel's contract, one trial at a time: on a copy of the same stream
+// it draws, routes and judges exactly as `wins` does for a protocol with the
+// rule x <= a_i, and leaves the stream in the same state. Each trial sets
+// one player's threshold to the very x it is about to draw (the inclusive
+// boundary) and, on two trials in three, t to the heavier reference load or
+// the double just below it, so a load that differs in its last bit flips a
+// verdict.
+TEST(ThresholdTrials, MatchesPlayTrialByTrial) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull, 2024ull, 99991ull}) {
+    prob::Rng setup{seed};
+    const std::size_t n = 1 + static_cast<std::size_t>(setup.uniform_below(40));
+    std::vector<double> ranges(n);
+    std::vector<double> thresholds(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ranges[i] = setup.bernoulli(0.5) ? 1.0 : setup.uniform(0.25, 3.0);
+      const double pinned[] = {0.0, 1.0, kInf, -kInf};
+      thresholds[i] = i < 4 ? pinned[i] : setup.uniform(0.0, ranges[i]);
+    }
+    prob::Rng kernel_rng{seed + 1};
+    prob::Rng play_rng{seed + 1};
+    std::vector<double> inputs(n);
+    std::uint64_t won = 0;
+    constexpr std::uint64_t kTrials = 400;
+    for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+      prob::Rng peek = kernel_rng;
+      const std::size_t boundary = trial % n;
+      for (std::size_t i = 0; i <= boundary; ++i) inputs[i] = peek.uniform(0.0, ranges[i]);
+      const double saved = thresholds[boundary];
+      thresholds[boundary] = inputs[boundary];
+
+      std::vector<FunctorProtocol::Rule> rules;
+      for (const double a : thresholds) {
+        rules.push_back([a](double x, prob::Rng&) { return x <= a ? kBin0 : kBin1; });
+      }
+      const FunctorProtocol protocol{std::move(rules), "threshold"};
+      for (std::size_t i = 0; i < n; ++i) inputs[i] = play_rng.uniform(0.0, ranges[i]);
+      prob::Rng unused{0};
+      const BinLoads loads = play(protocol, inputs, unused);
+      const double heavier = std::max(loads.bin0, loads.bin1);
+      const double t = trial % 3 == 0   ? static_cast<double>(n) / 3.0
+                       : trial % 3 == 1 ? heavier
+                                        : std::nextafter(heavier, 0.0);
+      const bool expected = wins(protocol, inputs, t, unused);
+
+      const std::uint64_t counted = count_threshold_wins(ranges, thresholds, t, 1, kernel_rng);
+      ASSERT_EQ(counted, expected ? 1u : 0u) << "seed " << seed << " trial " << trial;
+      won += counted;
+      thresholds[boundary] = saved;
+    }
+    EXPECT_EQ(kernel_rng(), play_rng()) << "streams diverged, seed " << seed;
+    EXPECT_GT(won, 0u) << "seed " << seed;
+    EXPECT_LT(won, kTrials) << "seed " << seed;
+  }
+}
+
+TEST(ThresholdTrials, ManyTrialsEqualOneTrialAtATime) {
+  const std::vector<double> ranges{1.0, 0.5, 2.0, 1.0, 1.5};
+  const std::vector<double> thresholds{0.6, 0.25, 1.2, 0.0, 1.5};
+  prob::Rng batched{11};
+  prob::Rng single{11};
+  const std::uint64_t trials = kTrialsPerBlock + 77;
+  std::uint64_t one_by_one = 0;
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
+    one_by_one += count_threshold_wins(ranges, thresholds, 2.0, 1, single);
+  }
+  EXPECT_EQ(count_threshold_wins(ranges, thresholds, 2.0, trials, batched), one_by_one);
+  EXPECT_EQ(batched(), single());
+}
+
+TEST(ThresholdTrials, PollsItsControlBetweenBlocks) {
+  const std::vector<double> ones(4, 1.0);
+  const std::vector<double> thresholds(4, 0.5);
+  util::RunControl control;
+  control.token = util::CancelToken::create();
+  control.token.cancel();
+  prob::Rng rng{3};
+  prob::Rng untouched{3};
+  EXPECT_THROW((void)count_threshold_wins(ones, thresholds, 1.0, 10, rng, control),
+               ddm::Cancelled);
+  EXPECT_EQ(rng(), untouched());
+  control = {};
+  control.deadline = util::Deadline::after(std::chrono::nanoseconds(0));
+  EXPECT_THROW((void)count_threshold_wins(ones, thresholds, 1.0, 10, rng, control),
+               ddm::DeadlineExceeded);
+}
+
+TEST(ThresholdTrials, Validation) {
+  prob::Rng rng{1};
+  const std::vector<double> two(2, 1.0);
+  const std::vector<double> three(3, 1.0);
+  EXPECT_THROW((void)count_threshold_wins(two, three, 1.0, 10, rng), std::invalid_argument);
+  EXPECT_EQ(count_threshold_wins(two, two, 1.0, 0, rng), 0u);
 }
 
 }  // namespace

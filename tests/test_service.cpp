@@ -10,9 +10,10 @@
 //     answers from a resident plan only when its certificate meets the
 //     request's own tolerance;
 //   * a deadline bounds worker time even inside the certified ladder's exact
-//     rung, which polls its control once per outer term, and inside the
+//     rung, which polls its control once per outer term, inside the
 //     symbolic `analyze`, which polls once per piece (and per recomputed
-//     term while building).
+//     term while building), and inside every Monte Carlo estimator, which
+//     polls once per block of trials.
 #include "net/service.hpp"
 
 #include <gtest/gtest.h>
@@ -225,6 +226,27 @@ TEST(ServeDeadline, CutsTheExactRungMidSum) {
         << line << ": " << std::chrono::duration<double, std::milli>(elapsed).count()
         << " ms vs one point " << std::chrono::duration<double, std::milli>(point_cost).count()
         << " ms";
+  }
+}
+
+TEST(ServeDeadline, CutsTheHeterogeneousAndDeviatingEstimators) {
+  // Uncut, each request runs 20 million trials on one stream — seconds of
+  // worker time. Both estimators poll the request's control every 16384
+  // trials, so a 50 ms budget ends them well inside a second.
+  ServiceConfig config;
+  config.workers = 1;
+  EvalService service(config);
+  for (const char* line :
+       {R"({"op":"threshold","n":12,"t":"4","beta":0.5,"engine":"mc","trials":20000000,)"
+        R"("scenario":"deviating:3","deadline_ms":50})",
+        R"({"op":"threshold","n":12,"t":"4","beta":0.5,"engine":"mc","trials":20000000,)"
+        R"("scenario":"heterogeneous:1,1,1,1,1,1,1,1,1,1,1,2","deadline_ms":50})"}) {
+    const auto started = std::chrono::steady_clock::now();
+    const std::string reply = service.handle_line(line);
+    const auto elapsed = std::chrono::steady_clock::now() - started;
+    EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(500))
+        << line << ": " << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
   }
 }
 

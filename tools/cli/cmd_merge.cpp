@@ -3,13 +3,13 @@
 // `ddm_cli sweep --shard=i/k --checkpoint si.ckpt` leaves k checkpoint files,
 // each holding the rows with index % k == i. merge validates that the given
 // files belong to ONE sweep — headers must agree on every field except
-// shard_index (grid, engine, resolved engine, scenario, shard count), the shard
-// indices must be exactly {0..k-1} with no duplicates, and every grid row
-// must be present in its owning shard — then prints the byte-identical
-// output of the equivalent unsharded `ddm_cli sweep` run. Doubles round-trip
-// losslessly through the checkpoint (max_digits10 both ways), so
-// byte-identity is exact, not approximate. Mismatched, duplicate, or
-// incomplete inputs are rejected with exit 2 naming the offending field,
+// shard_index (grid, engine, resolved engine, scenario, tolerance, shard
+// count), the shard indices must be exactly {0..k-1} with no duplicates, and
+// every grid row must be present in its owning shard — then prints the
+// byte-identical output of the equivalent unsharded `ddm_cli sweep` run.
+// Doubles round-trip losslessly through the checkpoint (max_digits10 both
+// ways), so byte-identity is exact, not approximate. Mismatched, duplicate,
+// or incomplete inputs are rejected with exit 2 naming the offending field,
 // shard, or row.
 #include <iostream>
 #include <vector>
@@ -45,6 +45,9 @@ std::string describe_shard_mismatch(const util::SweepParams& base,
   if (base.engine != other.engine) return differ("engine", base.engine, other.engine);
   if (base.resolved != other.resolved) return differ("resolved", base.resolved, other.resolved);
   if (base.scenario != other.scenario) return differ("scenario", base.scenario, other.scenario);
+  if (base.tolerance != other.tolerance) {
+    return differ("tolerance", base.tolerance, other.tolerance);
+  }
   if (base.shard_count != other.shard_count) {
     return differ("shard_count", std::to_string(base.shard_count),
                   std::to_string(other.shard_count));

@@ -65,7 +65,8 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
   const engine::Selection selection = select_engine(options, request);
 
   // The header records the full run identity — grid, requested engine,
-  // resolved engine, shard, game — and a resume rejects any mismatch by field.
+  // resolved engine, shard, game, tolerance — and a resume rejects any
+  // mismatch by field.
   std::optional<util::SweepCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
     util::SweepParams params;
@@ -79,6 +80,7 @@ int run_sweep(const std::vector<std::string>& args, const Options& options) {
     params.shard_index = options.shard_index;
     params.shard_count = options.shard_count;
     params.scenario = scenario.digest();
+    params.tolerance = request.tolerance.to_string();
     checkpoint.emplace(options.checkpoint_path, params, options.resume);
   }
 
