@@ -21,7 +21,7 @@ int main() {
     std::cout << "Capacity regime t = " << c << " * n  (LLN predicts P -> "
               << (c > 0.25 ? "1" : (c < 0.25 ? "0" : "const")) << "):\n";
     ddm::util::Table table{{"n", "t", "beta*", "P_threshold", "P_oblivious(1/2)"}};
-    for (const std::uint32_t n : {2u, 4u, 8u, 12u, 16u, 20u, 24u}) {
+    for (const std::uint32_t n : {2u, 4u, 8u, 12u, 16u, 20u, 24u, 32u, 64u, 128u, 256u}) {
       const double t = c * static_cast<double>(n);
       const auto opt = ddm::core::maximize_symmetric_threshold(n, t, 1.0 / std::sqrt(2.0));
       table.add_row({std::to_string(n), ddm::util::fmt(t, 2),

@@ -349,10 +349,8 @@ void BM_ThresholdBatchSerial(benchmark::State& state) {
 BENCHMARK(BM_ThresholdBatchSerial)->Arg(32)->Arg(128);
 
 // Certified-mode evaluation: the escalation ladder on top of the symmetric
-// Theorem 5.1 kernel. Small n settles on the long-double tier 0 (the O(n²)
-// sum plus the tracked error bookkeeping); n = 24 is past the cancellation
-// cliff and pays for the exact rational rung — keeping both in
-// BENCH_kernels.json tracks the cost of certification in each regime.
+// Theorem 5.1 kernel. Every n here settles on tier 0, the positive double
+// sum with its a priori bound (O(n³) at worst, so n = 64 tracks its growth).
 void BM_CertifiedSymmetricThreshold(benchmark::State& state) {
   const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));
   const Rational beta{3, 8};
@@ -362,7 +360,7 @@ void BM_CertifiedSymmetricThreshold(benchmark::State& state) {
         ddm::core::certified_symmetric_threshold_winning_probability(n, beta, t));
   }
 }
-BENCHMARK(BM_CertifiedSymmetricThreshold)->Arg(8)->Arg(16)->Arg(24);
+BENCHMARK(BM_CertifiedSymmetricThreshold)->Arg(8)->Arg(16)->Arg(24)->Arg(64);
 
 void BM_CertifiedGeneralThreshold(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -376,8 +374,7 @@ void BM_CertifiedGeneralThreshold(benchmark::State& state) {
   }
 }
 // Stays in the compensated-double regime: the escalated interval tier for
-// the general O(3^n) kernel costs seconds per call (the symmetric n = 24
-// case above is the escalation showcase).
+// the general O(3^n) kernel costs seconds per call.
 BENCHMARK(BM_CertifiedGeneralThreshold)->Arg(4)->Arg(8);
 
 void BM_CertifiedSimplexBoxVolume(benchmark::State& state) {
@@ -607,8 +604,8 @@ void run_dispatch_workload(benchmark::State& state, const ddm::engine::EnginePol
 // The paper's workload under `auto` on a cold plan cache: the 33-point
 // t = n/3 grid of the end-to-end sweep benchmark (beta in [0.31, 0.70]).
 // Symmetric requests never touch the O(3^n) kernel and auto lowers no plan
-// at any n: n = 4, 8 and 16 settle on the certified ladder's long-double
-// tier 0, n = 24 and n = 48 escalate to its exact O(n²) rung.
+// at any n: every point settles on the certified ladder's tier 0, the
+// positive double sum (O(n³) at worst).
 void sweep_symmetric_cold(benchmark::State& state, std::size_t steps, double lo, double hi) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<double> betas(steps + 1);
@@ -628,7 +625,15 @@ void sweep_symmetric_cold(benchmark::State& state, std::size_t steps, double lo,
 }
 
 void BM_SweepSymmetric(benchmark::State& state) { sweep_symmetric_cold(state, 32, 0.31, 0.70); }
-BENCHMARK(BM_SweepSymmetric)->Arg(4)->Arg(8)->Arg(16)->Arg(24)->Arg(48)->UseRealTime();
+BENCHMARK(BM_SweepSymmetric)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(48)
+    ->Arg(128)
+    ->Arg(256)
+    ->UseRealTime();
 
 // The same cold `auto` dispatch over a dense 16,385-point grid on [0, 1]
 // (`ddm_cli sweep n n/3 0 1 16384`): where a lowered plan would be

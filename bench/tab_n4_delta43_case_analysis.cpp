@@ -25,8 +25,12 @@ int main() {
 
   ddm::util::Table table{{"interval", "derived P(beta)"}};
   for (const auto& piece : pieces) {
-    table.add_row({"[" + piece.lo.to_string() + ", " + piece.hi.to_string() + "]",
-                   piece.poly.to_string("b")});
+    std::string interval = "[";
+    interval += piece.lo.to_string();
+    interval += ", ";
+    interval += piece.hi.to_string();
+    interval += ']';
+    table.add_row({interval, piece.poly.to_string("b")});
   }
   table.print(std::cout);
 

@@ -20,7 +20,7 @@ int main() {
   for (std::uint32_t n = 2; n <= 10; ++n) {
     const Rational t{n, 3};
     std::vector<std::string> row{std::to_string(n)};
-    for (const Rational probe : {Rational(1, 2), Rational(1, 4), Rational(3, 4),
+    for (const Rational& probe : {Rational(1, 2), Rational(1, 4), Rational(3, 4),
                                  Rational(9, 10)}) {
       const std::vector<Rational> alpha(n, probe);
       row.push_back(ddm::util::fmt(

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   while (digits_text.size() < static_cast<std::size_t>(digits) + 1) {
     digits_text.insert(digits_text.begin(), '0');
   }
-  digits_text.insert(digits_text.size() - static_cast<std::size_t>(digits), ".");
+  digits_text.insert(digits_text.size() - static_cast<std::size_t>(digits), 1, '.');
 
   // Evaluate P(beta*) through the engine registry's exact backend — the same
   // value as analysis.winning_probability()(mid), but via the seam every

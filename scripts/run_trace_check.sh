@@ -77,6 +77,51 @@ for tid, spans in by_tid.items():
 print(f"trace ok: {len(events)} events, {len(by_tid)} threads, {len(names)} span names")
 PY
 
+# --- 1b. the certified engine's fan-out rule --------------------------------
+# A grid whose tier-0 arithmetic costs less than starting a thread runs as
+# one chunk on the calling thread: every span of the 33-point n = 16 sweep
+# shares one thread id. A dense grid still spreads its chunks over the
+# lanes, and so does a grid whose tolerance (1e-15) lies below tier 0's
+# bound, where every point escalates to the exact rung.
+tids() {
+  python3 - "$@" <<'PY'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+name = sys.argv[2] if len(sys.argv) > 2 else None
+print(len({e["tid"] for e in events if name is None or e["name"] == name}))
+PY
+}
+chunks() {
+  python3 - "$1" <<'PY'
+import json, sys
+
+print(sum(e["name"] == "parallel.chunk" for e in json.load(open(sys.argv[1]))["traceEvents"]))
+PY
+}
+DDM_THREADS=4 "$CLI" sweep 16 16/3 307/1024 707/1024 32 --trace="$TMP/small.json" > /dev/null \
+  || fail "traced small sweep failed"
+[ "$(chunks "$TMP/small.json")" -eq 1 ] \
+  || fail "the 33-point n = 16 sweep ran as $(chunks "$TMP/small.json") chunks"
+[ "$(tids "$TMP/small.json")" -eq 1 ] \
+  || fail "the 33-point n = 16 sweep spread over $(tids "$TMP/small.json") threads"
+DDM_THREADS=4 "$CLI" sweep 8 8/3 0 1 16384 --trace="$TMP/dense.json" > /dev/null \
+  || fail "traced dense sweep failed"
+[ "$(tids "$TMP/dense.json" parallel.chunk)" -gt 1 ] \
+  || fail "the 16,385-point n = 8 sweep ran on one thread"
+DDM_THREADS=4 "$CLI" sweep 20 20/3 0.3 0.45 8 --certify=1/1000000000000000 \
+  --trace="$TMP/escalated.json" > /dev/null || fail "traced escalating sweep failed"
+python3 - "$TMP/escalated.json" <<'PY' || fail "escalating sweep did not escalate every point"
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+exact = [e for e in events
+         if e["name"] == "certify.tier" and e.get("args", {}).get("tier") == "exact"]
+assert len(exact) == 9, f"{len(exact)} of 9 points reached the exact rung"
+PY
+[ "$(tids "$TMP/escalated.json" parallel.chunk)" -gt 1 ] \
+  || fail "the escalating sweep ran on one thread"
+
 # --- 2. tracing and metrics never perturb the numeric output --------------
 for nthreads in 1 4; do
   plain="$(DDM_THREADS=$nthreads "$CLI" sweep 16 6 0.3 0.45 8)"

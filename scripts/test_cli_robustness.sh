@@ -83,10 +83,14 @@ expect_reject "does not support" "$CLI" threshold 24 8 3/8 --engine=batch
 # An unregistered id is rejected, and the message lists the registered ids.
 expect_reject "invalid --engine 'kernel'" "$CLI" sweep 3 1 0 1 4 --engine=kernel
 expect_reject "auto, batch, certified, compiled, exact, or mc" "$CLI" sweep 3 1 0 1 4 --engine=kernel
-# Past n = 64 auto refuses by name instead of reaching the O(3^n) kernel's
-# cap; the message names the auto cap and the engines that serve the request.
-expect_reject "n <= 64" "$CLI" sweep 65 22 0.3 0.4 1
-expect_reject "--engine=exact|certified" "$CLI" sweep 65 22 0.3 0.4 1
+# auto answers symmetric sweeps from the certified ladder up to n = 1000
+# (ddm_serve's admission cap too), every row with its bound; past that it
+# refuses by name, naming the cap and the engines that serve the request.
+auto100="$("$CLI" sweep 100 100/3 0.3 0.7 32)" || fail "auto sweep at n = 100 failed"
+[ "$(printf '%s\n' "$auto100" | grep -c '"engine": "certified", "bound": ')" -eq 33 ] \
+  || fail "auto sweep at n = 100 did not answer every row with a bound: $auto100"
+expect_reject "n <= 1000" "$CLI" sweep 1001 22 0.3 0.4 1
+expect_reject "--engine=exact|certified" "$CLI" sweep 1001 22 0.3 0.4 1
 
 # Malformed observability options are named, and a bogus DDM_THREADS must be
 # rejected up front instead of being silently clamped to one lane.
@@ -166,15 +170,28 @@ if [ -n "$SERVE" ]; then
 fi
 
 # --- certified mode ------------------------------------------------------
+# Tier 0's a priori bound at this point is about 3e-14: the default 1e-9 is
+# met there, and 1e-15 must escalate to the exact tier.
 cert="$("$CLI" threshold 24 8 3/8 --certify)"
 case "$cert" in
+  *"tier = compensated-double"*" met"*) ;;
+  *) fail "certified n=24 run did not settle on tier 0: $cert" ;;
+esac
+cert="$("$CLI" threshold 24 8 3/8 --certify=1/1000000000000000)"
+case "$cert" in
   *"tier = exact"*) ;;
-  *) fail "certified n=24 run did not escalate to the exact tier: $cert" ;;
+  *) fail "certified n=24 run below tier 0's bound did not escalate to the exact tier: $cert" ;;
 esac
 case "$cert" in
   *" met"*) ;;
   *) fail "certified n=24 run did not meet tolerance: $cert" ;;
 esac
+
+# Monte Carlo trial blocks and their streams depend on the trial count only,
+# so `simulate` prints the same bytes on one lane and on four.
+sim1="$(env DDM_THREADS=1 "$CLI" simulate 12 4 5/8 200000 7)" || fail "simulate failed"
+sim4="$(env DDM_THREADS=4 "$CLI" simulate 12 4 5/8 200000 7)" || fail "simulate failed"
+[ "$sim1" = "$sim4" ] || fail "simulate differs between DDM_THREADS=1 and 4"
 
 # An unmeetable tolerance must still produce an enclosure but exit 3.
 rc=0

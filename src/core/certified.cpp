@@ -11,6 +11,7 @@
 
 #include "combinat/binomial.hpp"
 #include "combinat/subsets.hpp"
+#include "core/irwin_hall_sum.hpp"
 #include "core/nonoblivious.hpp"
 #include "obs/trace.hpp"
 #include "util/kahan.hpp"
@@ -35,37 +36,17 @@ using Tracked = util::TrackedDouble;
 RationalInterval point(const Rational& r) { return RationalInterval{r}; }
 
 // ---------------------------------------------------------------------------
-// Symmetric Theorem 5.1, tier 0: the O(n²) evaluator of core/nonoblivious.cpp
-// in long double with a running error bound alongside every operation. The
-// indicator base > 0 is decided in rounded arithmetic; when the rounded base
-// lies within its own error bound of zero the true indicator is unknown, so
-// the possibly-present term is added to the error instead of the sum.
-//
-// The inputs need not be representable: β and t are rounded to long double
-// and each rounding gap, computed exactly from the rationals, is charged to
-// every quantity that uses it — |t − t̃| + l·|β − β̃| to each bracket base,
-// k·|β − β̃| to the (1 − β)^k lead (both factors lie in [0, 1]).
-using Real = long double;
-
-// Unit roundoff of long double. epsilon()/2 keeps the bound honest where
-// long double is plain double.
-constexpr Real kUR = std::numeric_limits<Real>::epsilon() / 2;
-
+// Symmetric Theorem 5.1, tier 0: the positive double sum of
+// core/irwin_hall_sum.hpp with its a priori bound. The inputs need not be
+// representable: β and t are rounded to double once, and each rounding gap,
+// computed exactly from the rationals, is charged through P's Lipschitz
+// constants (symmetric_threshold_sum_bound).
 constexpr const char* kSymLabel = "certified_symmetric_threshold_winning_probability";
 
-// Largest n whose binomial row is exact in 64-bit integers:
-// C(67, 33) < 2^64 <= C(68, 34).
-constexpr std::uint32_t kSymTier0MaxN = 67;
-
-struct TrackedReal {
-  Real value = 0;
-  Real error = 0;
-};
-
-// An input rounded to Real, with an upper bound on |exact − value|.
+// An input rounded to double, with an upper bound on |exact − value|.
 struct RoundedInput {
-  Real value = 0;
-  Real gap = 0;
+  double value = 0;
+  double gap = 0;
 };
 
 struct SymInputs {
@@ -73,155 +54,25 @@ struct SymInputs {
   RoundedInput t;
 };
 
-// Binomials (exact integers, converted once) and 1/m! (by repeated division,
-// so within a relative m·u of the truth) for m <= kSymTier0MaxN.
-class SymTables {
- public:
-  static const SymTables& get() {
-    static const SymTables tables;
-    return tables;
-  }
-
-  [[nodiscard]] Real binomial(std::uint32_t n, std::uint32_t k) const { return binom_[row(n) + k]; }
-  [[nodiscard]] Real inverse_factorial(std::uint32_t m) const { return inv_fact_[m]; }
-
- private:
-  SymTables() : binom_(row(kSymTier0MaxN + 1)), inv_fact_(kSymTier0MaxN + 1) {
-    std::vector<std::uint64_t> previous{1};
-    for (std::uint32_t n = 0; n <= kSymTier0MaxN; ++n) {
-      std::vector<std::uint64_t> current(n + 1, 1);
-      for (std::uint32_t k = 1; k < n; ++k) current[k] = previous[k - 1] + previous[k];
-      for (std::uint32_t k = 0; k <= n; ++k) binom_[row(n) + k] = static_cast<Real>(current[k]);
-      previous = std::move(current);
-    }
-    inv_fact_[0] = 1;
-    for (std::uint32_t m = 1; m <= kSymTier0MaxN; ++m) {
-      inv_fact_[m] = inv_fact_[m - 1] / static_cast<Real>(m);
-    }
-  }
-
-  static std::size_t row(std::uint32_t n) { return std::size_t{n} * (n + 1) / 2; }
-
-  std::vector<Real> binom_;
-  std::vector<Real> inv_fact_;
-};
-
-Real pow_real(Real base, std::uint32_t exp) {
-  Real result = 1;
-  while (exp != 0) {
-    if (exp & 1u) result *= base;
-    base *= base;
-    exp >>= 1;
-  }
-  return result;
-}
-
 RoundedInput round_input(const Rational& exact) {
   const double head = exact.to_double();
-  const double tail = (exact - util::exact_rational(head)).to_double();
-  const Real value = static_cast<Real>(head) + static_cast<Real>(tail);
-  // A long double splits exactly into a double and a short remainder, so the
-  // gap below is the exact distance, rounded up once.
-  const double value_head = static_cast<double>(value);
-  const double value_tail = static_cast<double>(value - static_cast<Real>(value_head));
-  const Rational gap =
-      (exact - util::exact_rational(value_head) - util::exact_rational(value_tail)).abs();
-  return {value, static_cast<Real>(util::round_up(gap))};
+  if (!std::isfinite(head)) return {head, std::numeric_limits<double>::infinity()};
+  // Rational::to_double may sit a few ulps off; one step on the exact
+  // residual lands within about half an ulp. Both inputs are nonnegative.
+  const double value = std::max(0.0, head + (exact - util::exact_rational(head)).to_double());
+  return {value, util::round_up((exact - util::exact_rational(value)).abs())};
 }
 
-// Bound on |(b ± e)^m − b^m| for b > 0: m·e·(b + e)^(m−1) by the mean
-// value theorem.
-Real pow_perturbation(Real base, Real err_base, std::uint32_t m) {
-  return static_cast<Real>(m) * pow_real(base + err_base, m - 1) * err_base;
-}
-
-TrackedReal sym_zero_bracket_t0(std::uint32_t m, const SymInputs& in) {
-  if (m == 0) return {1, 0};
-  const SymTables& tables = SymTables::get();
-  util::BasicKahanSum<Real> sum;
-  Real abs_sum = 0;
-  Real err = 0;
-  for (std::uint32_t l = 0; l <= m; ++l) {
-    const Real lb = static_cast<Real>(l) * in.beta.value;
-    const Real base = in.t.value - lb;
-    const Real err_base = kUR * (std::abs(lb) + std::abs(base)) + in.t.gap +
-                          static_cast<Real>(l) * in.beta.gap;
-    const Real binom = tables.binomial(m, l);
-    if (base <= err_base) {
-      if (base > -err_base) err += binom * pow_real(std::abs(base) + err_base, m);
-      continue;
-    }
-    const Real term = binom * pow_real(base, m - 1) * base;
-    // pow_mults(m) + 3: the power, the binomial's conversion, two products.
-    err += binom * pow_perturbation(base, err_base, m) + (pow_mults(m) + 3) * kUR * term;
-    sum.add(l % 2 == 0 ? term : -term);
-    abs_sum += term;
+CertifiedValue positive_sum(std::uint32_t n, const SymInputs& in,
+                            const util::RunControl& control) {
+  const double value = symmetric_threshold_sum(n, in.beta.value, in.t.value, control);
+  const double bound = symmetric_threshold_sum_bound(n, in.beta.value, in.t.value, value,
+                                                     in.beta.gap, in.t.gap);
+  if (!std::isfinite(value) || !std::isfinite(bound)) {
+    throw NumericError(std::string(kSymLabel) +
+                       ": double tier produced a non-finite value or bound");
   }
-  const Real value = sum.get() * tables.inverse_factorial(m);
-  return {value, tables.inverse_factorial(m) * (err + 2 * kUR * abs_sum) +
-                     static_cast<Real>(m + 1) * kUR * std::abs(value)};
-}
-
-TrackedReal sym_one_bracket_t0(std::uint32_t k, const SymInputs& in) {
-  if (k == 0) return {1, 0};
-  const SymTables& tables = SymTables::get();
-  const Real lead = pow_real(1 - in.beta.value, k);
-  const Real err_lead = (static_cast<Real>(k) + pow_mults(k)) * kUR * lead +
-                        static_cast<Real>(k) * in.beta.gap;
-  const Real x1 = static_cast<Real>(k) - in.t.value;
-  util::BasicKahanSum<Real> sum;
-  Real abs_sum = 0;
-  Real err = 0;
-  for (std::uint32_t l = 0; l <= k; ++l) {
-    const Real x2 = x1 - static_cast<Real>(l);
-    const Real lb = static_cast<Real>(l) * in.beta.value;
-    const Real base = x2 + lb;
-    const Real err_base =
-        kUR * (std::abs(x1) + std::abs(x2) + 2 * std::abs(lb) + std::abs(base)) + in.t.gap +
-        static_cast<Real>(l) * in.beta.gap;
-    const Real binom = tables.binomial(k, l);
-    if (base <= err_base) {
-      if (base > -err_base) err += binom * pow_real(std::abs(base) + err_base, k);
-      continue;
-    }
-    const Real term = binom * pow_real(base, k - 1) * base;
-    err += binom * pow_perturbation(base, err_base, k) + (pow_mults(k) + 3) * kUR * term;
-    sum.add(l % 2 == 0 ? term : -term);
-    abs_sum += term;
-  }
-  const Real tail = sum.get() * tables.inverse_factorial(k);
-  const Real value = lead - tail;
-  return {value, err_lead + tables.inverse_factorial(k) * (err + 2 * kUR * abs_sum) +
-                     static_cast<Real>(k + 1) * kUR * std::abs(tail) + kUR * std::abs(value)};
-}
-
-TrackedReal sym_total_t0(std::uint32_t n, const SymInputs& in) {
-  DDM_SPAN("kernel.sym_tracked", {{"n", static_cast<std::int64_t>(n)}});
-  const SymTables& tables = SymTables::get();
-  util::BasicKahanSum<Real> total;
-  Real abs_total = 0;
-  Real err = 0;
-  for (std::uint32_t k = 0; k <= n; ++k) {
-    const TrackedReal zb = sym_zero_bracket_t0(n - k, in);
-    const TrackedReal ob = sym_one_bracket_t0(k, in);
-    const Real binom = tables.binomial(n, k);
-    const Real product = binom * zb.value * ob.value;
-    total.add(product);
-    abs_total += std::abs(product);
-    err += binom * (std::abs(zb.value) * ob.error + std::abs(ob.value) * zb.error +
-                    zb.error * ob.error + 3 * kUR * std::abs(zb.value * ob.value));
-  }
-  return {total.get(), err + 2 * kUR * abs_total};
-}
-
-// Rounds the centre to double and adds that shift to the bound, rounded up
-// (a non-finite value or bound stays non-finite, which tracked_enclosure
-// turns into the escalation signal).
-Tracked to_tracked_double(const TrackedReal& tracked) {
-  const double centre = static_cast<double>(tracked.value);
-  const Real shift = std::abs(tracked.value - static_cast<Real>(centre));
-  const double error = static_cast<double>(tracked.error + shift);
-  return {centre, std::nextafter(error, std::numeric_limits<double>::infinity())};
+  return CertifiedValue::centred(value, bound);
 }
 
 void require_unit_beta(const Rational& beta) {
@@ -247,23 +98,18 @@ CertifiedValue exact_zero() {
 // The symmetric ladder on one point: tier 0 on the rounded inputs, then the
 // exact rational sum at exact_beta(). No interval rung: in O(n²) the exact
 // rung is cheaper than 320-bit intervals at every n measured
-// (docs/robustness.md), so a tier-0 miss escalates straight to it.
+// (docs/robustness.md), so a tier-0 miss escalates straight to it. Both
+// rungs poll policy.control once per outer term.
 template <class ExactBeta>
 CertifiedValue climb(std::uint32_t n, const Rational& t, const EvalPolicy& policy,
                      const SymInputs& inputs, ExactBeta exact_beta) {
+  const auto positive = [&]() { return positive_sum(n, inputs, policy.control); };
   const auto exact = [&]() -> CertifiedValue {
     return point(symmetric_threshold_winning_probability(n, exact_beta(), t, policy.control));
   };
-  // Both rungs capture at most 16 bytes, so neither std::function allocates.
+  // Both rungs capture one reference, so neither std::function allocates.
   const TierSpec tiers[] = {
-      {EvalTier::kCompensatedDouble,
-       [n, &inputs]() -> CertifiedValue {
-         if (n > kSymTier0MaxN) {
-           throw NumericError(std::string(kSymLabel) + ": double tier limited to n <= " +
-                              std::to_string(kSymTier0MaxN));
-         }
-         return util::tracked_enclosure(to_tracked_double(sym_total_t0(n, inputs)), kSymLabel);
-       }},
+      {EvalTier::kCompensatedDouble, [&positive] { return positive(); }},
       {EvalTier::kExact, [&exact] { return exact(); }},
   };
   return run_escalation_ladder(policy, kSymLabel, tiers);
@@ -553,6 +399,11 @@ SymmetricCertifier::SymmetricCertifier(std::uint32_t n, Rational t, EvalPolicy p
     t_value_ = rounded.value;
     t_gap_ = rounded.gap;
   }
+}
+
+double SymmetricCertifier::tier0_worst_bound() const {
+  if (t_.signum() <= 0) return 0.0;
+  return symmetric_threshold_sum_worst_bound(n_, t_value_, t_gap_);
 }
 
 CertifiedValue SymmetricCertifier::evaluate(const Rational& beta) const {

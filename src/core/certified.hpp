@@ -5,10 +5,11 @@
 // CertifiedValue — a rigorous enclosure of the exact value — escalating
 // compensated double → dyadic interval → exact Rational until the enclosure
 // is narrower than the policy tolerance (util/certify.hpp). The alternating
-// inclusion-exclusion sums of Theorem 5.1 cancel catastrophically for large
-// n (terms of size ~ (n − t)^n against a result in [0, 1]), which is exactly
-// the regime where the plain double kernels silently lose every digit; the
-// certified versions either prove their answer or visibly escalate.
+// inclusion-exclusion sums of the general Theorem 5.1 cancel catastrophically
+// for large n (terms of size ~ (n − t)^n against a result in [0, 1]); the
+// certified version either proves its answer or visibly escalates. The
+// symmetric case needs no cancellation (core/irwin_hall_sum.hpp), so its
+// tier 0 settles nearly every point with an a priori bound.
 #pragma once
 
 #include <cstdint>
@@ -27,22 +28,22 @@ namespace ddm::core {
 [[nodiscard]] CertifiedValue certified_threshold_winning_probability(
     std::span<const util::Rational> a, const util::Rational& t, const EvalPolicy& policy = {});
 
-/// Certified symmetric Theorem 5.1 (all thresholds equal beta): O(n²) terms
-/// in every tier, so even the exact tier is cheap — this is the evaluator
-/// the ill-conditioned large-n demonstrations use, and the one `auto` sends
-/// symmetric requests to. Two rungs: a long-double tier 0 that accepts any
-/// rational beta and t (n <= 67), then the exact rational sum, which polls
-/// policy.control once per outer term. One point of a SymmetricCertifier.
+/// Certified symmetric Theorem 5.1 (all thresholds equal beta) — the
+/// evaluator `auto` sends symmetric requests to. Two rungs: tier 0, the
+/// positive double sum of core/irwin_hall_sum.hpp with its a priori bound
+/// (O(n³) at worst, any n, any rational beta and t), then the exact rational
+/// sum (O(n²) rational terms). Both poll policy.control once per outer term.
+/// One point of a SymmetricCertifier.
 [[nodiscard]] CertifiedValue certified_symmetric_threshold_winning_probability(
     std::uint32_t n, const util::Rational& beta, const util::Rational& t,
     const EvalPolicy& policy = {});
 
 /// The symmetric ladder prepared once per (n, t, policy), so each point of a
-/// grid pays only its own arithmetic: t is rounded to long double here,
-/// once, and a dyadic beta (every beta taken from a double grid) enters
-/// tier 0 with no rounding gap. Tier 0's result is a CertifiedValue::centred
+/// grid pays only its own arithmetic: t is rounded to double here, once,
+/// and a dyadic beta (every beta taken from a double grid) enters tier 0
+/// with no rounding gap. Tier 0's result is a CertifiedValue::centred
 /// enclosure whose "width <= tolerance" test runs in doubles, so an accepted
-/// point costs its O(n²) long-double sum and no rational arithmetic.
+/// point costs its double sum and no rational arithmetic.
 /// Enclosures, values, bounds, tiers, EvalStats and certify.* counters are
 /// identical to evaluate_on_ladder's, point for point. Throws
 /// std::invalid_argument for n == 0 (construction) or beta outside [0, 1]
@@ -60,12 +61,17 @@ class SymmetricCertifier {
   /// against.
   [[nodiscard]] CertifiedValue evaluate_on_ladder(const util::Rational& beta) const;
 
+  /// The largest bound tier 0 can return for any beta of this request
+  /// (symmetric_threshold_sum_worst_bound): when the policy tolerance is at
+  /// or above it, no point escalates.
+  [[nodiscard]] double tier0_worst_bound() const;
+
  private:
   std::uint32_t n_;
   util::Rational t_;
   EvalPolicy policy_;
-  long double t_value_ = 0;
-  long double t_gap_ = 0;
+  double t_value_ = 0;
+  double t_gap_ = 0;
 };
 
 }  // namespace ddm::core

@@ -9,6 +9,7 @@
 #include "combinat/binomial.hpp"
 #include "combinat/subsets.hpp"
 #include "core/batch_walk.hpp"
+#include "core/irwin_hall_sum.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
@@ -534,43 +535,16 @@ Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational
 
 double symmetric_threshold_winning_probability(std::uint32_t n, double beta, double t) {
   if (n == 0) throw std::invalid_argument("symmetric_threshold_winning_probability: n == 0");
-  if (beta < 0.0 || beta > 1.0) {
+  // Written so that a NaN fails too: the sum would read it as 0.
+  if (!(beta >= 0.0 && beta <= 1.0)) {
     throw std::invalid_argument("symmetric_threshold_winning_probability: beta outside [0, 1]");
   }
-  if (t <= 0.0) return 0.0;
-  DDM_SPAN("kernel.symmetric", {{"n", static_cast<std::int64_t>(n)}});
-  KernelMetrics::get().symmetric_calls.add();
-
-  const auto zero_bracket = [&](std::uint32_t m) {
-    if (m == 0) return 1.0;
-    double sum = 0.0;
-    for (std::uint32_t l = 0; l <= m; ++l) {
-      const double base = t - static_cast<double>(l) * beta;
-      if (base <= 0.0) continue;
-      const double term = combinat::binomial_double(m, l) * std::pow(base, m);
-      sum += (l % 2 == 0) ? term : -term;
-    }
-    return sum * combinat::inverse_factorial_double(m);
-  };
-  const auto one_bracket = [&](std::uint32_t k) {
-    if (k == 0) return 1.0;
-    double sum = 0.0;
-    for (std::uint32_t l = 0; l <= k; ++l) {
-      const double base =
-          static_cast<double>(k) - t - static_cast<double>(l) + static_cast<double>(l) * beta;
-      if (base <= 0.0) continue;
-      const double term = combinat::binomial_double(k, l) * std::pow(base, k);
-      sum += (l % 2 == 0) ? term : -term;
-    }
-    return std::pow(1.0 - beta, static_cast<double>(k)) -
-           sum * combinat::inverse_factorial_double(k);
-  };
-
-  double total = 0.0;
-  for (std::uint32_t k = 0; k <= n; ++k) {
-    total += combinat::binomial_double(n, k) * zero_bracket(n - k) * one_bracket(k);
+  if (std::isnan(t)) {
+    throw std::invalid_argument("symmetric_threshold_winning_probability: t is NaN");
   }
-  return require_finite(total, "symmetric_threshold_winning_probability: double result");
+  KernelMetrics::get().symmetric_calls.add();
+  return require_finite(symmetric_threshold_sum(n, beta, t),
+                        "symmetric_threshold_winning_probability: double result");
 }
 
 }  // namespace ddm::core

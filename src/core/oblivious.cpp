@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "combinat/binomial.hpp"
 #include "prob/uniform_sum.hpp"
@@ -19,6 +20,15 @@ void check_alpha(std::span<const Rational> alpha) {
       throw std::invalid_argument("oblivious: alpha entries must lie in [0, 1]");
     }
   }
+}
+
+// F_0(t), ..., F_n(t): one Irwin–Hall row gives every phi_double(n, k, t)
+// as row[k] · row[n − k], bit for bit.
+std::vector<double> irwin_hall_row_at(std::uint32_t n, double t) {
+  std::vector<double> row(std::size_t{n} + 1);
+  std::vector<double> scratch(std::size_t{n} + 1);
+  prob::irwin_hall_row(n, t, row, scratch);
+  return row;
 }
 
 }  // namespace
@@ -104,8 +114,9 @@ double oblivious_winning_probability(std::span<const double> alpha, double t) {
     }
     pmf = std::move(next);
   }
+  const std::vector<double> row = irwin_hall_row_at(n, t);
   double total = 0.0;
-  for (std::uint32_t k = 0; k <= n; ++k) total += phi_double(n, k, t) * pmf[k];
+  for (std::uint32_t k = 0; k <= n; ++k) total += row[k] * row[n - k] * pmf[k];
   return total;
 }
 
@@ -144,9 +155,10 @@ Rational optimal_oblivious_winning_probability(std::uint32_t n, const Rational& 
 double optimal_oblivious_winning_probability_double(std::uint32_t n, double t) {
   if (n == 0) throw std::invalid_argument("optimal_oblivious_winning_probability: n == 0");
   if (t <= 0.0) return 0.0;
+  const std::vector<double> row = irwin_hall_row_at(n, t);
   double total = 0.0;
   for (std::uint32_t k = 0; k <= n; ++k) {
-    total += combinat::binomial_double(n, k) * phi_double(n, k, t);
+    total += combinat::binomial_double(n, k) * (row[k] * row[n - k]);
   }
   return total * std::pow(0.5, static_cast<double>(n));
 }

@@ -139,8 +139,9 @@ inline constexpr std::uint64_t kTrialsPerBlock = 16384;
 /// adds it to bin 0 iff x_i <= thresholds[i] (±∞ pins a bin); the trial wins
 /// iff both loads are <= t. Draws, loads and verdicts are bitwise those of
 /// `wins` on a protocol with that rule. Returns the wins; polls `control`
-/// every kTrialsPerBlock trials; throws std::invalid_argument on a size
-/// mismatch.
+/// every kTrialsPerBlock trials, and more often past 64 players, so that no
+/// more than about 2^20 draws run between two polls (a stop counts the full
+/// blocks done); throws std::invalid_argument on a size mismatch.
 [[nodiscard]] std::uint64_t count_threshold_wins(std::span<const double> ranges,
                                                  std::span<const double> thresholds, double t,
                                                  std::uint64_t trials, prob::Rng& rng,

@@ -5,6 +5,7 @@
 // CLI row prints are pinned by tests/golden_cli/. The adapters are
 // stateless; compiled plans live in the shared PlanCache.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "core/certified.hpp"
 #include "core/deviating.hpp"
 #include "core/heterogeneous.hpp"
+#include "core/irwin_hall_sum.hpp"
 #include "core/nonoblivious.hpp"
 #include "core/protocol.hpp"
 #include "engine/engines.hpp"
@@ -37,6 +39,19 @@ constexpr std::uint32_t kKernelMaxN = 20;
     n = std::max(n, static_cast<std::uint32_t>(point.size()));
   }
   return n;
+}
+
+/// Tier-0 work per chunk of a certified grid, in the recurrence updates of
+/// core::symmetric_threshold_sum_updates: 2^18 of them take at least about
+/// 100 µs. The fastest rate measured was 0.38 ns per update (n = 256, one
+/// pinned core of a 4-vCPU x86-64 VM, Release). At small n each outer term's
+/// fixed work outweighs its updates, so a chunk takes longer: about 0.35 ms
+/// at n = 16, 1 ms at n = 8 and 3 ms at n = 4 (13,274 points).
+constexpr double kChunkUpdates = 262144.0;
+
+[[nodiscard]] std::size_t tier0_points_per_chunk(std::uint32_t n) {
+  return static_cast<std::size_t>(
+      std::ceil(kChunkUpdates / core::symmetric_threshold_sum_updates(n)));
 }
 
 /// The exact rational image of grid point k: the caller's exact grid when
@@ -223,7 +238,8 @@ class CompiledEvaluator final : public Evaluator {
 
 /// certified — the escalation ladder on the exact grid: every value carries
 /// a rigorous enclosure, escalating until the request tolerance is met (for
-/// the symmetric game: long-double tier 0, then the exact O(n²) sum).
+/// the symmetric game: the positive double sum with its a priori bound, then
+/// the exact O(n²) sum).
 /// certificate_bound is the largest per-point error_bound(), so the outcome
 /// states how far any value may be from exact.
 class CertifiedEvaluator final : public Evaluator {
@@ -285,11 +301,14 @@ class CertifiedEvaluator final : public Evaluator {
     outcome.values.resize(request.size(), 0.0);
     outcome.certificates.resize(request.size());
     util::ParallelOptions options;
-    // About eight chunks per lane: one point per chunk keeps a short grid of
-    // millisecond exact-rung points balanced, while a dense grid of
-    // microsecond tier-0 points would otherwise pay more for chunk hand-off
-    // than for its arithmetic. Each point's ladder polls the control itself.
-    options.grain = std::max<std::size_t>(1, request.size() / (8 * util::parallelism()));
+    // When the tolerance is at or above tier 0's worst-case bound, no point
+    // can escalate: a chunk then takes about 100 µs of tier-0 arithmetic, so
+    // a short grid runs on the calling thread and starts no pool thread.
+    // Otherwise one point per chunk, since an escalated point takes
+    // milliseconds on the exact rung. Each point's ladder polls the control.
+    options.grain = certifier.tier0_worst_bound() <= request.tolerance.to_double()
+                        ? tier0_points_per_chunk(request.n)
+                        : 1;
     options.label = "engine.certified";
     options.control = request.control;
     util::parallel_for(

@@ -14,10 +14,12 @@
 //     O(#breakpoints · n³) exact algebra, more than the ladder spends on
 //     thousands of points;
 //   * every other symmetric grid with n <= kCertifiedAutoMaxN → the
-//     certified O(n²) ladder, whose answers carry a proven bound;
-//   * symmetric n > kCertifiedAutoMaxN with no admissible resident plan →
-//     select throws a ddm::Error naming the cap and the engines that serve
-//     such requests (`exact`, `certified`);
+//     certified ladder, whose answers carry a proven bound — past
+//     kExactRungAutoMaxN only when the tolerance is at or above tier 0's
+//     worst-case bound at (n, t), so that no point can escalate;
+//   * any other symmetric grid with no admissible resident plan → select
+//     throws a ddm::Error naming the cap it passed and the engines that
+//     serve such requests (`exact`, `certified`);
 //   * general (per-player) points → the batch kernel.
 // A resident plan whose certificate misses the tolerance is a *visible*
 // fallback: the Selection carries a note the caller surfaces (the CLI prints
@@ -31,11 +33,17 @@
 
 namespace ddm::engine {
 
-/// The largest n auto sends to the certified ladder. Its exact rung grows
-/// about as n^3.6 (for a double beta: 0.25 s per point at n = 64, 3 s at
-/// n = 128), so past this cap auto refuses up front instead of pinning a
-/// worker.
-inline constexpr std::uint32_t kCertifiedAutoMaxN = 64;
+/// The largest n auto sends to the certified ladder, and the largest n
+/// ddm_serve admits. Tier 0 settles a point in O(n³) double arithmetic at
+/// worst (about 55 ms at n = 1000 on one core) with a bound far below 1e-9
+/// at t <= n. Past this cap auto refuses up front, by name.
+inline constexpr std::uint32_t kCertifiedAutoMaxN = 1000;
+
+/// The largest n at which auto lets a point escalate past tier 0 to the
+/// exact rational rung: about a quarter second a point at n = 64, growing
+/// as about n^3.6, and no deadline is set by default. Past it, auto takes
+/// only requests whose tolerance tier 0 meets at every point.
+inline constexpr std::uint32_t kExactRungAutoMaxN = 64;
 
 /// Caller-supplied selection policy. Default-constructed == today's CLI
 /// default (`--engine=auto`).

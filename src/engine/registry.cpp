@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/certified.hpp"
 #include "engine/engines.hpp"
 #include "engine/plan_cache.hpp"
 #include "obs/metrics_registry.hpp"
@@ -27,8 +28,9 @@ struct SelectMetrics {
 
 /// The symmetric auto rule: a RESIDENT compiled plan (plan cache or plan
 /// store — auto never lowers one) whose certificate is <= the request
-/// tolerance, else the certified O(n²) ladder up to kCertifiedAutoMaxN.
-/// Past the cap the request is refused by name before any work starts.
+/// tolerance, else the certified ladder up to kCertifiedAutoMaxN, and past
+/// kExactRungAutoMaxN only when no point can escalate to the exact rung.
+/// Otherwise the request is refused by name before any work starts.
 const Evaluator& select_symmetric(const EvalRequest& request, Registry& registry,
                                   Selection& selection) {
   const double tolerance = request.tolerance.to_double();
@@ -49,6 +51,16 @@ const Evaluator& select_symmetric(const EvalRequest& request, Registry& registry
                 std::to_string(kCertifiedAutoMaxN) +
                 ") and no resident compiled plan meets the tolerance; "
                 "use --engine=exact|certified");
+  }
+  if (request.n > kExactRungAutoMaxN) {
+    const double tier0 = core::SymmetricCertifier(request.n, request.t).tier0_worst_bound();
+    if (tolerance < tier0) {
+      std::ostringstream message;
+      message << "auto: tolerance " << tolerance << " is below tier 0's bound " << tier0
+              << " at n = " << request.n << ", and auto escalates to the exact rung only for n <= "
+              << kExactRungAutoMaxN << "; raise the tolerance or use --engine=exact|certified";
+      throw Error(message.str());
+    }
   }
   return registry.require("certified");
 }

@@ -16,7 +16,7 @@
 // `select` resolves an EnginePolicy against a request: a concrete id is
 // looked up directly, "auto" applies the one rule of engine/policy.hpp —
 // symmetric grids go to a resident compiled plan whose certificate is <= the
-// REQUEST tolerance, or else the certified O(n²) ladder (auto never lowers a
+// REQUEST tolerance, or else the certified ladder (auto never lowers a
 // plan); general points go to the batch kernel. The selection is returned —
 // never applied silently: when auto declines a resident plan, the Selection
 // carries a human-readable note so callers can surface the fallback (the CLI
@@ -88,10 +88,11 @@ struct Selection {
 
 /// Resolves `policy` against `request` on the process registry. Forced ids
 /// throw ddm::Error when unknown or unsupported for the request's shape.
-/// "auto" throws ddm::Error for a symmetric homogeneous request with
-/// n > kCertifiedAutoMaxN and no admissible resident plan — the message
-/// names the cap and the engines that serve it (`exact`, `certified`) — and
-/// for a generalized scenario no engine supports.
+/// "auto" throws ddm::Error for a symmetric homogeneous request with no
+/// admissible resident plan and either n > kCertifiedAutoMaxN, or
+/// n > kExactRungAutoMaxN and a tolerance below tier 0's worst-case bound —
+/// the message names the cap and the engines that serve it (`exact`,
+/// `certified`) — and for a generalized scenario no engine supports.
 [[nodiscard]] Selection select(const EnginePolicy& policy, const EvalRequest& request);
 
 /// Adapts a registered engine into the threshold optimizer's batch-objective

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/symmetric_threshold.hpp"
+#include "engine/policy.hpp"
 #include "net/ndjson.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
@@ -37,8 +38,9 @@ struct ServeMetrics {
 
 /// Caps on wire-supplied parameters: generous for real use, tight enough
 /// that one request cannot buy unbounded memory or compute by itself (the
-/// deadline is the real backstop for compute).
-constexpr std::uint64_t kMaxN = 1000;
+/// deadline is the real backstop for compute). `auto` answers every
+/// admitted n.
+constexpr std::uint64_t kMaxN = engine::kCertifiedAutoMaxN;
 constexpr std::uint64_t kMaxTrials = 100'000'000;
 /// The exact optimizer behind op 'analyze' is admitted only where it takes
 /// about a second or less: `analyze 47 47/3` takes 0.9 s and `analyze 64

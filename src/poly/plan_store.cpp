@@ -131,7 +131,9 @@ std::shared_ptr<FileBytes> read_file(const std::string& path, std::uint32_t n,
 // for (6, 2). Rational::to_string is canonical by construction (the type
 // normalizes on every mutation), so equal rationals map to one file.
 std::string file_name(std::uint32_t n, const std::string& t_text) {
-  std::string name = "n" + std::to_string(n) + "_t";
+  std::string name = "n";
+  name += std::to_string(n);
+  name += "_t";
   for (const char c : t_text) name += c == '/' ? '_' : c;
   return name + ".plan";
 }

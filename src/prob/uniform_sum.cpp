@@ -196,16 +196,8 @@ double sum_uniform_pdf(std::span<const double> pi, double t) {
 }
 
 double irwin_hall_cdf(std::uint32_t m, double t) {
-  if (t < 0.0) return 0.0;
-  if (m == 0) return 1.0;
-  if (t >= static_cast<double>(m)) return 1.0;
-  double sum = 0.0;
-  for (std::uint32_t i = 0; i <= m && static_cast<double>(i) < t; ++i) {
-    const double term =
-        combinat::binomial_double(m, i) * std::pow(t - static_cast<double>(i), m);
-    sum += (i % 2 == 0) ? term : -term;
-  }
-  return std::clamp(sum * combinat::inverse_factorial_double(m), 0.0, 1.0);
+  std::vector<double> scratch(std::size_t{m} + 1);
+  return irwin_hall_row(m, t, {}, scratch);
 }
 
 double sum_shifted_uniform_cdf(std::span<const double> pi, double t) {
@@ -230,6 +222,46 @@ double sum_shifted_uniform_cdf(std::span<const double> pi, double t) {
   const double result =
       1.0 - sum * combinat::inverse_factorial_double(static_cast<std::uint32_t>(m)) / denominator;
   return std::clamp(result, 0.0, 1.0);
+}
+
+double irwin_hall_row(std::uint32_t m, double y, std::span<double> row,
+                      std::span<double> scratch) {
+  const auto mm = static_cast<double>(m);
+  if (!(y > 0.0) || y >= mm) {
+    // Every F_j(y), j <= m, is 0 or 1 here (F_0 is the unit step at 0).
+    const double step = y >= 0.0 ? 1.0 : 0.0;
+    const double edge = y >= mm ? 1.0 : 0.0;
+    if (!row.empty()) {
+      row[0] = step;
+      std::fill(row.begin() + 1, row.begin() + m + 1, edge);
+    }
+    return m == 0 ? step : edge;
+  }
+  // a[i] = F_j(y − i) at level j for the shifts i = 0..top, those with
+  // y − i > 0; a[top + 1] = F_j(y − top − 1) stays 0 (F_0(0) = 1 is never
+  // read: x = 1 is not below j = 1). As 0 <= i < y < m < 2^53, every
+  // x = y − i is exact.
+  const auto top = static_cast<std::size_t>(std::ceil(y)) - 1;
+  double* a = scratch.data();
+  std::fill(a, a + top + 1, 1.0);
+  a[top + 1] = 0.0;
+  if (!row.empty()) row[0] = 1.0;
+  for (std::uint32_t j = 1; j <= m; ++j) {
+    const auto jd = static_cast<double>(j);
+    const double inv = 1.0 / jd;
+    // Shifts with x >= j keep F_j(x) = 1; shifts past m − j never reach
+    // F_m(y). In-place: a[i + 1] still holds level j − 1 when a[i] is read.
+    const std::size_t lo = y >= jd ? static_cast<std::size_t>(y - jd) + 1 : 0;
+    const std::size_t hi = std::min<std::size_t>(top, m - j);
+    for (std::size_t i = lo; i <= hi; ++i) {
+      const double x = y - static_cast<double>(i);
+      // Roundings on the longer path: j − x, the product, the sum, 1/j and
+      // the product by it — 5 per level, so F_j is within γ_{5j}.
+      a[i] = (x * a[i] + (jd - x) * a[i + 1]) * inv;
+    }
+    if (!row.empty()) row[j] = a[0];
+  }
+  return a[0];
 }
 
 }  // namespace ddm::prob

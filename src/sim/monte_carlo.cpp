@@ -62,8 +62,10 @@ SimResult estimate_winning_probability(const core::Protocol& protocol, double t,
           const std::uint64_t begin = static_cast<std::uint64_t>(b) * kTrialsPerBlock;
           const std::uint64_t end = std::min(trials, begin + kTrialsPerBlock);
           if (threshold != nullptr) {
+            // The control reaches inside the block too: past 64 players one
+            // block holds more than 2^20 draws.
             wins[b] = core::count_threshold_wins(unit_ranges, threshold->threshold_values(), t,
-                                                 end - begin, block_rng);
+                                                 end - begin, block_rng, control);
             continue;
           }
           std::uint64_t block_wins = 0;

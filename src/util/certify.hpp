@@ -14,10 +14,11 @@
 //
 // The general and volume ladders run tier 0 only when every input is exactly
 // representable as a double (otherwise the double kernel would silently
-// evaluate a *different* instance). The symmetric ladder's tier 0 runs in
-// long double on rounded inputs and charges the rounding gaps to its bound,
-// and it has no tier 1: its O(n²) exact rung is cheaper than the interval
-// rung at every n measured. Tiers 1 and 2 handle arbitrary rationals. The
+// evaluate a *different* instance). The symmetric ladder's tier 0 is a sum
+// of nonnegative terms (core/irwin_hall_sum.hpp) with an a priori bound; it
+// runs on rounded inputs and charges the rounding gaps to that bound, and
+// the ladder has no tier 1: its O(n²) exact rung is cheaper than the
+// interval rung at every n measured. Tiers 1 and 2 handle arbitrary rationals. The
 // ladder is shared by certified_threshold_winning_probability,
 // certified_symmetric_threshold_winning_probability (core/certified.hpp) and
 // certified_simplex_box_volume (geom/volume.hpp), and is exposed on the CLI

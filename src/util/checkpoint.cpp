@@ -29,7 +29,9 @@ namespace {
 // `out` (quotes stripped for string values). Returns false when the key is
 // absent or the line is malformed.
 bool extract_field(std::string_view line, std::string_view key, std::string& out) {
-  const std::string pattern = "\"" + std::string(key) + "\": ";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\": ";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return false;
   std::size_t start = pos + pattern.size();

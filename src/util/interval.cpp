@@ -63,7 +63,12 @@ RationalInterval pow_outward(const RationalInterval& x, std::uint32_t exp, unsig
 }
 
 std::string RationalInterval::to_string() const {
-  return "[" + lo_.to_string() + ", " + hi_.to_string() + "]";
+  std::string text = "[";
+  text += lo_.to_string();
+  text += ", ";
+  text += hi_.to_string();
+  text += ']';
+  return text;
 }
 
 std::ostream& operator<<(std::ostream& os, const RationalInterval& interval) {

@@ -20,18 +20,16 @@
 namespace ddm::util {
 
 /// Running sum with Neumaier compensation: `add` folds one term, `get`
-/// returns the compensated value. `Real` is the working precision (the
-/// symmetric certified tier sums in long double).
-template <typename Real>
-struct BasicKahanSum {
-  Real sum = 0;
-  Real compensation = 0;
+/// returns the compensated value.
+struct KahanSum {
+  double sum = 0.0;
+  double compensation = 0.0;
 
-  constexpr BasicKahanSum() = default;
-  constexpr explicit BasicKahanSum(Real initial) : sum(initial) {}
+  constexpr KahanSum() = default;
+  constexpr explicit KahanSum(double initial) : sum(initial) {}
 
-  void add(Real term) noexcept {
-    const Real next = sum + term;
+  void add(double term) noexcept {
+    const double next = sum + term;
     if (std::abs(sum) >= std::abs(term)) {
       compensation += (sum - next) + term;
     } else {
@@ -40,9 +38,7 @@ struct BasicKahanSum {
     sum = next;
   }
 
-  [[nodiscard]] Real get() const noexcept { return sum + compensation; }
+  [[nodiscard]] double get() const noexcept { return sum + compensation; }
 };
-
-using KahanSum = BasicKahanSum<double>;
 
 }  // namespace ddm::util

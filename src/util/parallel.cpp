@@ -64,10 +64,6 @@ class ThreadPool {
     return pool;
   }
 
-  [[nodiscard]] unsigned lanes() const noexcept {
-    return static_cast<unsigned>(workers_.size()) + 1;
-  }
-
   void submit(std::function<void()> task) {
     {
       std::scoped_lock lock(mutex_);
@@ -81,7 +77,7 @@ class ThreadPool {
 
  private:
   ThreadPool() {
-    const unsigned lanes = configured_lanes();
+    const unsigned lanes = parallelism();
     workers_.reserve(lanes > 0 ? lanes - 1 : 0);
     for (unsigned w = 1; w < lanes; ++w) {
       workers_.emplace_back([this] { worker_loop(); });
@@ -254,7 +250,13 @@ struct ForState {
 
 }  // namespace
 
-unsigned parallelism() { return ThreadPool::instance().lanes(); }
+unsigned parallelism() {
+  // The lane count alone: the pool starts with the first region that hands
+  // a chunk to a helper. A throwing initializer leaves the static unset, so
+  // a malformed DDM_THREADS throws again on the next call.
+  static const unsigned lanes = configured_lanes();
+  return lanes;
+}
 
 unsigned parse_thread_count(const char* env_name, const char* text) {
   const std::string value = text == nullptr ? std::string() : std::string(text);

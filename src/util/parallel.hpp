@@ -67,10 +67,11 @@ struct ParallelOptions {
 
 /// Number of usable execution lanes (pool workers + the calling thread).
 /// Defaults to std::thread::hardware_concurrency(); override with the
-/// DDM_THREADS environment variable (read once at pool construction). A
-/// malformed DDM_THREADS value (non-numeric, zero, out of range) throws
-/// ddm::Error naming the variable — the pool is not constructed, so the
-/// error is surfaced again on the next call rather than latched.
+/// DDM_THREADS environment variable (read once, by the first call that
+/// succeeds). Starts no thread: the pool starts with the first region that
+/// hands a chunk to a helper. A malformed DDM_THREADS value (non-numeric,
+/// zero, out of range) throws ddm::Error naming the variable, and is not
+/// latched: the next call reads the variable again.
 [[nodiscard]] unsigned parallelism();
 
 /// Strict thread-count parser used for DDM_THREADS: accepts only a plain

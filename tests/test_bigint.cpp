@@ -162,7 +162,9 @@ TEST(BigInt, DivisionIdentityRandomized) {
     EXPECT_EQ(q * b + r, a) << a << " / " << b;
     EXPECT_TRUE(r.abs() < b.abs());
     // Remainder sign follows the dividend.
-    if (!r.is_zero()) EXPECT_EQ(r.signum(), a.signum());
+    if (!r.is_zero()) {
+      EXPECT_EQ(r.signum(), a.signum());
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // geom/volume.hpp): enclosures must contain the independently-computed exact
 // value on instances small enough for the exact kernels, the symmetric
 // ladder must visibly climb from its double tier straight to the exact rung
-// on the ill-conditioned n = 24 instance, and the ladder plumbing
+// when the tolerance is below tier 0's bound, and the ladder plumbing
 // (stats, max_tier capping, non-finite guards in the plain double kernels)
 // must behave as documented in docs/robustness.md.
 #include "core/certified.hpp"
@@ -103,13 +103,17 @@ TEST(CertifiedSymmetric, EnclosureContainsExactValue) {
   }
 }
 
+/// Below tier 0's a priori bound at n = 24, beta = 3/8, t = 8 (about 3e-14),
+/// so that point must climb to the exact rung.
+const Rational kBelowTier0{1, 1000000000000000};
+
 TEST(CertifiedSymmetric, EscalatesDoubleToExactAtN24) {
-  // Acceptance-criteria instance: n = 24, beta = 3/8, t = 8. The alternating
-  // sum cancels ~ 10^16 worth of leading digits, so the tier-0 error bound
-  // blows past the default 1e-9 tolerance. The symmetric ladder has no
-  // interval rung: it escalates once, straight to the exact sum.
+  // n = 24, beta = 3/8, t = 8 under a 1e-15 tolerance: tier 0's bound does
+  // not meet it. The symmetric ladder has no interval rung: it escalates
+  // once, straight to the exact sum.
   EvalStats stats;
   EvalPolicy policy;
+  policy.tolerance = kBelowTier0;
   policy.stats = &stats;
   const Rational beta{3, 8};
   const Rational t{8};
@@ -134,10 +138,11 @@ TEST(CertifiedSymmetric, ResultStatsArePerEvaluationWhilePolicyStatsAccumulate) 
   // accumulating.
   EvalStats cumulative;
   EvalPolicy policy;
+  policy.tolerance = kBelowTier0;
   policy.stats = &cumulative;
   const Rational beta{3, 8};
   const Rational t{8};
-  // n = 24 forces exactly one escalation (double -> exact) per call.
+  // This tolerance forces exactly one escalation (double -> exact) per call.
   const CertifiedValue first =
       core::certified_symmetric_threshold_winning_probability(24, beta, t, policy);
   const CertifiedValue second =
@@ -150,7 +155,10 @@ TEST(CertifiedSymmetric, ResultStatsArePerEvaluationWhilePolicyStatsAccumulate) 
   EXPECT_EQ(cumulative.double_attempts, 2u);
   EXPECT_EQ(cumulative.escalations, first.stats.escalations + second.stats.escalations);
   // With no policy hook attached, the per-evaluation counters still work.
-  const CertifiedValue bare = core::certified_symmetric_threshold_winning_probability(24, beta, t);
+  EvalPolicy bare_policy;
+  bare_policy.tolerance = kBelowTier0;
+  const CertifiedValue bare =
+      core::certified_symmetric_threshold_winning_probability(24, beta, t, bare_policy);
   EXPECT_EQ(bare.stats.double_attempts, 1u);
   EXPECT_EQ(bare.stats.escalations, first.stats.escalations);
 }
@@ -220,10 +228,11 @@ TEST(CertifiedSymmetric, ExactSumPollsItsControl) {
 }
 
 TEST(CertifiedSymmetric, MaxTierCapsTheLadder) {
-  // Same ill-conditioned instance, but the ladder is forbidden to leave the
-  // double tier: it must still return a valid (wide) enclosure and report
+  // Same instance and tolerance, but the ladder is forbidden to leave the
+  // double tier: it must still return a valid (wider) enclosure and report
   // that the tolerance was not met, rather than throwing.
   EvalPolicy policy;
+  policy.tolerance = kBelowTier0;
   policy.max_tier = EvalTier::kCompensatedDouble;
   const CertifiedValue certified =
       core::certified_symmetric_threshold_winning_probability(24, Rational{3, 8}, Rational{8},
@@ -309,9 +318,8 @@ TEST(SymmetricCertifier, FastPathMatchesTheLadderBitForBit) {
   // rounding gap), at t = n/3 (rounded once per request) and t = n/4
   // (dyadic), evaluated three ways: the per-request fast path from the exact
   // rational and from a double, and the generic per-point ladder. Certificates
-  // and certify.* counters must agree exactly. From n = 13 on, tier 0 misses
-  // 1e-9 on more and more points and both sides escalate to the exact rung,
-  // so there the grid is strided to keep the test quick.
+  // and certify.* counters must agree exactly. From n = 13 on the grid is
+  // strided to keep the test quick.
   std::vector<Rational> probes;
   for (std::int64_t k = 0; k <= 1024; ++k) probes.emplace_back(k, 1024);
   for (std::int64_t k = 1; k < 100; k += 7) probes.emplace_back(k, 100);

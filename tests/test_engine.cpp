@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/certified.hpp"
 #include "core/nonoblivious.hpp"
 #include "core/threshold_optimizer.hpp"
 #include "util/certify.hpp"
@@ -242,18 +243,44 @@ TEST(EngineSelect, AutoNeverViolatesTheToleranceContract) {
 }
 
 TEST(EngineSelect, AutoKeepsTheCertifiedCapForSymmetricRequests) {
-  // Past kCertifiedAutoMaxN auto refuses before doing any work, naming the
-  // cap and the engines that serve such requests.
+  // Past kCertifiedAutoMaxN (ddm_serve's admission cap too) auto refuses
+  // before doing any work, naming the cap and the engines that serve such
+  // requests.
+  EXPECT_EQ(kCertifiedAutoMaxN, 1000u);
   try {
     (void)select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN + 1, Rational{22}));
     FAIL() << "auto selected an engine past the certified cap";
   } catch (const Error& error) {
     const std::string what = error.what();
-    EXPECT_NE(what.find("n <= 64"), std::string::npos) << what;
+    EXPECT_NE(what.find("n <= 1000"), std::string::npos) << what;
     EXPECT_NE(what.find("--engine=exact|certified"), std::string::npos) << what;
   }
   EXPECT_EQ(select(EnginePolicy{}, small_grid(kCertifiedAutoMaxN, Rational{21})).id(),
             "certified");
+}
+
+TEST(EngineSelect, AutoKeepsTheExactRungCapForTightTolerances) {
+  // A tolerance below tier 0's worst-case bound lets a point escalate to the
+  // exact rung, minutes a point at n = 500. auto allows that up to
+  // kExactRungAutoMaxN and refuses it past, by name, before any work.
+  EXPECT_EQ(kExactRungAutoMaxN, 64u);
+  const Rational tight{1, 10000000000000};  // 1e-13
+  const Rational t{500, 3};
+  ASSERT_LT(tight.to_double(), core::SymmetricCertifier(500, t).tier0_worst_bound());
+  auto request = small_grid(500, t);
+  request.tolerance = tight;
+  try {
+    (void)select(EnginePolicy{}, request);
+    FAIL() << "auto sent n = 500 at 1e-13 to the exact rung";
+  } catch (const Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("n <= 64"), std::string::npos) << what;
+    EXPECT_NE(what.find("--engine=exact|certified"), std::string::npos) << what;
+  }
+  EXPECT_EQ(select(EnginePolicy{}, small_grid(500, t)).id(), "certified");
+  auto at_cap = small_grid(kExactRungAutoMaxN, Rational{64, 3});
+  at_cap.tolerance = Rational{1, 1000000000000000};  // 1e-15
+  EXPECT_EQ(select(EnginePolicy{}, at_cap).id(), "certified");
 }
 
 TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
@@ -265,43 +292,52 @@ TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
 
 // --- the auto contract on the paper's workload (property test) -----------
 
-// For t = n/3 and beta on a 1/1024 grid over [0.05, 0.95], every auto answer
-// lies within its reported bound of the exact rational value, the bound meets
-// the default 1e-9 tolerance, the batch kernel never answers, and no plan is
-// lowered at any n.
-TEST(EngineAutoSymmetric, EveryAnswerLiesWithinItsBound) {
-  std::vector<double> betas;
-  for (int k = 52; k <= 972; ++k) betas.push_back(static_cast<double>(k) / 1024.0);
-  for (const std::uint32_t n : {4u, 8u, 10u, 12u, 14u, 16u, 20u, 24u}) {
-    const Rational t{n, 3};
-    const EvalRequest request = EvalRequest::symmetric(n, t, betas);
-    const auto before = PlanCache::instance().stats();
-    const Selection selection = select(EnginePolicy{}, request);
-    const EvalOutcome outcome = selection.evaluator->evaluate(request);
-    EXPECT_NE(outcome.engine_id, "batch") << "n=" << n;
-    EXPECT_EQ(PlanCache::instance().stats().misses, before.misses) << "n=" << n;
-    std::vector<Rational> exact(betas.size());
-    util::ParallelOptions options;
-    options.grain = 8;
-    util::parallel_for(
-        0, betas.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            exact[k] = core::symmetric_threshold_winning_probability(
-                n, util::exact_rational(betas[k]), t);
-          }
-        },
-        options);
-    ASSERT_EQ(outcome.values.size(), betas.size());
-    for (std::size_t k = 0; k < betas.size(); ++k) {
-      const double bound = outcome.bound_at(k);
-      EXPECT_LE(bound, 1e-9) << "n=" << n << " beta=" << betas[k];
-      const Rational error = (util::exact_rational(outcome.values[k]) - exact[k]).abs();
-      EXPECT_TRUE(error <= util::exact_rational(bound))
-          << "n=" << n << " beta=" << betas[k] << " error " << error.to_double() << " > bound "
-          << bound;
+// For t = n/3 and beta on a 1/1024 grid over [0.05, 0.95] (strided past
+// n = 24, where each exact value costs tens of milliseconds), every auto
+// answer lies within its reported bound of the exact rational value, the
+// bound meets the default 1e-9 tolerance, the batch kernel never answers, and
+// no plan is lowered at any n.
+void expect_auto_answers_within_their_bounds(std::uint32_t n, const std::vector<double>& betas) {
+  const Rational t{n, 3};
+  const EvalRequest request = EvalRequest::symmetric(n, t, betas);
+  const auto before = PlanCache::instance().stats();
+  const Selection selection = select(EnginePolicy{}, request);
+  const EvalOutcome outcome = selection.evaluator->evaluate(request);
+  EXPECT_NE(outcome.engine_id, "batch") << "n=" << n;
+  EXPECT_EQ(PlanCache::instance().stats().misses, before.misses) << "n=" << n;
+  std::vector<Rational> exact(betas.size());
+  util::parallel_for(0, betas.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      exact[k] =
+          core::symmetric_threshold_winning_probability(n, util::exact_rational(betas[k]), t);
     }
+  });
+  ASSERT_EQ(outcome.values.size(), betas.size());
+  for (std::size_t k = 0; k < betas.size(); ++k) {
+    const double bound = outcome.bound_at(k);
+    EXPECT_LE(bound, 1e-9) << "n=" << n << " beta=" << betas[k];
+    const Rational error = (util::exact_rational(outcome.values[k]) - exact[k]).abs();
+    EXPECT_TRUE(error <= util::exact_rational(bound))
+        << "n=" << n << " beta=" << betas[k] << " error " << error.to_double() << " > bound "
+        << bound;
   }
+}
+
+TEST(EngineAutoSymmetric, EveryAnswerLiesWithinItsBound) {
+  for (const std::uint32_t n : {4u, 8u, 10u, 12u, 14u, 16u, 20u, 24u, 32u, 48u, 64u}) {
+    const int stride = n <= 24 ? 1 : 32;
+    std::vector<double> betas;
+    for (int k = 52; k <= 972; k += stride) betas.push_back(static_cast<double>(k) / 1024.0);
+    expect_auto_answers_within_their_bounds(n, betas);
+  }
+}
+
+// Spot points at n = 128 and 256. Their exact values take seconds per point
+// (about 6 s at n = 256 on a 1/1024 beta), so this case runs as its own
+// ctest entry with its own timeout (tests/CMakeLists.txt).
+TEST(EngineAutoSymmetric, SpotPointsAtLargeNLieWithinTheirBounds) {
+  expect_auto_answers_within_their_bounds(128, {310.0 / 1024, 467.0 / 1024, 724.0 / 1024});
+  expect_auto_answers_within_their_bounds(256, {467.0 / 1024, 724.0 / 1024});
 }
 
 // --- engine-backed optimizer objective ----------------------------------

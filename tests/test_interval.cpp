@@ -117,7 +117,9 @@ TEST(IntervalHorner, ShrinksWithInputWidth) {
     const Rational half_width{1, 1 << (2 * k)};
     const RationalInterval x{Rational(1, 2) - half_width, Rational(1, 2) + half_width};
     const Rational width = poly::evaluate_interval(p, x).width();
-    if (!first) EXPECT_LT(width, previous_width);
+    if (!first) {
+      EXPECT_LT(width, previous_width);
+    }
     previous_width = width;
     first = false;
   }

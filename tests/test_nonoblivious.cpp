@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -193,6 +194,12 @@ TEST(ThresholdWinning, ValidatesInput) {
   EXPECT_THROW(
       (void)symmetric_threshold_winning_probability(3, Rational{2}, Rational{1}),
       std::invalid_argument);
+  // The double evaluator rejects a NaN beta or t rather than summing it as 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)symmetric_threshold_winning_probability(3, nan, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)symmetric_threshold_winning_probability(3, 0.5, nan),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -166,6 +166,23 @@ TEST(ObliviousWinning, DoubleMatchesExact) {
   }
 }
 
+TEST(ObliviousWinning, DoubleMatchesExactPastN40) {
+  // The Irwin–Hall factors come from the cancellation-free recurrence, so the
+  // double evaluators keep their digits where the alternating sum lost them
+  // (it was off by 1.1e-3 at n = 64, t = n/2).
+  for (const std::uint32_t n : {48u, 64u}) {
+    const Rational t{static_cast<std::int64_t>(n), 2};
+    const std::vector<Rational> alpha(n, Rational(1, 2));
+    const std::vector<double> alpha_d(n, 0.5);
+    EXPECT_NEAR(oblivious_winning_probability(alpha_d, t.to_double()),
+                oblivious_winning_probability(alpha, t).to_double(), 1e-13)
+        << "n=" << n;
+    EXPECT_NEAR(optimal_oblivious_winning_probability_double(n, t.to_double()),
+                optimal_oblivious_winning_probability(n, t).to_double(), 1e-13)
+        << "n=" << n;
+  }
+}
+
 TEST(ObliviousWinning, MatchesSimulation) {
   const std::vector<Rational> alpha{Rational(1, 4), Rational(2, 3), Rational(1, 2)};
   const ObliviousProtocol protocol{alpha};

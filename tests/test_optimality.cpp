@@ -106,7 +106,9 @@ TEST(DiagonalCondition, AntisymmetricCoefficients) {
       for (std::uint32_t k = 0; k < n; ++k) {
         EXPECT_EQ(c[k], -c[n - 1 - k]) << "n=" << n << " k=" << k;
       }
-      if (n % 2 == 1) EXPECT_TRUE(c[(n - 1) / 2].is_zero());
+      if (n % 2 == 1) {
+        EXPECT_TRUE(c[(n - 1) / 2].is_zero());
+      }
     }
   }
 }

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "util/status.hpp"
@@ -17,6 +19,29 @@ namespace ddm::util {
 namespace {
 
 TEST(Parallelism, AtLeastOneLane) { EXPECT_GE(parallelism(), 1u); }
+
+/// Threads of this process, from /proc/self/task (0 where it is missing).
+std::size_t thread_count() {
+  std::error_code error;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", error), end;
+       !error && it != end; it.increment(error)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(Parallelism, CountsLanesWithoutStartingThreads) {
+  // Reporting the lane count, or running a region of one chunk, starts no
+  // thread: the pool starts with the first region that hands a chunk to a
+  // helper.
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task";
+  EXPECT_GE(parallelism(), 1u);
+  EXPECT_EQ(thread_count(), before);
+  parallel_for(0, 10, [](std::size_t, std::size_t) {}, 10);
+  EXPECT_EQ(thread_count(), before);
+}
 
 TEST(ParseThreadCount, AcceptsDecimalIntegersInRange) {
   EXPECT_EQ(parse_thread_count("DDM_THREADS", "1"), 1u);

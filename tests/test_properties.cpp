@@ -198,8 +198,12 @@ INSTANTIATE_TEST_SUITE_P(Grid, EngineAgreement,
                          ::testing::Combine(::testing::Values(2u, 3u, 4u, 5u, 6u),
                                             ::testing::Values(2, 3, 4, 5)),
                          [](const auto& info) {
-                           return "n" + std::to_string(std::get<0>(info.param)) + "_t" +
-                                  std::to_string(std::get<1>(info.param)) + "over3";
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_t";
+                           name += std::to_string(std::get<1>(info.param));
+                           name += "over3";
+                           return name;
                          });
 
 }  // namespace

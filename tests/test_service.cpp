@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/nonoblivious.hpp"
@@ -186,46 +187,66 @@ TEST(ServeBound, ResidentPlanAnswersWithinTheRequestTolerance) {
 }
 
 TEST(ServeAuto, NamesTheCertifiedCapPastIt) {
-  // Past n = 64 auto refuses by name; the detail points at the engines that
-  // serve the request, and `exact` does.
+  // auto answers every admitted n from the certified ladder, with a bound;
+  // its cap is admission's, so n = 1001 is refused by name before any work.
   ServiceConfig config;
   config.workers = 1;
   EvalService service(config);
+  const std::string answered =
+      service.handle_line(R"({"op":"threshold","n":100,"t":"100/3","beta":0.3})");
+  EXPECT_NE(answered.find("\"ok\":true"), std::string::npos) << answered;
+  EXPECT_NE(answered.find("\"engine\":\"certified\""), std::string::npos) << answered;
+  EXPECT_NE(answered.find("\"bound\":"), std::string::npos) << answered;
   const std::string refused =
-      service.handle_line(R"({"op":"threshold","n":65,"t":"22","beta":0.3})");
-  EXPECT_NE(refused.find("\"error\":\"evaluation_failed\""), std::string::npos) << refused;
-  EXPECT_NE(refused.find("n <= 64"), std::string::npos) << refused;
-  EXPECT_NE(refused.find("--engine=exact|certified"), std::string::npos) << refused;
-  const std::string exact =
-      service.handle_line(R"({"op":"threshold","engine":"exact","n":65,"t":"22","beta":0.3})");
-  EXPECT_NE(exact.find("\"ok\":true"), std::string::npos) << exact;
+      service.handle_line(R"({"op":"threshold","n":1001,"t":"22","beta":0.3})");
+  EXPECT_NE(refused.find("\"error\":\"bad_request\""), std::string::npos) << refused;
+  EXPECT_NE(refused.find("[1, 1000]"), std::string::npos) << refused;
+  // Past n = 64 a tolerance below tier 0's bound (about 4e-11 at n = 500)
+  // would send points to the exact rung, minutes each: refused by name.
+  const std::string tight = service.handle_line(
+      R"({"op":"threshold","n":500,"t":"500/3","beta":0.3,"tol":1e-13})");
+  EXPECT_NE(tight.find("\"ok\":false"), std::string::npos) << tight;
+  EXPECT_NE(tight.find("n <= 64"), std::string::npos) << tight;
+  EXPECT_NE(tight.find("--engine=exact|certified"), std::string::npos) << tight;
 }
 
 TEST(ServeDeadline, CutsTheExactRungMidSum) {
-  // At n = 64 tier 0 cannot certify 1e-9, so the ladder escalates to the
-  // exact rung — a quarter second or more per point. A 20 ms budget must cut
-  // it (and the Monte Carlo fallback) well before one point's cost.
-  const Rational beta = util::exact_rational(0.456);
-  const Rational t{64, 3};
-  const auto solo_started = std::chrono::steady_clock::now();
-  (void)core::symmetric_threshold_winning_probability(64, beta, t);
-  const auto point_cost = std::chrono::steady_clock::now() - solo_started;
+  // Both rungs of the ladder poll the request's control once per outer
+  // term. A forced exact point at n = 64 costs a quarter second or more, so
+  // a 20 ms budget must cut it within half of that. An auto point at
+  // n = 1000 costs about 55 ms of tier 0, under three 20 ms budgets, so it
+  // must stop within three quarters of its cost.
+  const auto cost_of = [](const auto& evaluate) {
+    const auto started = std::chrono::steady_clock::now();
+    evaluate();
+    return std::chrono::steady_clock::now() - started;
+  };
+  const auto tier0_cost = cost_of([] {
+    (void)core::symmetric_threshold_winning_probability(1000, 0.456, 1000.0 / 3);
+  });
+  const auto exact_cost = cost_of([] {
+    (void)core::symmetric_threshold_winning_probability(64, util::exact_rational(0.456),
+                                                        Rational{64, 3});
+  });
 
   ServiceConfig config;
   config.workers = 1;
   EvalService service(config);
-  // The forced exact engine has no fallback; its sum polls the same control.
-  for (const char* line :
-       {R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"deadline_ms":20})",
-        R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"engine":"exact","deadline_ms":20})"}) {
+  const std::pair<const char*, std::chrono::steady_clock::duration> cases[] = {
+      {R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"engine":"exact","deadline_ms":20})",
+       exact_cost / 2},
+      {R"({"op":"threshold","n":1000,"t":"1000/3","beta":0.456,"deadline_ms":20})",
+       tier0_cost * 3 / 4}};
+  for (const auto& [line, limit] : cases) {
     const auto started = std::chrono::steady_clock::now();
     const std::string reply = service.handle_line(line);
     const auto elapsed = std::chrono::steady_clock::now() - started;
     EXPECT_NE(reply.find("\"error\":\"deadline_exceeded\""), std::string::npos) << reply;
-    EXPECT_LT(elapsed, point_cost / 2)
-        << line << ": " << std::chrono::duration<double, std::milli>(elapsed).count()
-        << " ms vs one point " << std::chrono::duration<double, std::milli>(point_cost).count()
-        << " ms";
+    EXPECT_LT(elapsed, limit) << line << ": "
+                              << std::chrono::duration<double, std::milli>(elapsed).count()
+                              << " ms vs a limit of "
+                              << std::chrono::duration<double, std::milli>(limit).count()
+                              << " ms";
   }
 }
 

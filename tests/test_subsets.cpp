@@ -48,7 +48,9 @@ TEST(KSubsets, LexicographicAndDistinct) {
   for_each_k_subset(6, 3, [&](std::span<const std::uint32_t> subset) {
     const std::vector<std::uint32_t> current(subset.begin(), subset.end());
     EXPECT_TRUE(seen.insert(current).second) << "duplicate subset";
-    if (!previous.empty()) EXPECT_LT(previous, current) << "not lexicographic";
+    if (!previous.empty()) {
+      EXPECT_LT(previous, current) << "not lexicographic";
+    }
     previous = current;
     // strictly increasing indices within the subset
     for (std::size_t i = 1; i < current.size(); ++i) EXPECT_LT(current[i - 1], current[i]);

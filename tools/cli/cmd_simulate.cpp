@@ -8,6 +8,7 @@
 #include "core/protocol.hpp"
 #include "prob/rng.hpp"
 #include "sim/monte_carlo.hpp"
+#include "util/parallel.hpp"
 
 namespace ddm::cli {
 
@@ -19,7 +20,10 @@ int run_simulate(const std::vector<std::string>& args, const Options& options) {
   const std::uint64_t seed = args.size() == 6 ? parse_u64("seed", args[5]) : 42;
   const auto protocol = core::SingleThresholdProtocol::symmetric(n, beta);
   prob::Rng rng{seed};
-  const auto result = sim::estimate_winning_probability(protocol, t.to_double(), trials, rng);
+  // Trial blocks and their split streams depend on `trials` alone, so the
+  // estimate is the same on any number of lanes.
+  const auto result = sim::estimate_winning_probability(protocol, t.to_double(), trials, rng,
+                                                        util::parallelism());
   std::cout << "Simulated " << trials << " trials (seed " << seed << "):\n"
             << "  estimate = " << result.estimate << "  95% CI [" << result.ci_low << ", "
             << result.ci_high << "]\n";

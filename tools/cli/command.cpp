@@ -5,6 +5,7 @@
 
 #include "cli/commands.hpp"
 #include "cli/parse.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace ddm::cli {
@@ -85,7 +86,7 @@ constexpr std::array<Command, 10> kCommands{{
      "Evaluates P(beta) on a uniform grid and emits one JSON row per point.\n"
      "The default --engine=auto picks the compiled Horner plan when one is\n"
      "resident (cached, or in a plan store) and its certified error bound is\n"
-     "within 1e-9, and the certified O(n^2) ladder otherwise (n <= 64; past\n"
+     "within 1e-9, and the certified ladder otherwise (n <= 1000; past\n"
      "that auto refuses and names --engine=exact|certified); auto never\n"
      "lowers a plan itself. Every row names the engine that answered it and,\n"
      "when finite, its proven error bound; fallbacks and degradations are\n"
@@ -169,8 +170,8 @@ scenarios (--scenario=<desc>, docs/scenarios.md):
 
 engines (--engine=<id>, docs/architecture.md):
   auto       symmetric grids: a resident compiled plan certified to the
-             request tolerance (1e-9), else the certified O(n^2) ladder
-             (n <= 64); general points: batch kernel — the choice is
+             request tolerance (1e-9), else the certified ladder
+             (n <= 1000); general points: batch kernel — the choice is
              reported (default)
   batch      block-amortized parallel Gray-code kernel (n <= 20)
   certified  escalation ladder with rigorous enclosures (--certify)
@@ -262,10 +263,12 @@ int dispatch(const std::vector<std::string>& args, const Options& options) {
     }
   }
   if (args.size() < command->min_args || args.size() > command->max_args) return usage();
-  // DDM_SIMD resolves before the handler runs: an auto sweep answered by
-  // the certified ladder never reaches a vector kernel, and a malformed
-  // value must fail the same way whichever engine answers.
+  // DDM_SIMD and DDM_THREADS resolve before the handler runs: an auto sweep
+  // answered by the certified ladder may reach neither a vector kernel nor
+  // the pool, and a malformed value must fail the same way whichever engine
+  // answers.
   (void)util::simd::dispatch_width();
+  (void)util::parallelism();
   return command->run(args, options);
 }
 

@@ -47,6 +47,15 @@
 
 namespace {
 
+/// "<kind><client>-<index>": a warmup ('w') or measured ('c') request id.
+std::string request_id(char kind, unsigned client, unsigned index) {
+  std::string id(1, kind);
+  id += std::to_string(client);
+  id += '-';
+  id += std::to_string(index);
+  return id;
+}
+
 struct LoadConfig {
   std::uint16_t port = 0;
   unsigned clients = 4;
@@ -104,7 +113,7 @@ void run_client(const LoadConfig& config, unsigned client, Tally& tally,
     const unsigned step = (client * config.warmup + w) % 97;
     const double beta = 0.30 + 0.40 * static_cast<double>(step) / 96.0;
     ddm::net::JsonWriter request;
-    request.field("id", "w" + std::to_string(client) + "-" + std::to_string(w))
+    request.field("id", request_id('w', client, w))
         .field("op", config.op)
         .field("n", config.n)
         .field("t", config.t);
@@ -123,7 +132,7 @@ void run_client(const LoadConfig& config, unsigned client, Tally& tally,
     const unsigned step = (client * config.requests + i) % 97;
     const double beta = 0.30 + 0.40 * static_cast<double>(step) / 96.0;
     ddm::net::JsonWriter request;
-    request.field("id", "c" + std::to_string(client) + "-" + std::to_string(i))
+    request.field("id", request_id('c', client, i))
         .field("op", config.op)
         .field("n", config.n)
         .field("t", config.t);

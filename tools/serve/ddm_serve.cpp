@@ -67,6 +67,7 @@
 #include "poly/plan_store.hpp"
 #include "util/env.hpp"
 #include "util/fault.hpp"
+#include "util/parallel.hpp"
 #include "util/rational.hpp"
 #include "util/status.hpp"
 
@@ -165,12 +166,12 @@ ServeConfig parse_config(const std::vector<std::string>& args, bool& check_only)
   return config;
 }
 
-/// Warms the evaluation path before the daemon announces readiness: every
-/// registered engine answers one tiny dispatch, so the first REAL request
-/// does not pay pool spin-up, and with a plan store configured every stored
-/// plan comes into the plan cache, where `auto` can use it. Without a store
-/// nothing is lowered: `auto` answers cold symmetric requests from the
-/// certified O(n²) ladder, and lowering the small plans here would cost
+/// Warms the evaluation path before the daemon announces readiness: the
+/// pool starts and every registered engine answers one tiny dispatch, so the
+/// first REAL request pays neither, and with a plan store configured every
+/// stored plan comes into the plan cache, where `auto` can use it. Without a
+/// store nothing is lowered: `auto` answers cold symmetric requests from the
+/// certified ladder, and lowering the small plans here would cost
 /// ~0.1 s of exact algebra at every start for points the ladder serves in
 /// microseconds. Failures are deliberately swallowed: pre-warm is an
 /// optimization, and an engine that cannot answer the probe (or a stored
@@ -185,6 +186,11 @@ void prewarm() {
     std::cerr << "ddm_serve: fault plan active, skipping pre-warm\n";
     return;
   }
+  // Start the pool, one chunk per lane: the probes below stay on this thread
+  // (a one-point certified grid, a one-block mc estimate), and the first
+  // request should not pay the thread starts.
+  const unsigned lanes = ddm::util::parallelism();
+  ddm::util::parallel_for(0, lanes, [](std::size_t, std::size_t) {}, 1);
   // Each listed plan comes in through the cache's validated store path, so a
   // warm start stays lowering-free (the plan_store_check contract —
   // compiled.lowerings == 0 until a request asks for an unshipped plan).
