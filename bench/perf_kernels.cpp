@@ -373,9 +373,57 @@ void BM_CertifiedGeneralThreshold(benchmark::State& state) {
     benchmark::DoNotOptimize(ddm::core::certified_threshold_winning_probability(a, t));
   }
 }
-// Stays in the compensated-double regime: the escalated interval tier for
-// the general O(3^n) kernel costs seconds per call.
+// Stays in the compensated-double regime (dyadic inputs); the k/7 family
+// below measures the exact rung.
 BENCHMARK(BM_CertifiedGeneralThreshold)->Arg(4)->Arg(8);
+
+// The exact integer sums. Thresholds k/7 are not doubles, so the certified
+// ladders decline tier 0 and answer on the exact rung.
+void BM_GeneralThresholdExact(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<Rational> a;
+  for (std::size_t i = 0; i < n; ++i) a.emplace_back(static_cast<std::int64_t>(2 + i % 5), 7);
+  const Rational t{static_cast<std::int64_t>(n), 3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::core::threshold_winning_probability(a, t));
+  }
+}
+BENCHMARK(BM_GeneralThresholdExact)->Arg(4)->Arg(8);
+
+void BM_SymmetricThresholdExact(benchmark::State& state) {
+  const std::uint32_t n = static_cast<std::uint32_t>(state.range(0));
+  const Rational beta{45, 64};
+  const Rational t{static_cast<std::int64_t>(n), 3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::core::symmetric_threshold_winning_probability(n, beta, t));
+  }
+}
+BENCHMARK(BM_SymmetricThresholdExact)->Arg(8)->Arg(24)->Arg(64)->Arg(128);
+
+void BM_CertifiedGeneralThresholdExact(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<Rational> a;
+  for (std::size_t i = 0; i < n; ++i) a.emplace_back(static_cast<std::int64_t>(2 + i % 5), 7);
+  const Rational t{static_cast<std::int64_t>(n), 3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::core::certified_threshold_winning_probability(a, t));
+  }
+}
+BENCHMARK(BM_CertifiedGeneralThresholdExact)->Arg(4)->Arg(8);
+
+void BM_CertifiedSimplexBoxVolumeExact(benchmark::State& state) {
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  std::vector<Rational> sigma;
+  std::vector<Rational> pi;
+  for (std::size_t l = 0; l < m; ++l) {
+    sigma.emplace_back(static_cast<std::int64_t>(10 + l), 7);
+    pi.emplace_back(static_cast<std::int64_t>(3 + l % 4), 11);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ddm::geom::certified_simplex_box_volume(sigma, pi));
+  }
+}
+BENCHMARK(BM_CertifiedSimplexBoxVolumeExact)->Arg(8)->Arg(12);
 
 void BM_CertifiedSimplexBoxVolume(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));

@@ -21,7 +21,7 @@
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|IrwinHallSum|Checkpoint|MonteCarlo|EstimateWinning|ThresholdTrials|Simd|simd_parity|cli_robustness|sweep_shard_merge_check}"
+FILTER="${1:-Parallel|FaultTest|FaultEnv|fault_matrix|fault_env|Certified|IrwinHallSum|KernelEquivalence|Checkpoint|MonteCarlo|EstimateWinning|ThresholdTrials|Simd|simd_parity|cli_robustness|sweep_shard_merge_check}"
 
 run_flavour() {
   local flavour="$1"

@@ -79,10 +79,12 @@ PY
 
 # --- 1b. the certified engine's fan-out rule --------------------------------
 # A grid whose tier-0 arithmetic costs less than starting a thread runs as
-# one chunk on the calling thread: every span of the 33-point n = 16 sweep
-# shares one thread id. A dense grid still spreads its chunks over the
-# lanes, and so does a grid whose tolerance (1e-15) lies below tier 0's
-# bound, where every point escalates to the exact rung.
+# one chunk on the calling thread: every span of the 33-point n = 16 and
+# n = 4 sweeps shares one thread id. A dense grid still spreads its chunks
+# over the lanes (at n = 4 it must run as more chunks than lanes, since each
+# outer term's fixed cost is what a chunk is sized by), and so does a grid
+# whose tolerance (1e-15) lies below tier 0's bound, where every point
+# escalates to the exact rung.
 tids() {
   python3 - "$@" <<'PY'
 import json, sys
@@ -105,11 +107,21 @@ DDM_THREADS=4 "$CLI" sweep 16 16/3 307/1024 707/1024 32 --trace="$TMP/small.json
   || fail "the 33-point n = 16 sweep ran as $(chunks "$TMP/small.json") chunks"
 [ "$(tids "$TMP/small.json")" -eq 1 ] \
   || fail "the 33-point n = 16 sweep spread over $(tids "$TMP/small.json") threads"
+DDM_THREADS=4 "$CLI" sweep 4 4/3 307/1024 707/1024 32 --trace="$TMP/small4.json" > /dev/null \
+  || fail "traced small n = 4 sweep failed"
+[ "$(chunks "$TMP/small4.json")" -eq 1 ] \
+  || fail "the 33-point n = 4 sweep ran as $(chunks "$TMP/small4.json") chunks"
+[ "$(tids "$TMP/small4.json")" -eq 1 ] \
+  || fail "the 33-point n = 4 sweep spread over $(tids "$TMP/small4.json") threads"
+DDM_THREADS=4 "$CLI" sweep 4 4/3 0 1 16384 --trace="$TMP/dense4.json" > /dev/null \
+  || fail "traced dense n = 4 sweep failed"
+[ "$(chunks "$TMP/dense4.json")" -gt 4 ] \
+  || fail "the 16,385-point n = 4 sweep ran as $(chunks "$TMP/dense4.json") chunks"
 DDM_THREADS=4 "$CLI" sweep 8 8/3 0 1 16384 --trace="$TMP/dense.json" > /dev/null \
   || fail "traced dense sweep failed"
 [ "$(tids "$TMP/dense.json" parallel.chunk)" -gt 1 ] \
   || fail "the 16,385-point n = 8 sweep ran on one thread"
-DDM_THREADS=4 "$CLI" sweep 20 20/3 0.3 0.45 8 --certify=1/1000000000000000 \
+DDM_THREADS=4 "$CLI" sweep 64 64/3 0.3 0.45 8 --certify=1/1000000000000000 \
   --trace="$TMP/escalated.json" > /dev/null || fail "traced escalating sweep failed"
 python3 - "$TMP/escalated.json" <<'PY' || fail "escalating sweep did not escalate every point"
 import json, sys

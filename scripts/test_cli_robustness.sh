@@ -91,6 +91,10 @@ auto100="$("$CLI" sweep 100 100/3 0.3 0.7 32)" || fail "auto sweep at n = 100 fa
   || fail "auto sweep at n = 100 did not answer every row with a bound: $auto100"
 expect_reject "n <= 1000" "$CLI" sweep 1001 22 0.3 0.4 1
 expect_reject "--engine=exact|certified" "$CLI" sweep 1001 22 0.3 0.4 1
+# At t >= n no bin can overflow: every row is the exact 1, at any t.
+saturated="$("$CLI" sweep 1000 3000 0.3 0.7 2)" || fail "auto sweep at t = 3000 > n failed"
+[ "$(printf '%s\n' "$saturated" | grep -c '"p_win": 1, "engine": "certified", "bound": 0}')" -eq 3 ] \
+  || fail "auto sweep at t = 3000 > n is not the exact 1 on every row: $saturated"
 
 # Malformed observability options are named, and a bogus DDM_THREADS must be
 # rejected up front instead of being silently clamped to one lane.
@@ -343,16 +347,17 @@ compiled_out="$("$CLI" sweep 6 2 0 1 24 --engine=compiled)"
   || fail "store-backed auto output differs from --engine=compiled at n=6"
 
 # Forcing --engine=compiled lowers on demand; an injected lowering fault
-# walks the degradation chain to batch, visibly: the rows name batch and
-# stderr names the chain. A checkpoint pins one engine, so there the
-# degraded block is an error naming the degradation.
+# walks the degradation chain to certified, visibly: every row names
+# certified with its bound and stderr names the chain. A checkpoint pins one
+# engine, so there the degraded block is an error naming the degradation.
 env DDM_FAULT_PLAN=throw@0 "$CLI" sweep 6 2 0 1 4 --engine=compiled \
   >"$TMP/degraded.out" 2>"$TMP/degraded.err" || fail "degraded compiled sweep did not exit 0"
-grep -q '"engine": "batch"' "$TMP/degraded.out" || fail "degraded rows do not name batch"
+[ "$(grep -c '"engine": "certified", "bound": ' "$TMP/degraded.out")" = 5 ] \
+  || fail "degraded rows are not certified rows with a bound: $(cat "$TMP/degraded.out")"
 if grep -q '"engine": "compiled"' "$TMP/degraded.out"; then fail "degraded rows name compiled"; fi
-grep -q "compiled: evaluation failed -> batch" "$TMP/degraded.err" \
+grep -q "compiled: evaluation failed -> certified" "$TMP/degraded.err" \
   || fail "degradation not announced on stderr: $(cat "$TMP/degraded.err")"
-expect_reject "compiled: evaluation failed -> batch" env DDM_FAULT_PLAN=throw@0 \
+expect_reject "compiled: evaluation failed -> certified" env DDM_FAULT_PLAN=throw@0 \
   "$CLI" sweep 6 2 0 1 4 --engine=compiled --checkpoint "$TMP/degraded.ckpt"
 
 # --- scenario descriptors (engine/scenario.hpp) --------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -88,18 +89,24 @@ RoundedInput round_exact_input(const Rational& exact) {
   return util::exact_double(exact) ? RoundedInput{exact.to_double(), 0} : round_input(exact);
 }
 
-CertifiedValue exact_zero() {
-  CertifiedValue zero{point(Rational{0})};
-  zero.tier = EvalTier::kExact;
-  zero.met_tolerance = true;
-  return zero;
+CertifiedValue exact_result(const Rational& value) {
+  CertifiedValue result{point(value)};
+  result.tier = EvalTier::kExact;
+  result.met_tolerance = true;
+  return result;
+}
+
+// P where β does not matter: 0 for t <= 0, and 1 for t >= n, since neither
+// bin can then hold more than the n players.
+std::optional<Rational> settled_value(std::uint32_t n, const Rational& t) {
+  if (t.signum() <= 0) return Rational{0};
+  if (t >= Rational{n}) return Rational{1};
+  return std::nullopt;
 }
 
 // The symmetric ladder on one point: tier 0 on the rounded inputs, then the
-// exact rational sum at exact_beta(). No interval rung: in O(n²) the exact
-// rung is cheaper than 320-bit intervals at every n measured
-// (docs/robustness.md), so a tier-0 miss escalates straight to it. Both
-// rungs poll policy.control once per outer term.
+// exact integer sum at exact_beta(). Both rungs poll policy.control once per
+// outer term.
 template <class ExactBeta>
 CertifiedValue climb(std::uint32_t n, const Rational& t, const EvalPolicy& policy,
                      const SymInputs& inputs, ExactBeta exact_beta) {
@@ -241,97 +248,6 @@ Tracked gen_total_t0(std::span<const double> a, double t) {
   return {total.get(), err + 2.0 * kU * abs_total};
 }
 
-// ---------------------------------------------------------------------------
-// General Theorem 5.1, tier 1: Gray-code walk with an *exact* rational
-// running base (so every feasibility indicator is decided exactly) and
-// dyadic-interval term accumulation.
-RationalInterval gen_zeros_bracket_i(std::span<const Rational> a,
-                                     std::span<const std::size_t> zeros, const Rational& t,
-                                     unsigned bits) {
-  const std::size_t m = zeros.size();
-  if (m == 0) return point(Rational{1});
-  const auto mm = static_cast<std::uint32_t>(m);
-  Rational remainder = t;
-  RationalInterval sum = pow_outward(point(t), mm, bits);  // I = ∅ (t > 0)
-  std::uint64_t mask = 0;
-  const std::uint64_t limit = std::uint64_t{1} << m;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      remainder -= a[zeros[j]];
-    } else {
-      remainder += a[zeros[j]];
-    }
-    if (remainder.signum() <= 0) continue;
-    const RationalInterval term = pow_outward(point(remainder), mm, bits);
-    sum = outward_round(combinat::gray_parity_odd(i) ? sum - term : sum + term, bits);
-  }
-  return outward_round(sum * point(combinat::inverse_factorial(mm)), bits);
-}
-
-RationalInterval gen_ones_bracket_i(std::span<const Rational> a,
-                                    std::span<const std::size_t> ones, const Rational& t,
-                                    unsigned bits) {
-  const std::size_t k = ones.size();
-  if (k == 0) return point(Rational{1});
-  const auto kk = static_cast<std::uint32_t>(k);
-  Rational product{1};
-  std::vector<Rational> shifted(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    product *= Rational{1} - a[ones[j]];
-    shifted[j] = a[ones[j]] - Rational{1};
-  }
-  Rational base = Rational{static_cast<std::int64_t>(k)} - t;
-  RationalInterval sum{Rational{0}};
-  if (base.signum() > 0) sum = pow_outward(point(base), kk, bits);
-  std::uint64_t mask = 0;
-  const std::uint64_t limit = std::uint64_t{1} << k;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      base += shifted[j];
-    } else {
-      base -= shifted[j];
-    }
-    if (base.signum() <= 0) continue;
-    const RationalInterval term = pow_outward(point(base), kk, bits);
-    sum = outward_round(combinat::gray_parity_odd(i) ? sum - term : sum + term, bits);
-  }
-  return outward_round(point(product) -
-                           outward_round(sum * point(combinat::inverse_factorial(kk)), bits),
-                       bits);
-}
-
-RationalInterval gen_total_i(std::span<const Rational> a, const Rational& t, unsigned bits) {
-  const std::size_t n = a.size();
-  DDM_SPAN("kernel.gray_interval", {{"n", static_cast<std::int64_t>(n)}});
-  RationalInterval total{Rational{0}};
-  std::vector<std::size_t> zeros;
-  std::vector<std::size_t> ones;
-  zeros.reserve(n);
-  ones.reserve(n);
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    zeros.clear();
-    ones.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        ones.push_back(i);
-      } else {
-        zeros.push_back(i);
-      }
-    }
-    const RationalInterval product = outward_round(
-        gen_zeros_bracket_i(a, zeros, t, bits) * gen_ones_bracket_i(a, ones, t, bits), bits);
-    total = outward_round(total + product, bits);
-  }
-  return total;
-}
-
 bool all_representable(std::span<const Rational> values) {
   for (const Rational& v : values) {
     if (!util::representable_as_double(v)) return false;
@@ -356,7 +272,7 @@ CertifiedValue certified_threshold_winning_probability(std::span<const Rational>
           "certified_threshold_winning_probability: thresholds must lie in [0, 1]");
     }
   }
-  if (t.signum() <= 0) return exact_zero();
+  if (t.signum() <= 0) return exact_result(Rational{0});
 
   const TierSpec tiers[] = {
       {EvalTier::kCompensatedDouble,
@@ -370,8 +286,6 @@ CertifiedValue certified_threshold_winning_probability(std::span<const Rational>
          return util::tracked_enclosure(gen_total_t0(ad, t.to_double()),
                                   "certified_threshold_winning_probability");
        }},
-      {EvalTier::kInterval,
-       [&]() -> RationalInterval { return gen_total_i(a, t, policy.interval_bits); }},
       {EvalTier::kExact,
        [&]() -> RationalInterval {
          if (a.size() > 16) {
@@ -392,9 +306,9 @@ CertifiedValue certified_symmetric_threshold_winning_probability(std::uint32_t n
 }
 
 SymmetricCertifier::SymmetricCertifier(std::uint32_t n, Rational t, EvalPolicy policy)
-    : n_(n), t_(std::move(t)), policy_(std::move(policy)) {
+    : n_(n), t_(std::move(t)), policy_(std::move(policy)), settled_(settled_value(n_, t_)) {
   if (n_ == 0) throw std::invalid_argument(std::string(kSymLabel) + ": n == 0");
-  if (t_.signum() > 0) {
+  if (!settled_.has_value()) {
     const RoundedInput rounded = round_exact_input(t_);
     t_value_ = rounded.value;
     t_gap_ = rounded.gap;
@@ -402,13 +316,13 @@ SymmetricCertifier::SymmetricCertifier(std::uint32_t n, Rational t, EvalPolicy p
 }
 
 double SymmetricCertifier::tier0_worst_bound() const {
-  if (t_.signum() <= 0) return 0.0;
+  if (settled_.has_value()) return 0.0;
   return symmetric_threshold_sum_worst_bound(n_, t_value_, t_gap_);
 }
 
 CertifiedValue SymmetricCertifier::evaluate(const Rational& beta) const {
   require_unit_beta(beta);
-  if (t_.signum() <= 0) return exact_zero();
+  if (settled_.has_value()) return exact_result(*settled_);
   const SymInputs inputs{round_exact_input(beta), {t_value_, t_gap_}};
   return climb(n_, t_, policy_, inputs, [&beta] { return beta; });
 }
@@ -418,7 +332,7 @@ CertifiedValue SymmetricCertifier::evaluate(double beta) const {
   // denominator has fewer than 900 bits, so util::exact_double holds for it
   // and tier 0 takes it with no rounding gap. Anything else — tiny, out of
   // range, or non-finite — goes through the rational path and its checks.
-  if (!(beta == 0.0 || (beta >= 0x1p-846 && beta <= 1.0)) || t_.signum() <= 0) {
+  if (!(beta == 0.0 || (beta >= 0x1p-846 && beta <= 1.0)) || settled_.has_value()) {
     return evaluate(util::exact_rational(beta));
   }
   const SymInputs inputs{{beta, 0}, {t_value_, t_gap_}};
@@ -427,7 +341,7 @@ CertifiedValue SymmetricCertifier::evaluate(double beta) const {
 
 CertifiedValue SymmetricCertifier::evaluate_on_ladder(const Rational& beta) const {
   require_unit_beta(beta);
-  if (t_.signum() <= 0) return exact_zero();
+  if (settled_.has_value()) return exact_result(*settled_);
   const SymInputs inputs{round_input(beta), round_input(t_)};
   return climb(n_, t_, policy_, inputs, [&beta] { return beta; });
 }

@@ -3,8 +3,8 @@
 // Certified counterparts of the threshold winning-probability kernels in
 // core/nonoblivious.hpp: instead of a bare double they return a
 // CertifiedValue — a rigorous enclosure of the exact value — escalating
-// compensated double → dyadic interval → exact Rational until the enclosure
-// is narrower than the policy tolerance (util/certify.hpp). The alternating
+// from a double kernel with an error bound to the exact sum when the
+// enclosure is wider than the policy tolerance (util/certify.hpp). The alternating
 // inclusion-exclusion sums of the general Theorem 5.1 cancel catastrophically
 // for large n (terms of size ~ (n − t)^n against a result in [0, 1]); the
 // certified version either proves its answer or visibly escalates. The
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "util/certify.hpp"
@@ -20,19 +21,22 @@
 
 namespace ddm::core {
 
-/// Certified Theorem 5.1 for arbitrary thresholds a ∈ [0, 1]^n. Tier costs:
-/// double/interval O(3^n) (any n ≤ 20), exact O(3^n) rational (n ≤ 16 — the
-/// exact tier reports NumericError above that and the ladder returns the
-/// best interval enclosure instead). Throws std::invalid_argument on bad
-/// inputs, NumericError when no tier can evaluate the instance.
+/// Certified Theorem 5.1 for arbitrary thresholds a ∈ [0, 1]^n. Two rungs:
+/// tier 0, the O(3^n) double kernel with a running error bound (n ≤ 20,
+/// only when every input is exactly a double), then the exact O(3^n) integer
+/// sum (n ≤ 16; above that the exact rung reports NumericError naming the
+/// cap). Throws std::invalid_argument on bad inputs, NumericError when no
+/// tier can evaluate the instance — at n = 17..20 with an input that is not
+/// a double, the exact rung's.
 [[nodiscard]] CertifiedValue certified_threshold_winning_probability(
     std::span<const util::Rational> a, const util::Rational& t, const EvalPolicy& policy = {});
 
 /// Certified symmetric Theorem 5.1 (all thresholds equal beta) — the
 /// evaluator `auto` sends symmetric requests to. Two rungs: tier 0, the
 /// positive double sum of core/irwin_hall_sum.hpp with its a priori bound
-/// (O(n³) at worst, any n, any rational beta and t), then the exact rational
-/// sum (O(n²) rational terms). Both poll policy.control once per outer term.
+/// (O(n³) at worst, any n, any rational beta and t), then the exact sum
+/// (O(n²) integer terms). Both poll policy.control once per outer term.
+/// t <= 0 and t >= n are answered exactly (0 and 1) with no rung at all.
 /// One point of a SymmetricCertifier.
 [[nodiscard]] CertifiedValue certified_symmetric_threshold_winning_probability(
     std::uint32_t n, const util::Rational& beta, const util::Rational& t,
@@ -62,14 +66,17 @@ class SymmetricCertifier {
   [[nodiscard]] CertifiedValue evaluate_on_ladder(const util::Rational& beta) const;
 
   /// The largest bound tier 0 can return for any beta of this request
-  /// (symmetric_threshold_sum_worst_bound): when the policy tolerance is at
-  /// or above it, no point escalates.
+  /// (symmetric_threshold_sum_worst_bound; 0 when t <= 0 or t >= n, where
+  /// every point is exact): when the policy tolerance is at or above it, no
+  /// point escalates.
   [[nodiscard]] double tier0_worst_bound() const;
 
  private:
   std::uint32_t n_;
   util::Rational t_;
   EvalPolicy policy_;
+  /// The exact P when no β matters (t <= 0 or t >= n).
+  std::optional<util::Rational> settled_;
   double t_value_ = 0;
   double t_gap_ = 0;
 };

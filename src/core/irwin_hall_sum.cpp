@@ -41,6 +41,8 @@ double scale(double x, std::int64_t e) {
 double symmetric_threshold_sum(std::uint32_t n, double beta, double t,
                                const util::RunControl& control) {
   if (!(t > 0.0)) return 0.0;
+  // Neither bin can hold more than the n players.
+  if (t >= static_cast<double>(n)) return 1.0;
   DDM_SPAN("kernel.sym_positive", {{"n", static_cast<std::int64_t>(n)}});
   // The zeros row F_0..F_n(t/β) and the recurrence's scratch: n + 2 doubles
   // each, on the stack for the n that grids sweep.

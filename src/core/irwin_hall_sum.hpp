@@ -21,9 +21,9 @@
 
 namespace ddm::core {
 
-/// P(β) at the double inputs, 0 for t <= 0. Requires n >= 1 and β in
-/// [0, 1] (callers validate). Polls `control` once per outer term k and
-/// throws ddm::Cancelled / ddm::DeadlineExceeded when it fires.
+/// P(β) at the double inputs: 0 for t <= 0 and 1 for t >= n. Requires
+/// n >= 1 and β in [0, 1] (callers validate). Polls `control` once per outer
+/// term k and throws ddm::Cancelled / ddm::DeadlineExceeded when it fires.
 [[nodiscard]] double symmetric_threshold_sum(std::uint32_t n, double beta, double t,
                                              const util::RunControl& control = {});
 

@@ -61,82 +61,69 @@ void check_thresholds(std::span<const Rational> a, std::size_t max_n) {
   }
 }
 
-// Both brackets below visit the subsets I in reflected Gray-code order
+// Theorem 5.1 over one common denominator: with a_i = A_i/D and t = T/D,
+// the zeros bracket of m players is Z/(D^m·m!) and the ones bracket of k
+// players is W/(D^k·k!), where
+//   Z = Σ_{I ⊆ zeros, T − Σ_I A_l > 0} (−1)^|I| (T − Σ_{l∈I} A_l)^m,
+//   W = k!·Π (D − A_l) − Σ_{I ⊆ ones, base > 0} (−1)^|I| (kD − T − Σ_{l∈I} (D − A_l))^k.
+// Since m!·k! = n!/C(n,k), P = Σ_b C(n,k)·Z·W / (D^n·n!): integer terms and
+// one normalisation per call.
+//
+// Both sums visit the subsets I in reflected Gray-code order
 // (combinat::gray_code): consecutive subsets differ in one element, so the
-// bracket's per-subset base value is maintained with a single add or
-// subtract instead of an O(m) subset-sum loop, and the inclusion-exclusion
-// sign (−1)^|I| simply alternates with the step index. The derivation —
-// including why the feasibility guards commute with the reordering — is in
-// docs/performance.md.
-
-// Zeros bracket of Theorem 5.1 for the players listed in `zeros`:
-//   (1/m!) Σ_{I ⊆ zeros, Σ_{l∈I} a_l < t} (−1)^{|I|} (t − Σ_{l∈I} a_l)^m.
-Rational zeros_bracket(std::span<const Rational> a, std::span<const std::size_t> zeros,
-                       const Rational& t) {
-  const std::size_t m = zeros.size();
-  if (m == 0) return Rational{1};  // empty bin never overflows (t > 0)
-  Rational remainder = t;  // t − Σ_{l∈I} a_l for the current subset I
+// per-subset base is maintained with a single add or subtract instead of an
+// O(m) subset-sum loop, and the inclusion-exclusion sign (−1)^|I| simply
+// alternates with the step index. The derivation — including why the
+// feasibility guards commute with the reordering — is in docs/performance.md.
+// `steps[l]` is what entering player l into I subtracts from the base.
+util::BigInt gray_power_sum(const util::BigInt& first, std::span<const util::BigInt> steps,
+                            std::span<const std::size_t> players, std::uint64_t exponent) {
+  util::BigInt base = first;
+  util::BigInt sum;
+  if (base.signum() > 0) sum = util::BigInt::pow(base, exponent);
   std::uint64_t mask = 0;
-  Rational sum = remainder.pow(static_cast<std::int64_t>(m));  // I = ∅ (t > 0)
-  const std::uint64_t limit = std::uint64_t{1} << m;
+  const std::uint64_t limit = std::uint64_t{1} << players.size();
   for (std::uint64_t i = 1; i < limit; ++i) {
     const std::uint32_t j = combinat::gray_flip_bit(i);
     const std::uint64_t bit = std::uint64_t{1} << j;
     mask ^= bit;
     if (mask & bit) {
-      remainder -= a[zeros[j]];
+      base -= steps[players[j]];
     } else {
-      remainder += a[zeros[j]];
-    }
-    if (remainder.signum() <= 0) continue;
-    const Rational term = remainder.pow(static_cast<std::int64_t>(m));
-    if (combinat::gray_parity_odd(i)) {
-      sum -= term;
-    } else {
-      sum += term;
-    }
-  }
-  return sum * combinat::inverse_factorial(static_cast<std::uint32_t>(m));
-}
-
-// Ones bracket of Theorem 5.1 for the players listed in `ones`:
-//   Π (1−a_l)  −  (1/k!) Σ_{I ⊆ ones, k−t−|I|+Σ a_l > 0} (−1)^{|I|} (k−t−|I|+Σ_{l∈I} a_l)^k.
-// The Gray walk maintains base = k − t + Σ_{l∈I} (a_l − 1) directly: adding
-// element l to I shifts the base by (a_l − 1), covering both the +a_l and the
-// −|I| bookkeeping in one update.
-Rational ones_bracket(std::span<const Rational> a, std::span<const std::size_t> ones,
-                      const Rational& t) {
-  const std::size_t k = ones.size();
-  if (k == 0) return Rational{1};
-  Rational product{1};
-  std::vector<Rational> shifted(k);  // a_l − 1 per listed player
-  for (std::size_t j = 0; j < k; ++j) {
-    product *= Rational{1} - a[ones[j]];
-    shifted[j] = a[ones[j]] - Rational{1};
-  }
-  Rational base = Rational{static_cast<std::int64_t>(k)} - t;  // I = ∅
-  std::uint64_t mask = 0;
-  Rational sum{0};
-  if (base.signum() > 0) sum = base.pow(static_cast<std::int64_t>(k));
-  const std::uint64_t limit = std::uint64_t{1} << k;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      base += shifted[j];
-    } else {
-      base -= shifted[j];
+      base += steps[players[j]];
     }
     if (base.signum() <= 0) continue;
-    const Rational term = base.pow(static_cast<std::int64_t>(k));
+    const util::BigInt term = util::BigInt::pow(base, exponent);
     if (combinat::gray_parity_odd(i)) {
       sum -= term;
     } else {
       sum += term;
     }
   }
-  return product - sum * combinat::inverse_factorial(static_cast<std::uint32_t>(k));
+  return sum;
+}
+
+// Σ_{l=0..m, base_l > 0} (−1)^l C(m,l) base_l^m with base_l = first − l·step.
+// step >= 0, so the bases never rise and the sum stops at the first one
+// that is not positive. C(m, l) comes from its row recurrence, so no table
+// of binomials is held.
+util::BigInt alternating_row_sum(std::uint32_t m, util::BigInt base, const util::BigInt& step) {
+  util::BigInt sum;
+  util::BigInt binomial{1};
+  for (std::uint32_t l = 0; l <= m && base.signum() > 0; ++l) {
+    if (l > 0) {
+      binomial *= util::BigInt{static_cast<std::int64_t>(m - l + 1)};
+      binomial /= util::BigInt{static_cast<std::int64_t>(l)};
+    }
+    const util::BigInt term = binomial * util::BigInt::pow(base, m);
+    if (l % 2 == 0) {
+      sum += term;
+    } else {
+      sum -= term;
+    }
+    base -= step;
+  }
+  return sum;
 }
 
 }  // namespace
@@ -146,7 +133,22 @@ Rational threshold_winning_probability(std::span<const Rational> a, const Ration
   if (t.signum() <= 0) return Rational{0};
   const std::size_t n = a.size();
   DDM_SPAN("kernel.gray_exact", {{"n", static_cast<std::int64_t>(n)}});
-  Rational total{0};
+  std::vector<Rational> inputs(a.begin(), a.end());
+  inputs.push_back(t);
+  const util::CommonDenominator common = util::common_denominator(inputs);
+  const util::BigInt& d = common.denominator;
+  const util::BigInt& scaled_t = common.numerators[n];
+  const std::span<const util::BigInt> numerators{common.numerators.data(), n};
+  std::vector<util::BigInt> complements(n);  // D − A_l
+  for (std::size_t l = 0; l < n; ++l) complements[l] = d - numerators[l];
+  std::vector<util::BigInt> binomials(n + 1);  // C(n, k)
+  std::vector<util::BigInt> factorials(n + 1);  // k!
+  for (std::uint32_t k = 0; k <= n; ++k) {
+    binomials[k] = combinat::binomial(static_cast<std::uint32_t>(n), k);
+    factorials[k] = util::BigInt::factorial(k);
+  }
+
+  util::BigInt total;
   std::vector<std::size_t> zeros;
   std::vector<std::size_t> ones;
   zeros.reserve(n);
@@ -162,9 +164,17 @@ Rational threshold_winning_probability(std::span<const Rational> a, const Ration
         zeros.push_back(i);
       }
     }
-    total += zeros_bracket(a, zeros, t) * ones_bracket(a, ones, t);
+    // An empty bracket comes out as 1: T > 0 keeps the zeros term T^0, and
+    // the ones base 0·D − T is negative.
+    const std::size_t k = ones.size();
+    const util::BigInt zeros_sum = gray_power_sum(scaled_t, numerators, zeros, n - k);
+    if (zeros_sum.is_zero()) continue;
+    util::BigInt product = factorials[k];
+    for (const std::size_t l : ones) product *= complements[l];
+    const util::BigInt first = util::BigInt{static_cast<std::int64_t>(k)} * d - scaled_t;
+    total += binomials[k] * zeros_sum * (product - gray_power_sum(first, complements, ones, k));
   }
-  return total;
+  return Rational{std::move(total), util::BigInt::pow(d, n) * factorials[n]};
 }
 
 double threshold_winning_probability(std::span<const double> a, double t) {
@@ -478,43 +488,6 @@ std::vector<double> threshold_winning_probability_batch(
   return values;
 }
 
-Rational symmetric_zero_bracket(std::uint32_t m, const Rational& beta, const Rational& t) {
-  if (m == 0) return Rational{1};
-  Rational sum{0};
-  for (std::uint32_t l = 0; l <= m; ++l) {
-    const Rational base = t - Rational{static_cast<std::int64_t>(l)} * beta;
-    if (base.signum() <= 0) continue;
-    const Rational term =
-        Rational{combinat::binomial(m, l), util::BigInt{1}} * base.pow(static_cast<std::int64_t>(m));
-    if (l % 2 == 0) {
-      sum += term;
-    } else {
-      sum -= term;
-    }
-  }
-  return sum * combinat::inverse_factorial(m);
-}
-
-Rational symmetric_one_bracket(std::uint32_t k, const Rational& beta, const Rational& t) {
-  if (k == 0) return Rational{1};
-  const Rational kk{static_cast<std::int64_t>(k)};
-  Rational sum{0};
-  for (std::uint32_t l = 0; l <= k; ++l) {
-    const Rational ll{static_cast<std::int64_t>(l)};
-    const Rational base = kk - t - ll + ll * beta;
-    if (base.signum() <= 0) continue;
-    const Rational term =
-        Rational{combinat::binomial(k, l), util::BigInt{1}} * base.pow(static_cast<std::int64_t>(k));
-    if (l % 2 == 0) {
-      sum += term;
-    } else {
-      sum -= term;
-    }
-  }
-  return (Rational{1} - beta).pow(static_cast<std::int64_t>(k)) -
-         sum * combinat::inverse_factorial(k);
-}
-
 Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational& beta,
                                                  const Rational& t,
                                                  const util::RunControl& control) {
@@ -524,13 +497,37 @@ Rational symmetric_threshold_winning_probability(std::uint32_t n, const Rational
   }
   if (t.signum() <= 0) return Rational{0};
   DDM_SPAN("kernel.sym_exact", {{"n", static_cast<std::int64_t>(n)}});
-  Rational total{0};
+  // With β = B/D and t = T/D over one common denominator, the zeros bracket
+  // of m players is Z_m/(D^m·m!) and the ones bracket of k players is
+  // W_k/(D^k·k!), where
+  //   Z_m = Σ_{l, T − lB > 0} (−1)^l C(m,l) (T − lB)^m,
+  //   W_k = k!·(D − B)^k − Σ_{l, base > 0} (−1)^l C(k,l) ((k − l)D − T + lB)^k,
+  // so P = Σ_k C(n,k)²·Z_(n−k)·W_k / (D^n·n!).
+  const Rational inputs[] = {beta, t};
+  const util::CommonDenominator common = util::common_denominator(inputs);
+  const util::BigInt& d = common.denominator;
+  const util::BigInt& scaled_beta = common.numerators[0];
+  const util::BigInt& scaled_t = common.numerators[1];
+  const util::BigInt complement = d - scaled_beta;  // D − B
+  util::BigInt total;
+  util::BigInt binomial{1};   // C(n, k)
+  util::BigInt factorial{1};  // k!
   for (std::uint32_t k = 0; k <= n; ++k) {
     throw_if_stopped(control, "symmetric_threshold_winning_probability", k, n + 1);
-    total += Rational{combinat::binomial(n, k), util::BigInt{1}} *
-             symmetric_zero_bracket(n - k, beta, t) * symmetric_one_bracket(k, beta, t);
+    if (k > 0) {
+      binomial *= util::BigInt{static_cast<std::int64_t>(n - k + 1)};
+      binomial /= util::BigInt{static_cast<std::int64_t>(k)};
+      factorial *= util::BigInt{static_cast<std::int64_t>(k)};
+    }
+    const util::BigInt zeros = alternating_row_sum(n - k, scaled_t, scaled_beta);
+    if (zeros.is_zero()) continue;
+    const util::BigInt ones =
+        factorial * util::BigInt::pow(complement, k) -
+        alternating_row_sum(k, util::BigInt{static_cast<std::int64_t>(k)} * d - scaled_t,
+                            complement);
+    total += binomial * binomial * zeros * ones;
   }
-  return total;
+  return Rational{std::move(total), util::BigInt::pow(d, n) * factorial};  // factorial = n!
 }
 
 double symmetric_threshold_winning_probability(std::uint32_t n, double beta, double t) {

@@ -24,8 +24,9 @@
 
 namespace ddm::core {
 
-/// Theorem 5.1 for arbitrary thresholds a_i ∈ [0, 1]. Exact; throws
-/// std::invalid_argument for n > 16 (use the symmetric version or the
+/// Theorem 5.1 for arbitrary thresholds a_i ∈ [0, 1]. Exact: the inputs go
+/// over one common denominator and the O(3^n) sum adds integer terms.
+/// Throws std::invalid_argument for n > 16 (use the symmetric version or the
 /// double engine for larger systems).
 [[nodiscard]] util::Rational threshold_winning_probability(std::span<const util::Rational> a,
                                                            const util::Rational& t);
@@ -60,7 +61,11 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
     const util::RunControl& control = {});
 
 /// Symmetric Theorem 5.1: all thresholds equal β; O(n²) exact terms
-///   P(β) = Σ_k C(n,k) · B0_{n−k}(β) · B1_k(β).
+///   P(β) = Σ_k C(n,k) · B0_{n−k}(β) · B1_k(β),
+/// where the zeros bracket B0_m(β) = (1/m!) Σ_{l, t−lβ>0} (−1)^l C(m,l) (t − lβ)^m
+/// and the ones bracket B1_k(β) = (1−β)^k − (1/k!) Σ_{l, k−t−l+lβ>0}
+/// (−1)^l C(k,l) (k − t − l + lβ)^k. With β and t over one common
+/// denominator, every term is an integer and the sum normalises once.
 /// `control` is polled once per outer k: a fired deadline or cancellation
 /// surfaces as ddm::DeadlineExceeded / ddm::Cancelled counting the k-terms
 /// finished, so a large-n exact sum cannot outlive its budget.
@@ -71,16 +76,5 @@ inline constexpr std::size_t kThresholdBatchBlock = 16;
 /// within about (12n + 2) roundoffs of the exact value at every n.
 [[nodiscard]] double symmetric_threshold_winning_probability(std::uint32_t n, double beta,
                                                              double t);
-
-/// The "zeros" bracket for m players below a common threshold β:
-///   B0_m(β) = (1/m!) Σ_{l=0..m, t−lβ>0} (−1)^l C(m,l) (t − lβ)^m.
-/// Equals a_m^m · P(Σ of m U[0,β] <= t) with the β^m factor folded in.
-[[nodiscard]] util::Rational symmetric_zero_bracket(std::uint32_t m, const util::Rational& beta,
-                                                    const util::Rational& t);
-
-/// The "ones" bracket for k players above a common threshold β:
-///   B1_k(β) = (1−β)^k − (1/k!) Σ_{l=0..k, k−t−l+lβ>0} (−1)^l C(k,l) (k−t−l+lβ)^k.
-[[nodiscard]] util::Rational symmetric_one_bracket(std::uint32_t k, const util::Rational& beta,
-                                                   const util::Rational& t);
 
 }  // namespace ddm::core

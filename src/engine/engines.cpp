@@ -42,16 +42,21 @@ constexpr std::uint32_t kKernelMaxN = 20;
 }
 
 /// Tier-0 work per chunk of a certified grid, in the recurrence updates of
-/// core::symmetric_threshold_sum_updates: 2^18 of them take at least about
-/// 100 µs. The fastest rate measured was 0.38 ns per update (n = 256, one
-/// pinned core of a 4-vCPU x86-64 VM, Release). At small n each outer term's
-/// fixed work outweighs its updates, so a chunk takes longer: about 0.35 ms
-/// at n = 16, 1 ms at n = 8 and 3 ms at n = 4 (13,274 points).
+/// core::symmetric_threshold_sum_updates plus kOuterTermUpdates for each of
+/// the n + 1 outer terms: 2^18 of them take about 100 µs. The fastest rate
+/// measured was 0.38 ns per update (n = 256). At small n each outer term's
+/// fixed work (and the point's bound) outweighs its updates: one certified
+/// point took 308 ns at n = 4 (20 updates), 355 ns at n = 8 (91) and 643 ns
+/// at n = 16 (518), about 160, 94 and 69 updates' worth per outer term (one
+/// pinned core of a 4-vCPU x86-64 VM, RelWithDebInfo). With 128 per term a
+/// chunk takes 62–122 µs at n = 4..16 (397 points at n = 4).
 constexpr double kChunkUpdates = 262144.0;
+constexpr double kOuterTermUpdates = 128.0;
 
 [[nodiscard]] std::size_t tier0_points_per_chunk(std::uint32_t n) {
-  return static_cast<std::size_t>(
-      std::ceil(kChunkUpdates / core::symmetric_threshold_sum_updates(n)));
+  const double updates = core::symmetric_threshold_sum_updates(n) +
+                         kOuterTermUpdates * (static_cast<double>(n) + 1.0);
+  return static_cast<std::size_t>(std::ceil(kChunkUpdates / updates));
 }
 
 /// The exact rational image of grid point k: the caller's exact grid when
@@ -176,8 +181,7 @@ class ExactEvaluator final : public Evaluator {
 /// batch — the block-amortized parallel batch kernel: one Gray-code subset
 /// walk per run of same-size points within a block, fanned across the thread
 /// pool, bitwise equal to the serial core::threshold_winning_probability
-/// point for point. Auto's engine for general per-player points and the
-/// compiled engine's fallback.
+/// point for point. Auto's engine for general per-player points.
 class BatchEvaluator final : public Evaluator {
  public:
   std::string_view id() const noexcept override { return "batch"; }

@@ -51,7 +51,7 @@ std::vector<std::string_view> fallback_chain(std::string_view id, const Scenario
     if (id == "exact" || id == "certified") return {"mc"};
     return {};
   }
-  if (id == "compiled") return {"batch"};
+  if (id == "compiled") return {"certified", "mc"};
   if (id == "certified") return {"mc"};
   return {};
 }

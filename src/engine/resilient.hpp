@@ -7,7 +7,8 @@
 //
 //   preferred engine        fallback chain (homogeneous default scenario)
 //   ----------------        -----------------------------------------------
-//   compiled                batch                (deterministic double kernel)
+//   compiled                certified, mc        (a tier-0 point with its
+//                                                 bound, then the estimate)
 //   certified               mc                   (estimate under deadline
 //                                                 pressure — honestly flagged)
 //   exact / batch / mc      none                 (already the last resort)

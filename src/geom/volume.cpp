@@ -66,37 +66,38 @@ Rational simplex_box_volume(std::span<const Rational> sigma, std::span<const Rat
   if (m > 30) {
     throw std::invalid_argument("simplex_box_volume: exact version limited to m <= 30");
   }
-  // Precompute the ratios π_l / σ_l once.
   std::vector<Rational> ratio(m);
   for (std::size_t l = 0; l < m; ++l) ratio[l] = pi[l] / sigma[l];
-
-  // Σ over subsets I of (−1)^{|I|} (1 − Σ_{l∈I} π_l/σ_l)^m, guarded by the
-  // feasibility condition Σ_{l∈I} π_l/σ_l < 1 (Proposition 2.2). Subsets are
-  // visited in reflected Gray-code order so the running Σ_{l∈I} π_l/σ_l needs
-  // exactly one add or subtract per subset; the sign (−1)^|I| alternates with
-  // the step index (docs/performance.md).
-  Rational remainder{1};  // 1 − Σ_{l∈I} ratio_l for the current subset
+  // With the ratios π_l/σ_l = R_l/D over one common denominator, the
+  // Proposition 2.2 sum is an integer sum over the feasible subsets,
+  //   Σ_{I, Σ_I R_l < D} (−1)^{|I|} (D − Σ_{l∈I} R_l)^m,
+  // divided once by D^m. Subsets are visited in reflected Gray-code order so
+  // the running Σ_{l∈I} R_l needs exactly one add or subtract per subset;
+  // the sign (−1)^|I| alternates with the step index (docs/performance.md).
+  const util::CommonDenominator common = util::common_denominator(ratio);
+  const util::BigInt& d = common.denominator;
+  util::BigInt remainder = d;  // D − Σ_{l∈I} R_l for the current subset
+  util::BigInt sum = util::BigInt::pow(d, m);  // empty subset
   std::uint64_t mask = 0;
-  Rational sum = remainder.pow(static_cast<std::int64_t>(m));  // empty subset
   const std::uint64_t limit = std::uint64_t{1} << m;
   for (std::uint64_t i = 1; i < limit; ++i) {
     const std::uint32_t j = combinat::gray_flip_bit(i);
     const std::uint64_t bit = std::uint64_t{1} << j;
     mask ^= bit;
     if (mask & bit) {
-      remainder -= ratio[j];
+      remainder -= common.numerators[j];
     } else {
-      remainder += ratio[j];
+      remainder += common.numerators[j];
     }
     if (remainder.signum() <= 0) continue;
-    const Rational term = remainder.pow(static_cast<std::int64_t>(m));
+    const util::BigInt term = util::BigInt::pow(remainder, m);
     if (combinat::gray_parity_odd(i)) {
       sum -= term;
     } else {
       sum += term;
     }
   }
-  return simplex_volume(sigma) * sum;
+  return simplex_volume(sigma) * Rational{std::move(sum), util::BigInt::pow(d, m)};
 }
 
 double simplex_box_volume_double(std::span<const double> sigma, std::span<const double> pi) {
@@ -203,34 +204,6 @@ util::TrackedDouble simplex_box_volume_t0(std::span<const double> sigma,
   return {value, error};
 }
 
-// Tier 1: the same Gray walk with an exact rational running ratio sum (exact
-// feasibility indicators) and dyadic-interval term accumulation.
-util::RationalInterval simplex_box_volume_i(std::span<const Rational> sigma,
-                                            std::span<const Rational> pi, unsigned bits) {
-  const std::size_t m = sigma.size();
-  const auto mm = static_cast<std::uint32_t>(m);
-  std::vector<Rational> ratio(m);
-  for (std::size_t l = 0; l < m; ++l) ratio[l] = pi[l] / sigma[l];
-  Rational remainder{1};
-  util::RationalInterval sum{Rational{1}};  // empty subset: exact 1
-  std::uint64_t mask = 0;
-  const std::uint64_t limit = std::uint64_t{1} << m;
-  for (std::uint64_t i = 1; i < limit; ++i) {
-    const std::uint32_t j = combinat::gray_flip_bit(i);
-    const std::uint64_t bit = std::uint64_t{1} << j;
-    mask ^= bit;
-    if (mask & bit) {
-      remainder -= ratio[j];
-    } else {
-      remainder += ratio[j];
-    }
-    if (remainder.signum() <= 0) continue;
-    const util::RationalInterval term = util::pow_outward(util::RationalInterval{remainder}, mm, bits);
-    sum = util::outward_round(combinat::gray_parity_odd(i) ? sum - term : sum + term, bits);
-  }
-  return util::outward_round(sum * util::RationalInterval{simplex_volume(sigma)}, bits);
-}
-
 }  // namespace
 
 ddm::CertifiedValue certified_simplex_box_volume(std::span<const Rational> sigma,
@@ -267,10 +240,6 @@ ddm::CertifiedValue certified_simplex_box_volume(std::span<const Rational> sigma
          }
          return util::tracked_enclosure(simplex_box_volume_t0(sd, pd),
                                         "certified_simplex_box_volume");
-       }},
-      {ddm::EvalTier::kInterval,
-       [&]() -> util::RationalInterval {
-         return simplex_box_volume_i(sigma, pi, policy.interval_bits);
        }},
       {ddm::EvalTier::kExact,
        [&]() -> util::RationalInterval {

@@ -32,7 +32,8 @@ namespace ddm::geom {
                                                    const std::vector<bool>& in_subset);
 
 /// Proposition 2.2: Vol(ΣΠ^m(σ, π)) by inclusion-exclusion over subsets
-/// (exponential in m; exact). Requires sigma.size() == pi.size() >= 1 and all
+/// (exponential in m; exact: an integer sum over the ratios' common
+/// denominator). Requires sigma.size() == pi.size() >= 1, m <= 30 and all
 /// sides positive.
 [[nodiscard]] util::Rational simplex_box_volume(std::span<const util::Rational> sigma,
                                                 std::span<const util::Rational> pi);
@@ -44,11 +45,10 @@ namespace ddm::geom {
                                                std::span<const double> pi);
 
 /// Certified Proposition 2.2: returns a rigorous enclosure of
-/// Vol(ΣΠ^m(σ, π)), escalating compensated double → dyadic interval → exact
-/// rational per `policy` (util/certify.hpp). Tier costs: double/interval
-/// O(2^m) for m <= 62, exact O(2^m) rational for m <= 30 (above that the
-/// exact tier reports NumericError and the ladder keeps the best interval
-/// enclosure).
+/// Vol(ΣΠ^m(σ, π)), escalating compensated double → exact per `policy`
+/// (util/certify.hpp). Tier 0 runs O(2^m) in double for m <= 62 when every
+/// side is exactly a double; the exact rung runs the integer sum for
+/// m <= 30 and reports NumericError, naming that cap, above it.
 [[nodiscard]] ddm::CertifiedValue certified_simplex_box_volume(
     std::span<const util::Rational> sigma, std::span<const util::Rational> pi,
     const ddm::EvalPolicy& policy = {});

@@ -18,18 +18,15 @@ namespace {
 // its budget without a trace.
 struct CertifyMetrics {
   obs::Counter double_attempts = obs::counter("certify.attempts.double");
-  obs::Counter interval_attempts = obs::counter("certify.attempts.interval");
   obs::Counter exact_attempts = obs::counter("certify.attempts.exact");
   obs::Counter escalations = obs::counter("certify.escalations");
   obs::Counter numeric_errors = obs::counter("certify.numeric_errors");
   obs::Histogram double_seconds = obs::histogram("certify.tier_seconds.double");
-  obs::Histogram interval_seconds = obs::histogram("certify.tier_seconds.interval");
   obs::Histogram exact_seconds = obs::histogram("certify.tier_seconds.exact");
 
   [[nodiscard]] obs::Counter attempts(EvalTier tier) const noexcept {
     switch (tier) {
       case EvalTier::kCompensatedDouble: return double_attempts;
-      case EvalTier::kInterval: return interval_attempts;
       case EvalTier::kExact: return exact_attempts;
     }
     return double_attempts;
@@ -38,7 +35,6 @@ struct CertifyMetrics {
   [[nodiscard]] obs::Histogram seconds(EvalTier tier) const noexcept {
     switch (tier) {
       case EvalTier::kCompensatedDouble: return double_seconds;
-      case EvalTier::kInterval: return interval_seconds;
       case EvalTier::kExact: return exact_seconds;
     }
     return double_seconds;
@@ -56,8 +52,6 @@ const char* to_string(EvalTier tier) noexcept {
   switch (tier) {
     case EvalTier::kCompensatedDouble:
       return "compensated-double";
-    case EvalTier::kInterval:
-      return "interval";
     case EvalTier::kExact:
       return "exact";
   }
@@ -74,9 +68,6 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
     switch (tier) {
       case EvalTier::kCompensatedDouble:
         ++local.double_attempts;
-        break;
-      case EvalTier::kInterval:
-        ++local.interval_attempts;
         break;
       case EvalTier::kExact:
         ++local.exact_attempts;
@@ -104,9 +95,8 @@ CertifiedValue run_escalation_ladder(const EvalPolicy& policy, const char* label
   for (const TierSpec& spec : tiers) {
     if (spec.tier > policy.max_tier) continue;
     // Cooperative stop: polled before each rung, so a deadline that fires
-    // while the double tier is running cuts the ladder before the ~100x
-    // interval rung (or the unbounded exact rung) starts. Counters observed
-    // so far still reach the policy's stats.
+    // while the double tier is running cuts the ladder before the exact
+    // rung starts. Counters observed so far still reach the policy's stats.
     switch (policy.control.should_stop()) {
       case util::StopReason::kNone:
         break;

@@ -6,20 +6,22 @@
 // double: every evaluation produces a rigorous *enclosure* (an exact
 // RationalInterval guaranteed to contain the true value) and an automatic
 // ladder escalates through progressively more expensive evaluation tiers
-// until the enclosure is narrower than the caller's tolerance:
+// until the enclosure is narrower than the caller's tolerance. Every ladder
+// has the same two rungs:
 //
-//   tier 0  compensated double + running error bound   (~1x the plain kernel)
-//   tier 1  dyadic-interval arithmetic                  (outward_round; ~100x)
-//   tier 2  exact rational arithmetic                   (point enclosure)
+//   tier 0  double kernel + rigorous error bound   (~1x the plain kernel)
+//   exact   integer inclusion-exclusion sum        (point enclosure)
 //
 // The general and volume ladders run tier 0 only when every input is exactly
 // representable as a double (otherwise the double kernel would silently
 // evaluate a *different* instance). The symmetric ladder's tier 0 is a sum
 // of nonnegative terms (core/irwin_hall_sum.hpp) with an a priori bound; it
-// runs on rounded inputs and charges the rounding gaps to that bound, and
-// the ladder has no tier 1: its O(n²) exact rung is cheaper than the
-// interval rung at every n measured. Tiers 1 and 2 handle arbitrary rationals. The
-// ladder is shared by certified_threshold_winning_probability,
+// runs on rounded inputs and charges the rounding gaps to that bound. The
+// exact rung takes arbitrary rationals: it puts the inputs over one common
+// denominator (util::common_denominator), adds integer terms and normalises
+// once; it is capped at n <= 16 on the general ladder and m <= 30 on the
+// volume ladder, and past that cap an input that is not a double has no
+// rung. The ladder is shared by certified_threshold_winning_probability,
 // certified_symmetric_threshold_winning_probability (core/certified.hpp) and
 // certified_simplex_box_volume (geom/volume.hpp), and is exposed on the CLI
 // as `ddm_cli --certify`. See docs/robustness.md.
@@ -39,9 +41,8 @@ namespace ddm {
 
 /// Evaluation tiers, cheapest first. Numeric values order the ladder.
 enum class EvalTier : unsigned {
-  kCompensatedDouble = 0,  ///< fast double kernel + rigorous running error bound
-  kInterval = 1,           ///< dyadic outward-rounded interval arithmetic
-  kExact = 2,              ///< exact rational arithmetic (width-0 enclosure)
+  kCompensatedDouble = 0,  ///< fast double kernel + rigorous error bound
+  kExact = 1,              ///< exact integer sum (width-0 enclosure)
 };
 
 [[nodiscard]] const char* to_string(EvalTier tier) noexcept;
@@ -52,14 +53,12 @@ enum class EvalTier : unsigned {
 /// EvalStats is a convenience view, not the only way to observe the ladder.
 struct EvalStats {
   std::uint64_t double_attempts = 0;
-  std::uint64_t interval_attempts = 0;
   std::uint64_t exact_attempts = 0;
   std::uint64_t escalations = 0;      ///< tier-to-tier transitions taken
   std::uint64_t numeric_errors = 0;   ///< tiers abandoned via NumericError
 
   EvalStats& operator+=(const EvalStats& other) noexcept {
     double_attempts += other.double_attempts;
-    interval_attempts += other.interval_attempts;
     exact_attempts += other.exact_attempts;
     escalations += other.escalations;
     numeric_errors += other.numeric_errors;
@@ -74,16 +73,12 @@ struct EvalPolicy {
   util::Rational tolerance{1, 1000000000};
   /// Highest tier the ladder may use.
   EvalTier max_tier = EvalTier::kExact;
-  /// Fractional bits kept by the interval tier's outward rounding. More bits
-  /// = narrower enclosures at higher cost; 320 comfortably absorbs the
-  /// term magnitudes of n ~ 60 inclusion-exclusion sums.
-  unsigned interval_bits = 320;
   /// Optional observation hook (not owned; may be nullptr).
   EvalStats* stats = nullptr;
   /// Cooperative stop: polled before every tier attempt, so a deadline or
   /// cancellation cuts the ladder mid-escalation (typically before the
-  /// expensive interval/exact rungs), and inside rungs that poll it
-  /// themselves (the symmetric exact sum). A stop surfaces as ddm::Cancelled /
+  /// expensive exact rung), and inside rungs that poll it themselves (both
+  /// symmetric rungs). A stop surfaces as ddm::Cancelled /
   /// ddm::DeadlineExceeded carrying how many tiers were attempted; counters
   /// accumulated so far are still folded into `stats`. Default-constructed =
   /// run the full ladder.

@@ -34,34 +34,6 @@ RationalInterval& RationalInterval::operator*=(const RationalInterval& rhs) {
   return *this;
 }
 
-namespace {
-
-// Largest multiple of 2^-bits that is <= v (round_up = false), or smallest
-// multiple >= v (round_up = true).
-Rational round_dyadic(const Rational& v, unsigned bits, bool round_up) {
-  const Rational scaled{v.num() << bits, v.den()};
-  const BigInt quantized = round_up ? scaled.ceil() : scaled.floor();
-  return Rational{quantized, BigInt{1} << bits};
-}
-
-}  // namespace
-
-RationalInterval outward_round(const RationalInterval& x, unsigned bits) {
-  return RationalInterval{round_dyadic(x.lo(), bits, /*round_up=*/false),
-                          round_dyadic(x.hi(), bits, /*round_up=*/true)};
-}
-
-RationalInterval pow_outward(const RationalInterval& x, std::uint32_t exp, unsigned bits) {
-  RationalInterval result{Rational{1}};
-  RationalInterval base = outward_round(x, bits);
-  while (exp != 0) {
-    if (exp & 1u) result = outward_round(result * base, bits);
-    exp >>= 1;
-    if (exp != 0) base = outward_round(base * base, bits);
-  }
-  return result;
-}
-
 std::string RationalInterval::to_string() const {
   std::string text = "[";
   text += lo_.to_string();

@@ -6,19 +6,10 @@
 // polynomials in interval arithmetic over the isolating intervals: if the
 // value intervals are disjoint, the comparison is proven; if they overlap,
 // the isolating intervals are refined and the evaluation repeated. Because
-// endpoints are exact rationals there is no rounding anywhere.
-//
-// The certified evaluation ladder (util/certify.hpp) additionally uses
-// *dyadic outward rounding*: after each exact interval operation the
-// endpoints are widened to the nearest dyadic rationals with a fixed number
-// of fractional bits (outward_round below). That caps the bit growth of the
-// endpoints — the cost driver of exact rational arithmetic in deep
-// inclusion-exclusion sums — while keeping every intermediate a rigorous
-// enclosure, which is what makes the interval tier strictly cheaper than the
-// exact tier yet never wrong. See docs/robustness.md.
+// endpoints are exact rationals there is no rounding anywhere. Every
+// certified result (util/certify.hpp) is such an interval.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -78,17 +69,5 @@ class RationalInterval {
   Rational lo_;
   Rational hi_;
 };
-
-/// Enclosing interval whose endpoints are dyadic rationals with at most
-/// `bits` fractional bits: lo is rounded down to a multiple of 2^-bits, hi
-/// rounded up. Never shrinks the interval; widens it by at most 2·2^-bits.
-[[nodiscard]] RationalInterval outward_round(const RationalInterval& x, unsigned bits);
-
-/// x^exp by binary exponentiation with outward rounding after every
-/// multiplication, so endpoint sizes stay bounded by `bits` fractional bits
-/// plus the magnitude of the powers. Sound for any interval (enclosure may
-/// be loose for even powers of sign-crossing intervals).
-[[nodiscard]] RationalInterval pow_outward(const RationalInterval& x, std::uint32_t exp,
-                                           unsigned bits);
 
 }  // namespace ddm::util

@@ -148,4 +148,16 @@ std::ostream& operator<<(std::ostream& os, const Rational& value) {
   return os << value.to_string();
 }
 
+CommonDenominator common_denominator(std::span<const Rational> values) {
+  CommonDenominator common;
+  for (const Rational& value : values) {
+    common.denominator *= value.den() / BigInt::gcd(common.denominator, value.den());
+  }
+  common.numerators.reserve(values.size());
+  for (const Rational& value : values) {
+    common.numerators.push_back(value.num() * (common.denominator / value.den()));
+  }
+  return common;
+}
+
 }  // namespace ddm::util

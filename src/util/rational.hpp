@@ -9,8 +9,10 @@
 
 #include <compare>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/bigint.hpp"
 
@@ -82,6 +84,18 @@ class Rational {
   BigInt num_;
   BigInt den_;
 };
+
+/// Rationals written over one common denominator: value i equals
+/// numerators[i] / denominator, and denominator > 0 is the least such.
+struct CommonDenominator {
+  BigInt denominator{1};
+  std::vector<BigInt> numerators;
+};
+
+/// Puts `values` over their least common denominator. The exact
+/// inclusion–exclusion sums (Proposition 2.2, Theorem 5.1) add integer terms
+/// over it and build one Rational at the end.
+[[nodiscard]] CommonDenominator common_denominator(std::span<const Rational> values);
 
 /// Convenience factory: r(a, b) == a/b.
 [[nodiscard]] inline Rational rat(std::int64_t num, std::int64_t den = 1) {

@@ -109,8 +109,7 @@ const Rational kBelowTier0{1, 1000000000000000};
 
 TEST(CertifiedSymmetric, EscalatesDoubleToExactAtN24) {
   // n = 24, beta = 3/8, t = 8 under a 1e-15 tolerance: tier 0's bound does
-  // not meet it. The symmetric ladder has no interval rung: it escalates
-  // once, straight to the exact sum.
+  // not meet it, so the ladder escalates once, to the exact sum.
   EvalStats stats;
   EvalPolicy policy;
   policy.tolerance = kBelowTier0;
@@ -120,7 +119,6 @@ TEST(CertifiedSymmetric, EscalatesDoubleToExactAtN24) {
   const CertifiedValue certified =
       core::certified_symmetric_threshold_winning_probability(24, beta, t, policy);
   EXPECT_EQ(stats.double_attempts, 1u);
-  EXPECT_EQ(stats.interval_attempts, 0u);
   EXPECT_EQ(stats.exact_attempts, 1u);
   EXPECT_EQ(stats.escalations, 1u);
   EXPECT_EQ(certified.tier, EvalTier::kExact);
@@ -295,7 +293,6 @@ void expect_same_certificate(const CertifiedValue& fast, const CertifiedValue& l
   EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.error_bound()),
             std::bit_cast<std::uint64_t>(ladder.error_bound())) << where;
   EXPECT_EQ(fast.stats.double_attempts, ladder.stats.double_attempts) << where;
-  EXPECT_EQ(fast.stats.interval_attempts, ladder.stats.interval_attempts) << where;
   EXPECT_EQ(fast.stats.exact_attempts, ladder.stats.exact_attempts) << where;
   EXPECT_EQ(fast.stats.escalations, ladder.stats.escalations) << where;
   EXPECT_EQ(fast.stats.numeric_errors, ladder.stats.numeric_errors) << where;
@@ -416,17 +413,20 @@ TEST(CertifiedVolume, EnclosureContainsExactValue) {
   EXPECT_TRUE(certified.met_tolerance);
 }
 
-TEST(CertifiedVolume, UnrepresentableSidesUseIntervalTier) {
+TEST(CertifiedVolume, UnrepresentableSidesUseExactTier) {
   EvalStats stats;
   EvalPolicy policy;
   policy.stats = &stats;
   const std::vector<Rational> sigma = {Rational{1, 3}, Rational{1, 7}};
   const std::vector<Rational> pi = {Rational{1, 5}, Rational{1, 11}};
   const CertifiedValue certified = geom::certified_simplex_box_volume(sigma, pi, policy);
-  // Tier 0 is attempted but must abandon via NumericError (inputs not dyadic).
-  EXPECT_GE(stats.numeric_errors, 1u);
-  EXPECT_NE(certified.tier, EvalTier::kCompensatedDouble);
-  EXPECT_TRUE(certified.enclosure().contains(geom::simplex_box_volume(sigma, pi)));
+  // Tier 0 is attempted but must abandon via NumericError (inputs not
+  // dyadic); the next rung is the exact sum.
+  EXPECT_EQ(stats.numeric_errors, 1u);
+  EXPECT_EQ(stats.exact_attempts, 1u);
+  EXPECT_EQ(certified.tier, EvalTier::kExact);
+  EXPECT_EQ(certified.enclosure(),
+            util::RationalInterval{geom::simplex_box_volume(sigma, pi)});
 }
 
 TEST(DoubleKernels, GuardNonFiniteIntermediates) {
@@ -440,7 +440,6 @@ TEST(DoubleKernels, GuardNonFiniteIntermediates) {
 
 TEST(EvalTierNames, AreHumanReadable) {
   EXPECT_STREQ(to_string(EvalTier::kCompensatedDouble), "compensated-double");
-  EXPECT_STREQ(to_string(EvalTier::kInterval), "interval");
   EXPECT_STREQ(to_string(EvalTier::kExact), "exact");
 }
 

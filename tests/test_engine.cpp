@@ -293,7 +293,7 @@ TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
 // --- the auto contract on the paper's workload (property test) -----------
 
 // For t = n/3 and beta on a 1/1024 grid over [0.05, 0.95] (strided past
-// n = 24, where each exact value costs tens of milliseconds), every auto
+// n = 24, where each exact value costs milliseconds), every auto
 // answer lies within its reported bound of the exact rational value, the
 // bound meets the default 1e-9 tolerance, the batch kernel never answers, and
 // no plan is lowered at any n.
@@ -332,12 +332,29 @@ TEST(EngineAutoSymmetric, EveryAnswerLiesWithinItsBound) {
   }
 }
 
-// Spot points at n = 128 and 256. Their exact values take seconds per point
-// (about 6 s at n = 256 on a 1/1024 beta), so this case runs as its own
-// ctest entry with its own timeout (tests/CMakeLists.txt).
+// Spot points at n = 128 and 256, where each exact value is an integer sum
+// of about 0.1 s.
 TEST(EngineAutoSymmetric, SpotPointsAtLargeNLieWithinTheirBounds) {
   expect_auto_answers_within_their_bounds(128, {310.0 / 1024, 467.0 / 1024, 724.0 / 1024});
   expect_auto_answers_within_their_bounds(256, {467.0 / 1024, 724.0 / 1024});
+}
+
+// At t >= n no bin can overflow, so P = 1 at every beta: auto answers each
+// point with the exact 1 and a zero bound, at any such t, refusing none.
+TEST(EngineAutoSymmetric, CapacityAtLeastNIsExactlyOne) {
+  std::vector<double> betas;
+  for (int k = 0; k <= 16; ++k) betas.push_back(static_cast<double>(k) / 16.0);
+  for (const Rational& t : {Rational{1000}, Rational{3000}}) {
+    const EvalRequest request = EvalRequest::symmetric(1000, t, betas);
+    const Selection selection = select(EnginePolicy{}, request);
+    const EvalOutcome outcome = selection.evaluator->evaluate(request);
+    EXPECT_EQ(outcome.engine_id, "certified") << "t=" << t;
+    ASSERT_EQ(outcome.values.size(), betas.size());
+    for (std::size_t k = 0; k < betas.size(); ++k) {
+      EXPECT_EQ(outcome.values[k], 1.0) << "t=" << t << " beta=" << betas[k];
+      EXPECT_EQ(outcome.bound_at(k), 0.0) << "t=" << t << " beta=" << betas[k];
+    }
+  }
 }
 
 // --- engine-backed optimizer objective ----------------------------------

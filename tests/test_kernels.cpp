@@ -8,13 +8,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "combinat/binomial.hpp"
 #include "combinat/subsets.hpp"
+#include "core/certified.hpp"
 #include "core/nonoblivious.hpp"
 #include "core/reference_kernels.hpp"
 #include "geom/volume.hpp"
 #include "prob/rng.hpp"
+#include "util/status.hpp"
 
 namespace ddm {
 namespace {
@@ -86,6 +90,116 @@ TEST(KernelEquivalence, GeneralThresholdExactMatchesReference) {
                 reference::threshold_winning_probability(a, t))
           << "n=" << n << " rep=" << rep;
     }
+  }
+}
+
+// A prime near 2^20: the common denominators of these inputs run to
+// hundreds of bits, which the integer exact sums must carry exactly.
+Rational random_prime_rational(prob::Rng& rng) {
+  constexpr std::int64_t kPrimes[] = {1048573, 1048571, 1048559, 1048549, 1048517, 1048507};
+  const std::int64_t den = kPrimes[rng.uniform_below(6)];
+  return Rational{static_cast<std::int64_t>(rng.uniform_below(den - 1) + 1), den};
+}
+
+TEST(KernelEquivalence, ExactSumsMatchReferenceOnPrimeDenominators) {
+  prob::Rng rng{1048573};
+  for (std::size_t n = 1; n <= 6; ++n) {
+    std::vector<Rational> a;
+    for (std::size_t i = 0; i < n; ++i) a.push_back(random_prime_rational(rng));
+    const Rational t = random_prime_rational(rng) * Rational{static_cast<std::int64_t>(n)};
+    EXPECT_EQ(core::threshold_winning_probability(a, t),
+              reference::threshold_winning_probability(a, t))
+        << "n=" << n;
+  }
+  for (std::size_t m = 1; m <= 10; ++m) {
+    std::vector<Rational> sigma;
+    std::vector<Rational> pi;
+    for (std::size_t l = 0; l < m; ++l) {
+      sigma.push_back(random_prime_rational(rng) + Rational(1, 2));
+      pi.push_back(random_prime_rational(rng));
+    }
+    EXPECT_EQ(geom::simplex_box_volume(sigma, pi), reference::simplex_box_volume(sigma, pi))
+        << "m=" << m;
+  }
+}
+
+// The symmetric Theorem 5.1 sum as it was written over Rational, bracket by
+// bracket: the oracle the integer sum must equal exactly.
+Rational rational_zero_bracket(std::uint32_t m, const Rational& beta, const Rational& t) {
+  Rational sum{0};
+  for (std::uint32_t l = 0; l <= m; ++l) {
+    const Rational base = t - Rational{static_cast<std::int64_t>(l)} * beta;
+    if (base.signum() <= 0) continue;
+    const Rational term = Rational{combinat::binomial(m, l), util::BigInt{1}} *
+                          base.pow(static_cast<std::int64_t>(m));
+    sum += l % 2 == 0 ? term : -term;
+  }
+  return sum * combinat::inverse_factorial(m);
+}
+
+Rational rational_one_bracket(std::uint32_t k, const Rational& beta, const Rational& t) {
+  Rational sum{0};
+  for (std::uint32_t l = 0; l <= k; ++l) {
+    const Rational ll{static_cast<std::int64_t>(l)};
+    const Rational base = Rational{static_cast<std::int64_t>(k)} - t - ll + ll * beta;
+    if (base.signum() <= 0) continue;
+    const Rational term = Rational{combinat::binomial(k, l), util::BigInt{1}} *
+                          base.pow(static_cast<std::int64_t>(k));
+    sum += l % 2 == 0 ? term : -term;
+  }
+  return (Rational{1} - beta).pow(static_cast<std::int64_t>(k)) -
+         sum * combinat::inverse_factorial(k);
+}
+
+Rational rational_symmetric_sum(std::uint32_t n, const Rational& beta, const Rational& t) {
+  Rational total{0};
+  for (std::uint32_t k = 0; k <= n; ++k) {
+    total += Rational{combinat::binomial(n, k), util::BigInt{1}} *
+             rational_zero_bracket(n - k, beta, t) * rational_one_bracket(k, beta, t);
+  }
+  return total;
+}
+
+TEST(KernelEquivalence, SymmetricExactMatchesTheRationalSum) {
+  const Rational dyadic = Rational::from_double(0.456);  // 53-bit numerator
+  for (const std::uint32_t n : {1u, 2u, 3u, 5u, 8u, 13u, 24u, 40u, 64u}) {
+    const auto nn = static_cast<std::int64_t>(n);
+    std::vector<Rational> betas{Rational{311, 500}, Rational{45, 64}, dyadic};
+    std::vector<Rational> ts{Rational{nn, 3}, Rational{2 * nn - 1, 2}};
+    if (n <= 40) {
+      betas.insert(betas.end(), {Rational{0}, Rational{1}, Rational{17, 64}});
+      ts.insert(ts.end(), {Rational{nn, 5}, Rational{nn}});
+    }
+    for (const Rational& beta : betas) {
+      for (const Rational& t : ts) {
+        EXPECT_EQ(core::symmetric_threshold_winning_probability(n, beta, t),
+                  rational_symmetric_sum(n, beta, t))
+            << "n=" << n << " beta=" << beta << " t=" << t;
+      }
+    }
+  }
+  EXPECT_EQ(core::symmetric_threshold_winning_probability(128, Rational{45, 64}, Rational{128, 3}),
+            rational_symmetric_sum(128, Rational{45, 64}, Rational{128, 3}));
+}
+
+TEST(KernelEquivalence, ExactRungCapsLeaveNonDoubleInputsWithoutARung) {
+  // Past the exact rungs' caps (general n <= 16, volume m <= 30) an input
+  // that is not a double has no rung: the ladder throws the exact rung's
+  // NumericError, naming the cap, without running any sum.
+  const std::vector<Rational> a(17, Rational{1, 3});
+  try {
+    (void)core::certified_threshold_winning_probability(a, Rational{17, 3});
+    ADD_FAILURE() << "general n = 17 with thirds did not throw";
+  } catch (const NumericError& error) {
+    EXPECT_NE(std::string(error.what()).find("n <= 16"), std::string::npos) << error.what();
+  }
+  const std::vector<Rational> sigma(31, Rational{1});
+  const std::vector<Rational> pi(31, Rational{1, 3});
+  try {
+    (void)geom::certified_simplex_box_volume(sigma, pi);
+    ADD_FAILURE() << "volume m = 31 with thirds did not throw";
+  } catch (const NumericError& error) {
+    EXPECT_NE(std::string(error.what()).find("m <= 30"), std::string::npos) << error.what();
   }
 }
 

@@ -173,14 +173,17 @@ TEST(ThresholdWinning, DoubleMatchesExact) {
 }
 
 TEST(ThresholdWinning, Brackets) {
-  // B0_m(0⁺ capacity beyond mβ) and B1_k behave sensibly at the extremes.
-  EXPECT_EQ(symmetric_zero_bracket(0, Rational(1, 2), Rational{1}), Rational{1});
-  EXPECT_EQ(symmetric_one_bracket(0, Rational(1, 2), Rational{1}), Rational{1});
-  // m = 1: B0_1(β) = t − max(t − β, 0); for t = 1, β = 1/2: 1 − 1/2 = 1/2 —
-  // the probability weight P(x <= β and x <= t) = β when β <= t.
-  EXPECT_EQ(symmetric_zero_bracket(1, Rational(1, 2), Rational{1}), Rational(1, 2));
-  // k = 1: B1_1(β) = (1 − β) − max(1 − t − 1 + β, 0) = 1 − β for t = 1.
-  EXPECT_EQ(symmetric_one_bracket(1, Rational(1, 2), Rational{1}), Rational(1, 2));
+  // The brackets at their extremes, through the exact symmetric sum. At
+  // n = 1, P = B0_1(β) + B1_1(β) with B0_1 = min(β, t) (the weight of
+  // x <= β and x <= t) and B1_1 = max(t − β, 0) (β < x <= t), so P = t for
+  // t < 1 on either side of β = t.
+  const Rational half{1, 2};
+  EXPECT_EQ(symmetric_threshold_winning_probability(1, Rational(1, 4), half), half);
+  EXPECT_EQ(symmetric_threshold_winning_probability(1, Rational(3, 4), half), half);
+  // β = 0 and β = 1 leave one bracket empty (B0_0 = B1_0 = 1): both players
+  // share one bin, and P = F_2(1/2) = 1/8.
+  EXPECT_EQ(symmetric_threshold_winning_probability(2, Rational{0}, half), Rational(1, 8));
+  EXPECT_EQ(symmetric_threshold_winning_probability(2, Rational{1}, half), Rational(1, 8));
 }
 
 TEST(ThresholdWinning, ValidatesInput) {

@@ -3,7 +3,7 @@
 // kernel, the escalation ladder, and the engine seam; deterministic retry
 // backoff (RetryPolicy); strict DDM_SERVE_*-style env parsing
 // (util/env.hpp); and the degradation chain of engine::evaluate_resilient
-// (compiled -> batch under an injected lowering fault, certified -> mc under
+// (compiled -> certified under an injected lowering fault, certified -> mc under
 // an exhausted parallel region). The ctest registrations in
 // tests/CMakeLists.txt re-run the degradation-chain cases under
 // DDM_THREADS=1 and DDM_THREADS=4.
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -279,17 +280,18 @@ TEST_F(ResilientEngineTest, CancelledRequestsNeverDegrade) {
   EXPECT_THROW((void)engine::evaluate_resilient(options, request), Cancelled);
 }
 
-TEST_F(ResilientEngineTest, LoweringFaultDegradesCompiledToBatch) {
+TEST_F(ResilientEngineTest, LoweringFaultDegradesCompiledToCertified) {
   // Use an (n, t) pair no other test compiles, so the plan cache misses and
   // lowering actually runs — the injected fault strikes
   // engine::kLoweringFaultChunk before the plan exists.
-  engine::EvalRequest request = engine::EvalRequest::symmetric(
-      7, util::Rational{5, 2}, {0.32, 0.41, 0.53, 0.62, 0.68});
+  const util::Rational t{5, 2};
+  engine::EvalRequest request =
+      engine::EvalRequest::symmetric(7, t, {0.32, 0.41, 0.53, 0.62, 0.68});
   engine::ResilientOptions options;
   options.policy.engine = "compiled";
 
-  const engine::EvalOutcome batch_reference =
-      engine::Registry::instance().require("batch").evaluate(request);
+  const engine::EvalOutcome certified_reference =
+      engine::Registry::instance().require("certified").evaluate(request);
 
   const auto before = util::fault::counters();
   util::fault::set_plan(util::fault::Plan::parse("throw@0"));
@@ -297,10 +299,19 @@ TEST_F(ResilientEngineTest, LoweringFaultDegradesCompiledToBatch) {
   EXPECT_EQ(util::fault::counters().throws_injected, before.throws_injected + 1);
 
   EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.engine_id, "batch");
+  EXPECT_EQ(degraded.engine_id, "certified");
   EXPECT_NE(degraded.degradation_note.find("compiled"), std::string::npos);
-  EXPECT_NE(degraded.degradation_note.find("batch"), std::string::npos);
-  EXPECT_EQ(degraded.values, batch_reference.values);  // honest, bit-identical
+  EXPECT_NE(degraded.degradation_note.find("certified"), std::string::npos);
+  EXPECT_EQ(degraded.values, certified_reference.values);  // honest, bit-identical
+  // Every degraded answer carries its bound, and the bound holds.
+  ASSERT_EQ(degraded.certificates.size(), request.betas.size());
+  for (std::size_t k = 0; k < request.betas.size(); ++k) {
+    const double exact = core::symmetric_threshold_winning_probability(
+                             7, util::exact_rational(request.betas[k]), t)
+                             .to_double();
+    EXPECT_LE(std::abs(degraded.values[k] - exact), degraded.certificates[k].error_bound())
+        << "beta=" << request.betas[k];
+  }
 
   // With the fault plan consumed, the same options recover the full engine.
   const engine::EvalOutcome healthy = engine::evaluate_resilient(options, request);

@@ -334,7 +334,8 @@ TEST(ScenarioSelection, FallbackChainsReshape) {
             (std::vector<std::string_view>{"mc"}));
   EXPECT_TRUE(engine::fallback_chain("compiled", generalized).empty());
   // The one-argument form stays the homogeneous table.
-  EXPECT_EQ(engine::fallback_chain("compiled"), (std::vector<std::string_view>{"batch"}));
+  EXPECT_EQ(engine::fallback_chain("compiled"),
+            (std::vector<std::string_view>{"certified", "mc"}));
 }
 
 // --- checkpoint headers ------------------------------------------------------

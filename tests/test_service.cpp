@@ -212,10 +212,11 @@ TEST(ServeAuto, NamesTheCertifiedCapPastIt) {
 
 TEST(ServeDeadline, CutsTheExactRungMidSum) {
   // Both rungs of the ladder poll the request's control once per outer
-  // term. A forced exact point at n = 64 costs a quarter second or more, so
-  // a 20 ms budget must cut it within half of that. An auto point at
-  // n = 1000 costs about 55 ms of tier 0, under three 20 ms budgets, so it
-  // must stop within three quarters of its cost.
+  // term. A forced exact point at n = 128 and a 53-bit beta costs about
+  // 0.28 s of integer sums (n = 64 costs only about 13 ms, under the
+  // budget), so a 20 ms budget must cut it within half of that. An auto
+  // point at n = 1000 costs about 55 ms of tier 0, under three 20 ms
+  // budgets, so it must stop within three quarters of its cost.
   const auto cost_of = [](const auto& evaluate) {
     const auto started = std::chrono::steady_clock::now();
     evaluate();
@@ -225,15 +226,15 @@ TEST(ServeDeadline, CutsTheExactRungMidSum) {
     (void)core::symmetric_threshold_winning_probability(1000, 0.456, 1000.0 / 3);
   });
   const auto exact_cost = cost_of([] {
-    (void)core::symmetric_threshold_winning_probability(64, util::exact_rational(0.456),
-                                                        Rational{64, 3});
+    (void)core::symmetric_threshold_winning_probability(128, util::exact_rational(0.456),
+                                                        Rational{128, 3});
   });
 
   ServiceConfig config;
   config.workers = 1;
   EvalService service(config);
   const std::pair<const char*, std::chrono::steady_clock::duration> cases[] = {
-      {R"({"op":"threshold","n":64,"t":"64/3","beta":0.456,"engine":"exact","deadline_ms":20})",
+      {R"({"op":"threshold","n":128,"t":"128/3","beta":0.456,"engine":"exact","deadline_ms":20})",
        exact_cost / 2},
       {R"({"op":"threshold","n":1000,"t":"1000/3","beta":0.456,"deadline_ms":20})",
        tier0_cost * 3 / 4}};

@@ -44,8 +44,8 @@ void print_certified(const ddm::CertifiedValue& result, const util::Rational& to
             << "  tier = " << ddm::to_string(result.tier) << "  tolerance ("
             << tolerance.to_double() << ") " << (result.met_tolerance ? "met" : "NOT met")
             << "\n"
-            << "  ladder: double x" << stats.double_attempts << ", interval x"
-            << stats.interval_attempts << ", exact x" << stats.exact_attempts
+            << "  ladder: double x" << stats.double_attempts << ", exact x"
+            << stats.exact_attempts
             << ", escalations " << stats.escalations << ", numeric errors "
             << stats.numeric_errors << "\n";
   std::cout.flags(flags);
