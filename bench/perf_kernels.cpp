@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the library's computational kernels:
 // Proposition 2.2 volumes, the Poisson-binomial collapse of Theorem 4.1, the
-// symmetric Theorem 5.1 evaluator, symbolic piecewise construction, Sturm
-// root isolation, and the Monte Carlo trial loop.
+// symmetric Theorem 5.1 evaluator, symbolic piecewise construction, root
+// isolation, and the Monte Carlo trial loop.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -486,8 +486,9 @@ void BM_SweepCompiled(benchmark::State& state) {
 BENCHMARK(BM_SweepCompiled)->Arg(1024)->Arg(10000)->UseRealTime()->MinTime(1.0);
 
 // Same symmetric n = 12 sweep through the batch kernel — the `--engine=batch`
-// path, and the denominator of the compiled-vs-batch ratio on the exact CLI
-// workload (small grid: one point costs ~3^12 subset visits).
+// path, one serial Gray-code kernel call per point fanned across the pool,
+// and the denominator of the compiled-vs-batch ratio on the exact CLI
+// workload (small grid: one point costs 2·3^12 subset visits).
 void BM_SweepKernel(benchmark::State& state) {
   const std::size_t n = 12;
   const std::size_t steps = static_cast<std::size_t>(state.range(0));
@@ -504,32 +505,10 @@ void BM_SweepKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepKernel)->Arg(8)->UseRealTime();
 
-// One amortized subset walk per block of kThresholdBatchBlock points versus
-// the per-point loop (BM_ThresholdBatchSerial): the walk's sign/subset-sum
-// bookkeeping is hoisted to per-subset state, so per-point cost falls toward
-// the SoA inner-update cost as the block fills.
-void BM_BatchAmortized(benchmark::State& state) {
-  // Pinned to the scalar subset walk — the BM_BatchAmortizedSimd denominator
-  // (see BM_SweepCompiled for the rationale).
-  const ddm::util::simd::ScopedForceWidth force_scalar{1};
-  const std::size_t n = 10;
-  const std::size_t grid = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<double>> points(grid);
-  for (std::size_t k = 0; k < grid; ++k) {
-    points[k].assign(n, 0.05 + 0.9 * static_cast<double>(k) / static_cast<double>(grid));
-  }
-  const double t = static_cast<double>(n) / 3.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ddm::core::threshold_winning_probability_batch(points, t));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid));
-}
-BENCHMARK(BM_BatchAmortized)->Arg(16)->Arg(64)->UseRealTime();
-
 // Compass search after probe batching: all 2n probes of an iteration go
-// through one threshold_winning_probability_batch call (one amortized walk
-// when 2n <= kThresholdBatchBlock), bitwise-identical to the serial probes.
+// through one threshold_winning_probability_batch call, which spreads them
+// over the pool in blocks of kThresholdBatchBlock, bitwise-identical to the
+// serial probes.
 void BM_OptimizerBatched(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const double t = static_cast<double>(n) / 3.0;
@@ -540,34 +519,14 @@ void BM_OptimizerBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerBatched)->Arg(6)->Arg(8)->UseRealTime();
 
-// --- SIMD hot paths ------------------------------------------------------
-// The vectorized counterparts of BM_BatchAmortized / BM_SweepCompiled:
-// identical workloads forced to the widest compiled pack width this host
-// executes (util/simd.hpp), so the family-vs-family cpu_time ratio IS the
-// lane speedup. The results are bitwise identical to the scalar families —
-// the packs replicate the scalar op sequence per lane — so the ratio
-// measures dispatch alone. scripts/run_bench.sh --check enforces >= 2x
-// (docs/performance.md §4 records ~the lane count on AVX-512 hosts).
-void BM_BatchAmortizedSimd(benchmark::State& state) {
-  const ddm::util::simd::ScopedForceWidth force_native{
-      ddm::util::simd::native_width()};
-  const std::size_t n = 10;
-  const std::size_t grid = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<double>> points(grid);
-  for (std::size_t k = 0; k < grid; ++k) {
-    points[k].assign(n, 0.05 + 0.9 * static_cast<double>(k) / static_cast<double>(grid));
-  }
-  const double t = static_cast<double>(n) / 3.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ddm::core::threshold_winning_probability_batch(points, t));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid));
-  state.counters["simd_width"] =
-      static_cast<double>(ddm::util::simd::dispatch_width());
-}
-BENCHMARK(BM_BatchAmortizedSimd)->Arg(16)->Arg(64)->UseRealTime();
-
+// --- SIMD hot path -------------------------------------------------------
+// The vectorized counterpart of BM_SweepCompiled: the identical workload
+// forced to the widest compiled pack width this host executes
+// (util/simd.hpp), so the family-vs-family cpu_time ratio IS the lane
+// speedup. The results are bitwise identical to the scalar family — the
+// packs replicate the scalar op sequence per lane — so the ratio measures
+// dispatch alone. scripts/run_bench.sh --check enforces >= 2x
+// (docs/performance.md §4).
 void BM_SweepCompiledSimd(benchmark::State& state) {
   const ddm::util::simd::ScopedForceWidth force_native{
       ddm::util::simd::native_width()};

@@ -159,7 +159,6 @@ else:
 # lane dispatch alone (the results are bitwise identical either way).
 SIMD_SPEEDUP = 2.0
 SIMD_PAIRS = {
-    "BM_BatchAmortizedSimd": "BM_BatchAmortized",
     "BM_SweepCompiledSimd": "BM_SweepCompiled",
 }
 simd_failed = []

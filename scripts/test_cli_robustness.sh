@@ -106,15 +106,16 @@ expect_reject "DDM_THREADS" env DDM_THREADS=1e9 "$CLI" sweep 3 1 0 1 4
 
 # DDM_SIMD (util/simd.hpp): the value set is closed and case-sensitive —
 # anything else is rejected up front with the variable named — and every
-# accepted mode is pure dispatch policy: `off` forces the scalar kernels and
-# the output stays byte-identical to the default (native) dispatch.
+# accepted mode is pure dispatch policy: `off` forces the scalar Horner loop
+# of `compiled`, the one vectorized engine, and the output stays
+# byte-identical to the default (native) dispatch.
 expect_reject "DDM_SIMD" env DDM_SIMD=bogus "$CLI" sweep 3 1 0 1 4
 expect_reject "DDM_SIMD" env DDM_SIMD=OFF "$CLI" sweep 3 1 0 1 4
 expect_reject "DDM_SIMD" env DDM_SIMD= "$CLI" sweep 3 1 0 1 4
 expect_reject "DDM_SIMD" env DDM_SIMD=avx512 "$CLI" sweep 12 4 0.3 0.4 2 --engine=compiled
-simd_ref="$("$CLI" sweep 12 4 0 1 32 --engine=batch)"
+simd_ref="$("$CLI" sweep 12 4 0 1 32 --engine=compiled)"
 for mode in off scalar native avx2 neon; do
-  simd_out="$(env DDM_SIMD="$mode" "$CLI" sweep 12 4 0 1 32 --engine=batch)" \
+  simd_out="$(env DDM_SIMD="$mode" "$CLI" sweep 12 4 0 1 32 --engine=compiled)" \
     || fail "DDM_SIMD=$mode sweep failed"
   [ "$simd_ref" = "$simd_out" ] || fail "DDM_SIMD=$mode output differs from default dispatch"
 done

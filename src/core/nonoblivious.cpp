@@ -1,6 +1,5 @@
 #include "core/nonoblivious.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -8,14 +7,12 @@
 
 #include "combinat/binomial.hpp"
 #include "combinat/subsets.hpp"
-#include "core/batch_walk.hpp"
 #include "core/irwin_hall_sum.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/kahan.hpp"
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 
 namespace ddm::core {
@@ -259,175 +256,6 @@ double threshold_winning_probability(std::span<const double> a, double t) {
   return require_finite(total, "threshold_winning_probability: double result");
 }
 
-namespace {
-
-// Batch-kernel metrics (docs/observability.md). `batch.subset_walks_amortized`
-// counts the per-point Gray walks the amortized evaluator did NOT have to run:
-// a run of P same-size points shares one walk, saving P − 1 of them.
-// `engine.simd_width` reports the pack width the walk actually dispatched
-// (after DDM_SIMD, compiled widths, and CPU support — never the compiled
-// maximum), and `kernel.vector_lanes` counts the points that went through
-// full-width vector lanes (tail points run the pinned scalar path).
-struct BatchMetrics {
-  obs::Counter points = obs::counter("batch.points");
-  obs::Counter walks_amortized = obs::counter("batch.subset_walks_amortized");
-  obs::Gauge simd_width = obs::gauge("engine.simd_width");
-  obs::Counter vector_lanes = obs::counter("kernel.vector_lanes");
-
-  static const BatchMetrics& get() {
-    static const BatchMetrics metrics;
-    return metrics;
-  }
-};
-
-using detail::BatchWorkspace;
-
-// The amortized Gray-code subset walk, W points per lane (the generic
-// implementation and the bitwise-identity argument live in
-// core/batch_walk.hpp; the AVX2/AVX-512 instantiations in their own
-// translation units). `width` is the caller's util::simd::dispatch_width()
-// — resolved once per batch call so a malformed DDM_SIMD throws on the
-// calling thread, before any chunk runs.
-void subset_walk(const double* deltas, std::size_t sz, std::size_t count, std::uint32_t exponent,
-                 BatchWorkspace& ws, int width) {
-  switch (width) {
-#if defined(DDM_SIMD_COMPILED_AVX512)
-    case 8:
-      detail::subset_walk_avx512(deltas, sz, count, exponent, ws);
-      return;
-#endif
-#if defined(DDM_SIMD_COMPILED_AVX2)
-    case 4:
-      detail::subset_walk_avx2(deltas, sz, count, exponent, ws);
-      return;
-#endif
-#if defined(DDM_SIMD_HAS_SSE2) || defined(DDM_SIMD_HAS_NEON)
-    case 2:
-      detail::subset_walk_pack<util::simd::Pack<2>>(deltas, sz, count, exponent, ws);
-      return;
-#endif
-    default:
-      detail::subset_walk_pack<util::simd::Pack<1>>(deltas, sz, count, exponent, ws);
-      return;
-  }
-}
-
-// Evaluates Theorem 5.1 for a run of `count` points of equal size n sharing
-// one Gray-code subset walk per decision vector, writing out[p] bitwise equal
-// to threshold_winning_probability(points[first + p], t).
-void amortized_run(std::span<const std::vector<double>> points, std::size_t first,
-                   std::size_t count, double t, std::span<double> out, BatchWorkspace& ws,
-                   int width) {
-  const std::size_t n = points[first].size();
-  DDM_SPAN("kernel.batch_walk", {{"n", static_cast<std::int64_t>(n)},
-                                 {"points", static_cast<std::int64_t>(count)}});
-  const KernelMetrics& kernel_metrics = KernelMetrics::get();
-  const BatchMetrics& batch_metrics = BatchMetrics::get();
-  batch_metrics.points.add(count);
-  batch_metrics.walks_amortized.add(count - 1);
-  if (obs::metrics_enabled()) {
-    kernel_metrics.subsets_visited.add(general_kernel_subsets(n));
-    batch_metrics.simd_width.set(width);
-    if (width > 1) {
-      batch_metrics.vector_lanes.add(count - count % static_cast<std::size_t>(width));
-    }
-  }
-
-  ws.coords.resize(n * count);
-  for (std::size_t p = 0; p < count; ++p) {
-    for (std::size_t i = 0; i < n; ++i) ws.coords[i * count + p] = points[first + p][i];
-  }
-  ws.deltas.resize(n * count);
-  for (auto* buf : {&ws.rs, &ws.rc, &ws.ss, &ws.sc, &ws.prod, &ws.zres, &ws.total}) {
-    buf->resize(count);
-  }
-  std::fill(ws.total.begin(), ws.total.end(), 0.0);
-
-  std::vector<std::size_t> zeros;
-  std::vector<std::size_t> ones;
-  zeros.reserve(n);
-  ones.reserve(n);
-  const std::uint64_t limit = std::uint64_t{1} << n;
-  for (std::uint64_t b = 0; b < limit; ++b) {
-    zeros.clear();
-    ones.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b & (std::uint64_t{1} << i)) {
-        ones.push_back(i);
-      } else {
-        zeros.push_back(i);
-      }
-    }
-
-    // Zeros bracket: base tracks t − Σ_{l∈I} a_l, so entering adds −a_l.
-    const std::size_t m = zeros.size();
-    if (m == 0) {
-      std::fill(ws.zres.begin(), ws.zres.end(), 1.0);
-    } else {
-      const auto mm = static_cast<std::uint32_t>(m);
-      const double init = combinat::pow_uint(t, mm);  // I = ∅ (t > 0)
-      for (std::size_t p = 0; p < count; ++p) {
-        ws.rs[p] = t;
-        ws.rc[p] = 0.0;
-        ws.ss[p] = init;
-        ws.sc[p] = 0.0;
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const double* col = ws.coords.data() + zeros[j] * count;
-        for (std::size_t p = 0; p < count; ++p) ws.deltas[j * count + p] = -col[p];
-      }
-      subset_walk(ws.deltas.data(), m, count, mm, ws, width);
-      if (obs::metrics_enabled()) {
-        for (std::size_t p = 0; p < count; ++p) {
-          kernel_metrics.kahan_compensation.record(std::abs(ws.sc[p]));
-        }
-      }
-      const double inv_fact = combinat::inverse_factorial_double(mm);
-      for (std::size_t p = 0; p < count; ++p) ws.zres[p] = (ws.ss[p] + ws.sc[p]) * inv_fact;
-    }
-
-    // Ones bracket: base tracks k − t + Σ_{l∈I} (a_l − 1), entering adds a_l − 1.
-    const std::size_t k = ones.size();
-    if (k == 0) {
-      for (std::size_t p = 0; p < count; ++p) ws.total[p] += ws.zres[p] * 1.0;
-      continue;
-    }
-    const auto kk = static_cast<std::uint32_t>(k);
-    std::fill(ws.prod.begin(), ws.prod.end(), 1.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* col = ws.coords.data() + ones[j] * count;
-      for (std::size_t p = 0; p < count; ++p) {
-        ws.prod[p] *= 1.0 - col[p];
-        ws.deltas[j * count + p] = col[p] - 1.0;
-      }
-    }
-    const double base0 = static_cast<double>(k) - t;
-    const double init = base0 > 0.0 ? combinat::pow_uint(base0, kk) : 0.0;
-    for (std::size_t p = 0; p < count; ++p) {
-      ws.rs[p] = base0;
-      ws.rc[p] = 0.0;
-      ws.ss[p] = init;
-      ws.sc[p] = 0.0;
-    }
-    subset_walk(ws.deltas.data(), k, count, kk, ws, width);
-    if (obs::metrics_enabled()) {
-      for (std::size_t p = 0; p < count; ++p) {
-        kernel_metrics.kahan_compensation.record(std::abs(ws.sc[p]));
-      }
-    }
-    const double inv_fact = combinat::inverse_factorial_double(kk);
-    for (std::size_t p = 0; p < count; ++p) {
-      ws.total[p] += ws.zres[p] * (ws.prod[p] - (ws.ss[p] + ws.sc[p]) * inv_fact);
-    }
-  }
-
-  for (std::size_t p = 0; p < count; ++p) {
-    out[p] = require_finite(ws.total[p], "threshold_winning_probability: double result");
-  }
-}
-
-}  // namespace
-
 std::vector<double> threshold_winning_probability_batch(
     std::span<const std::vector<double>> points, double t, const util::RunControl& control) {
   DDM_SPAN("kernel.batch", {{"points", static_cast<std::int64_t>(points.size())}});
@@ -444,19 +272,11 @@ std::vector<double> threshold_winning_probability_batch(
   }
   std::vector<double> values(points.size(), 0.0);
   if (t <= 0.0) return values;  // mirrors the single-point evaluator
-  // Resolve the SIMD dispatch width up front, on the calling thread: a
-  // malformed DDM_SIMD throws ddm::Error here (exit 2 from the CLI) before
-  // any chunk is scheduled, and every chunk then walks at the same width.
-  const int simd_width = util::simd::dispatch_width();
-  // Chunks of kThresholdBatchBlock points share one Gray-code subset walk per
-  // run of equal-size points (amortized_run above); per point the arithmetic
-  // is bitwise identical to a single-point call — at EVERY dispatch width,
-  // because the vector lanes run across points with the serial op sequence
-  // per lane (core/batch_walk.hpp) — so neither blocking nor parallelism nor
-  // vectorization ever changes results. The validate hook rejects any chunk
-  // holding a non-finite value — whether produced by the kernel or injected
-  // by a nan-poison fault directive — so the engine recomputes it instead of
-  // returning silently-corrupt rows.
+  // Chunks of kThresholdBatchBlock points, each point one serial kernel call,
+  // so neither blocking nor parallelism ever changes a result. The validate
+  // hook rejects any chunk holding a non-finite value — whether produced by
+  // the kernel or injected by a nan-poison fault directive — so the engine
+  // recomputes it instead of returning silently-corrupt rows.
   util::ParallelOptions options;
   options.grain = kThresholdBatchBlock;
   options.label = "threshold_batch";
@@ -470,14 +290,8 @@ std::vector<double> threshold_winning_probability_batch(
   util::parallel_for(
       0, points.size(),
       [&](std::size_t lo, std::size_t hi) {
-        BatchWorkspace ws;
-        std::size_t idx = lo;
-        while (idx < hi) {
-          std::size_t end = idx + 1;
-          while (end < hi && points[end].size() == points[idx].size()) ++end;
-          amortized_run(points, idx, end - idx, t,
-                        std::span<double>{values.data() + idx, end - idx}, ws, simd_width);
-          idx = end;
+        for (std::size_t p = lo; p < hi; ++p) {
+          values[p] = threshold_winning_probability(points[p], t);
         }
         // Chunk ordinal for fault directives: lo / kThresholdBatchBlock.
         if (util::fault::active() && util::fault::consume_nan(lo / kThresholdBatchBlock)) {

@@ -34,24 +34,18 @@ namespace ddm::core {
 /// Double-precision Theorem 5.1 for arbitrary thresholds (same O(3^n) sum).
 [[nodiscard]] double threshold_winning_probability(std::span<const double> a, double t);
 
-/// Points per parallel chunk of threshold_winning_probability_batch. One
-/// amortized Gray-code subset walk serves a whole run of same-size points
-/// inside a chunk, and fault-injection directives address chunks by ordinal
+/// Points per parallel chunk of threshold_winning_probability_batch.
+/// Fault-injection directives address chunks by ordinal
 /// floor(first_point_index / kThresholdBatchBlock).
 inline constexpr std::size_t kThresholdBatchBlock = 16;
 
 /// Evaluates threshold_winning_probability(points[p], t) for every p, fanning
 /// blocks of kThresholdBatchBlock points out across the global thread pool
-/// (util::parallel_for). Within a block, each run of equal-size points shares
-/// ONE reflected-Gray-code subset walk per decision vector: the flip-bit /
-/// sign / subset bookkeeping is hoisted into per-subset state and only the
-/// per-point clamped-power + Kahan-accumulate arithmetic remains in the inner
-/// loop (structure-of-arrays, written to auto-vectorize). Per point the
-/// floating-point op sequence is exactly the serial evaluator's, so values[p]
-/// is bitwise equal to a single-point call — neither blocking nor parallelism
-/// ever changes results. Used by grid sweeps (`ddm_cli sweep`) and the probe
-/// batches of `maximize_thresholds`. Validates all points up front in index
-/// order with the single-point evaluator's messages.
+/// (util::parallel_for). Each point is one serial kernel call, so values[p]
+/// is bitwise equal to a single-point call for any thread count. Used by the
+/// forced `batch` engine and the probe batches of `maximize_thresholds`.
+/// Validates all points up front in index order with the single-point
+/// evaluator's messages.
 /// `control` (util/resilience.hpp) is polled at block boundaries: a fired
 /// deadline or cancellation surfaces as ddm::DeadlineExceeded /
 /// ddm::Cancelled with the completed-block count. The default runs to

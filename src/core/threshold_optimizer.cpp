@@ -30,19 +30,7 @@ struct OptimizerMetrics {
 ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
                                           double initial_step, double tolerance,
                                           std::uint32_t max_evaluations) {
-  return maximize_thresholds(
-      std::move(start), t,
-      [](const std::vector<std::vector<double>>& points, double capacity) {
-        return threshold_winning_probability_batch(points, capacity);
-      },
-      initial_step, tolerance, max_evaluations);
-}
-
-ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
-                                          const BatchObjective& objective, double initial_step,
-                                          double tolerance, std::uint32_t max_evaluations) {
   if (start.empty()) throw std::invalid_argument("maximize_thresholds: empty start");
-  if (!objective) throw std::invalid_argument("maximize_thresholds: null objective");
   if (start.size() > 16) throw std::invalid_argument("maximize_thresholds: n too large");
   if (tolerance <= 0.0 || initial_step <= 0.0) {
     throw std::invalid_argument("maximize_thresholds: step/tolerance must be > 0");
@@ -53,10 +41,7 @@ ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
 
   ThresholdSearchResult result;
   result.thresholds = std::move(start);
-  // The batch objective on a singleton is bitwise equal to the single-point
-  // kernel call this used to make (the batch kernel's pinned contract), so
-  // routing the incumbent through the seam changes no result.
-  result.value = objective({result.thresholds}, t).at(0);
+  result.value = threshold_winning_probability(result.thresholds, t);
   result.evaluations = 1;
   double step = initial_step;
 
@@ -88,20 +73,15 @@ ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
     const std::size_t budget = max_evaluations - result.evaluations;
     if (probes.size() > budget) probes.resize(budget);
     if (probes.empty()) break;
-    // One amortized batch call evaluates the whole compass star: all probe
-    // points share the incumbent's size, so the batch kernel runs one
-    // Gray-code subset walk per block of probes instead of 2n independent
-    // kernel invocations — and each value is bitwise equal to the
-    // single-point call the probe loop used to make.
+    // One batch call evaluates the whole compass star across the pool; each
+    // value is bitwise equal to a single-point call, so the accepted iterates
+    // do not depend on the thread count.
     probe_points.resize(probes.size());
     for (std::size_t p = 0; p < probes.size(); ++p) {
       probe_points[p] = result.thresholds;
       probe_points[p][probes[p].axis] = probes[p].candidate;
     }
-    const std::vector<double> probe_values = objective(probe_points, t);
-    if (probe_values.size() != probes.size()) {
-      throw std::invalid_argument("maximize_thresholds: objective returned wrong batch size");
-    }
+    const std::vector<double> probe_values = threshold_winning_probability_batch(probe_points, t);
     for (std::size_t p = 0; p < probes.size(); ++p) probes[p].value = probe_values[p];
     result.evaluations += static_cast<std::uint32_t>(probes.size());
     metrics.probes.add(probes.size());

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace ddm::core {
@@ -25,32 +24,15 @@ struct ThresholdSearchResult {
   double final_step = 0.0;         ///< mesh size at termination
 };
 
-/// The optimizer's objective seam: maps a batch of threshold vectors (all the
-/// same length) to their winning probabilities for capacity t, index for
-/// index. The default is core::threshold_winning_probability_batch; callers
-/// can route probes through any evaluation engine (engine::batch_objective)
-/// as long as the objective is deterministic — the search's acceptance rule
-/// assumes replaying a batch yields identical values.
-using BatchObjective =
-    std::function<std::vector<double>(const std::vector<std::vector<double>>&, double)>;
-
 /// Compass search maximizing threshold_winning_probability(a, t) over
 /// a ∈ [0,1]^n from `start`: each iteration evaluates the 2n probes ±step
-/// along every axis concurrently (util::parallel_for), moves to the best
-/// strictly-improving probe, and halves the step when none improves, until
-/// step < tolerance. Deterministic regardless of thread count. Throws
+/// along every axis concurrently (threshold_winning_probability_batch),
+/// moves to the best strictly-improving probe, and halves the step when none
+/// improves, until step < tolerance. Deterministic regardless of thread
+/// count. Throws
 /// std::invalid_argument on empty start, start outside [0,1]^n,
 /// tolerance <= 0, or n > 16.
 [[nodiscard]] ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
-                                                        double initial_step = 0.25,
-                                                        double tolerance = 1e-10,
-                                                        std::uint32_t max_evaluations = 200000);
-
-/// Same search with every evaluation (incumbent and probe batches) routed
-/// through `objective`. With the default batch objective the iterate sequence
-/// and every reported value are bitwise identical to the overload above.
-[[nodiscard]] ThresholdSearchResult maximize_thresholds(std::vector<double> start, double t,
-                                                        const BatchObjective& objective,
                                                         double initial_step = 0.25,
                                                         double tolerance = 1e-10,
                                                         std::uint32_t max_evaluations = 200000);

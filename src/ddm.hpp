@@ -34,7 +34,6 @@
 #include "poly/piecewise.hpp"        // IWYU pragma: export
 #include "poly/polynomial.hpp"       // IWYU pragma: export
 #include "poly/roots.hpp"            // IWYU pragma: export
-#include "poly/sturm.hpp"            // IWYU pragma: export
 #include "prob/cdf_poly.hpp"         // IWYU pragma: export
 #include "prob/empirical.hpp"        // IWYU pragma: export
 #include "prob/rng.hpp"              // IWYU pragma: export

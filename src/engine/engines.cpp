@@ -32,15 +32,6 @@ namespace {
 /// The O(3^n) double kernel caps n at 20 (core/nonoblivious.cpp).
 constexpr std::uint32_t kKernelMaxN = 20;
 
-[[nodiscard]] std::uint32_t request_n(const EvalRequest& request) {
-  if (request.is_symmetric()) return request.n;
-  std::uint32_t n = 0;
-  for (const std::vector<double>& point : request.points) {
-    n = std::max(n, static_cast<std::uint32_t>(point.size()));
-  }
-  return n;
-}
-
 /// Tier-0 work per chunk of a certified grid, in the recurrence updates of
 /// core::symmetric_threshold_sum_updates plus kOuterTermUpdates for each of
 /// the n + 1 outer terms: 2^18 of them take about 100 µs. The fastest rate
@@ -76,7 +67,7 @@ constexpr std::uint32_t kScenarioExactMaxN = 14;
 /// never reaches this helper — each engine's supports() keeps its original
 /// predicate for the default scenario, byte for byte.
 [[nodiscard]] bool supports_scenario_exact(const EvalRequest& request) {
-  const std::uint32_t n = request_n(request);
+  const std::uint32_t n = request.n;
   if (n < 1 || n > kScenarioExactMaxN) return false;
   switch (request.scenario.kind()) {
     case Scenario::Kind::kHomogeneous:
@@ -84,27 +75,21 @@ constexpr std::uint32_t kScenarioExactMaxN = 14;
     case Scenario::Kind::kHeterogeneous:
       return request.scenario.ranges().size() == n;
     case Scenario::Kind::kDeviating:
-      // The deviating game is defined for the symmetric protocol only.
-      return request.is_symmetric() && request.scenario.deviators() < n;
+      return request.scenario.deviators() < n;
   }
   return false;
 }
 
 /// The exact per-player thresholds of point k under a heterogeneous
-/// scenario: a symmetric grid beta is RELATIVE (a_i = beta * c_i, so the
-/// [0,1] grid stays meaningful for any ranges), a general point is the
-/// absolute per-player threshold vector.
+/// scenario: the grid beta is RELATIVE (a_i = beta * c_i), so the [0,1] grid
+/// stays meaningful for any ranges.
 [[nodiscard]] std::vector<util::Rational> heterogeneous_point(const EvalRequest& request,
                                                               std::size_t k) {
   const std::vector<util::Rational>& ranges = request.scenario.ranges();
+  const util::Rational beta = exact_point(request, k);
   std::vector<util::Rational> thresholds;
   thresholds.reserve(ranges.size());
-  if (request.is_symmetric()) {
-    const util::Rational beta = exact_point(request, k);
-    for (const util::Rational& range : ranges) thresholds.push_back(beta * range);
-  } else {
-    for (const double a : request.points[k]) thresholds.push_back(util::exact_rational(a));
-  }
+  for (const util::Rational& range : ranges) thresholds.push_back(beta * range);
   return thresholds;
 }
 
@@ -120,7 +105,7 @@ constexpr std::uint32_t kScenarioExactMaxN = 14;
                                                              request.t);
   }
   return core::worst_case_deviating_winning_probability(
-      request_n(request), request.scenario.deviators(), exact_point(request, k), request.t);
+      request.n, request.scenario.deviators(), exact_point(request, k), request.t);
 }
 
 /// Exact-tier certificate for an exactly computed value.
@@ -143,7 +128,7 @@ class ExactEvaluator final : public Evaluator {
            "generalized scenarios up to n = 14)";
   }
   bool supports(const EvalRequest& request) const override {
-    if (request.scenario.is_default()) return request.is_symmetric() && request.n >= 1;
+    if (request.scenario.is_default()) return request.n >= 1;
     return supports_scenario_exact(request);
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
@@ -178,38 +163,30 @@ class ExactEvaluator final : public Evaluator {
   }
 };
 
-/// batch — the block-amortized parallel batch kernel: one Gray-code subset
-/// walk per run of same-size points within a block, fanned across the thread
-/// pool, bitwise equal to the serial core::threshold_winning_probability
-/// point for point. Auto's engine for general per-player points.
+/// batch — the general Theorem 5.1 Gray-code double kernel, O(3^n) per
+/// point, fanned across the thread pool in blocks of
+/// core::kThresholdBatchBlock points. Only a forced --engine=batch reaches it.
 class BatchEvaluator final : public Evaluator {
  public:
   std::string_view id() const noexcept override { return "batch"; }
   Determinism determinism() const noexcept override { return Determinism::kDeterministic; }
   std::string_view describe() const noexcept override {
-    return "block-amortized parallel Gray-code batch kernel (n <= 20, homogeneous only)";
+    return "parallel O(3^n) Gray-code double kernel (n <= 20, homogeneous only)";
   }
   bool supports(const EvalRequest& request) const override {
-    if (!request.scenario.is_default()) return false;
-    const std::uint32_t n = request_n(request);
-    return n >= 1 && n <= kKernelMaxN;
+    return request.scenario.is_default() && request.n >= 1 && request.n <= kKernelMaxN;
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
     EvalOutcome outcome;
     outcome.engine_id = "batch";
-    const double t_d = request.t.to_double();
-    if (request.is_symmetric()) {
-      // Point construction mirrors the pre-engine sweep loop exactly
-      // (points[k].assign(n, beta)) — pinned byte-identical by golden tests.
-      std::vector<std::vector<double>> points(request.betas.size());
-      for (std::size_t k = 0; k < request.betas.size(); ++k) {
-        points[k].assign(request.n, request.betas[k]);
-      }
-      outcome.values = core::threshold_winning_probability_batch(points, t_d, request.control);
-    } else {
-      outcome.values = core::threshold_winning_probability_batch(request.points, t_d,
-                                                                 request.control);
+    // Point construction mirrors the pre-engine sweep loop exactly
+    // (points[k].assign(n, beta)) — pinned byte-identical by golden tests.
+    std::vector<std::vector<double>> points(request.betas.size());
+    for (std::size_t k = 0; k < request.betas.size(); ++k) {
+      points[k].assign(request.n, request.betas[k]);
     }
+    outcome.values = core::threshold_winning_probability_batch(points, request.t.to_double(),
+                                                               request.control);
     return outcome;
   }
 };
@@ -227,7 +204,7 @@ class CompiledEvaluator final : public Evaluator {
   bool supports(const EvalRequest& request) const override {
     // Plans are lowered from the homogeneous Theorem 5.1 piecewise
     // polynomial; no compiled artifact exists for a generalized game.
-    return request.scenario.is_default() && request.is_symmetric() && request.n >= 1;
+    return request.scenario.is_default() && request.n >= 1;
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
     if (!supports(request)) throw Error("engine 'compiled' evaluates homogeneous symmetric grids only");
@@ -254,7 +231,7 @@ class CertifiedEvaluator final : public Evaluator {
     return "certified escalation ladder (rigorous enclosures per point)";
   }
   bool supports(const EvalRequest& request) const override {
-    if (request.scenario.is_default()) return request.is_symmetric() && request.n >= 1;
+    if (request.scenario.is_default()) return request.n >= 1;
     return supports_scenario_exact(request);
   }
   EvalOutcome evaluate(const EvalRequest& request) const override {
@@ -350,7 +327,7 @@ class MonteCarloEvaluator final : public Evaluator {
     return "seeded Monte Carlo estimation (reproducible per seed; all scenarios)";
   }
   bool supports(const EvalRequest& request) const override {
-    const std::uint32_t n = request_n(request);
+    const std::uint32_t n = request.n;
     if (n < 1) return false;
     switch (request.scenario.kind()) {
       case Scenario::Kind::kHomogeneous:
@@ -358,7 +335,7 @@ class MonteCarloEvaluator final : public Evaluator {
       case Scenario::Kind::kHeterogeneous:
         return request.scenario.ranges().size() == n;
       case Scenario::Kind::kDeviating:
-        return request.is_symmetric() && request.scenario.deviators() < n;
+        return request.scenario.deviators() < n;
     }
     return false;
   }
@@ -381,16 +358,8 @@ class MonteCarloEvaluator final : public Evaluator {
       prob::Rng rng{request.seed + point_id};
       switch (request.scenario.kind()) {
         case Scenario::Kind::kHomogeneous: {
-          std::vector<util::Rational> thresholds;
-          if (request.is_symmetric()) {
-            thresholds.assign(request.n, util::exact_rational(request.betas[k]));
-          } else {
-            thresholds.reserve(request.points[k].size());
-            for (const double a : request.points[k]) {
-              thresholds.push_back(util::exact_rational(a));
-            }
-          }
-          const core::SingleThresholdProtocol protocol{std::move(thresholds)};
+          const core::SingleThresholdProtocol protocol{
+              std::vector<util::Rational>(request.n, util::exact_rational(request.betas[k]))};
           outcome.values[k] =
               sim::estimate_winning_probability(protocol, t_d, request.trials, rng,
                                                 util::parallelism(), request.control)
@@ -398,11 +367,10 @@ class MonteCarloEvaluator final : public Evaluator {
           break;
         }
         case Scenario::Kind::kHeterogeneous: {
-          // Absolute thresholds: β·c_i, or the point's own a_i (may exceed 1).
+          // Absolute thresholds β·c_i.
           std::vector<double> thresholds(ranges.size());
           for (std::size_t i = 0; i < ranges.size(); ++i) {
-            thresholds[i] = request.is_symmetric() ? request.betas[k] * ranges[i]
-                                                   : request.points[k][i];
+            thresholds[i] = request.betas[k] * ranges[i];
           }
           const std::uint64_t wins = core::count_threshold_wins(
               ranges, thresholds, t_d, request.trials, rng, request.control);
@@ -411,7 +379,7 @@ class MonteCarloEvaluator final : public Evaluator {
         }
         case Scenario::Kind::kDeviating:
           outcome.values[k] = core::estimate_worst_case_deviating(
-                                  request_n(request), request.scenario.deviators(),
+                                  request.n, request.scenario.deviators(),
                                   request.betas[k], t_d, request.trials, rng, request.control)
                                   .estimate;
           break;

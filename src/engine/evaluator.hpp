@@ -1,18 +1,18 @@
 // evaluator.hpp — the unified evaluation-engine interface of ddm::engine.
 //
-// Several backends can evaluate the Theorem 5.1 winning probability of a
-// threshold protocol: exact rational arithmetic, the block-amortized O(3^n)
-// Gray-code double kernel, compiled Horner plans lowered from the exact
-// piecewise polynomial, the certified escalation ladder, and Monte Carlo
-// simulation. Before this layer existed, the policy choosing among them
-// lived as ad-hoc branching inside ddm_cli. ddm::engine puts all of them
-// behind ONE seam: a request describes *what* to evaluate (a symmetric
-// β-grid or general threshold vectors, plus capacity t and a tolerance), an
-// Evaluator adapter describes *how*, and the process-wide registry
-// (engine/registry.hpp) owns the which — including the auto policy
+// Several backends can evaluate the Theorem 5.1 winning probability of the
+// anonymous threshold game: exact rational arithmetic, the O(3^n) Gray-code
+// double kernel, compiled Horner plans lowered from the exact piecewise
+// polynomial, the certified escalation ladder, and Monte Carlo simulation.
+// Before this layer existed, the policy choosing among them lived as ad-hoc
+// branching inside ddm_cli. ddm::engine puts all of them behind ONE seam: a
+// request describes *what* to evaluate (a symmetric β-grid — every player
+// uses each β, as in Theorem 5.2 and Section 5.2 — plus capacity t and a
+// tolerance), an Evaluator adapter describes *how*, and the process-wide
+// registry (engine/registry.hpp) owns the which — including the auto policy
 // (engine/policy.hpp) and the LRU plan cache (engine/plan_cache.hpp). New
-// backends register once and every caller (CLI subcommands, the threshold
-// optimizer, examples) picks them up for free.
+// backends register once and every caller (CLI subcommands, ddm_serve,
+// examples) picks them up for free.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +47,17 @@ enum class Determinism {
 
 [[nodiscard]] const char* to_string(Determinism determinism) noexcept;
 
-/// One batch of evaluation work. Either a symmetric β-grid (`betas`, all n
-/// players sharing each threshold) or general per-player threshold vectors
-/// (`points`); `points` non-empty means general. The symmetric form may also
-/// carry the exact rational image of the grid (`exact_betas`) for engines
-/// that evaluate in exact arithmetic on the caller's *intended* points (a
-/// `ddm_cli threshold` beta such as 311/500); without it they evaluate the
-/// double values exactly via util::exact_rational.
+/// One batch of evaluation work: a symmetric β-grid (`betas`), all n players
+/// sharing each threshold. It may also carry the exact rational image of the
+/// grid (`exact_betas`) for engines that evaluate in exact arithmetic on the
+/// caller's *intended* points (a `ddm_cli threshold` beta such as 311/500);
+/// without it they evaluate the double values exactly via
+/// util::exact_rational.
 struct EvalRequest {
-  std::uint32_t n = 0;                      ///< players (symmetric form)
+  std::uint32_t n = 0;                      ///< players
   util::Rational t;                         ///< bin capacity
   std::vector<double> betas;                ///< symmetric grid, double image
   std::vector<util::Rational> exact_betas;  ///< optional exact grid, parallel to betas
-  std::vector<std::vector<double>> points;  ///< general per-player vectors
   /// Target enclosure width for certified evaluation.
   util::Rational tolerance{1, 1000000000};
   /// Trial count / base seed for randomized engines. Point k of a request
@@ -68,7 +66,7 @@ struct EvalRequest {
   /// evaluation order.
   std::uint64_t trials = 200000;
   std::uint64_t seed = 42;
-  /// Optional stable per-point identities, parallel to betas/points. Callers
+  /// Optional stable per-point identities, parallel to betas. Callers
   /// that split one logical grid across several requests (checkpoint blocks,
   /// sweep shards) pass the GLOBAL grid indices here so randomized engines
   /// key their streams on the point's identity, not its position within the
@@ -83,9 +81,7 @@ struct EvalRequest {
   util::RunControl control;
   /// The game this request is posed over (engine/scenario.hpp). Defaults to
   /// the paper's homogeneous U[0,1] game; engines that cannot serve a
-  /// generalized game decline it via supports(). The scenario's canonical
-  /// digest joins every derived cache key, so artifacts computed for one
-  /// game are never replayed for another.
+  /// generalized game decline it via supports().
   Scenario scenario;
 
   [[nodiscard]] static EvalRequest symmetric(std::uint32_t n, util::Rational t,
@@ -97,30 +93,7 @@ struct EvalRequest {
     return request;
   }
 
-  /// General per-player threshold vectors. Every point must have the same
-  /// length (that length becomes `n`); a ragged batch throws ddm::Error
-  /// naming the first offending point index rather than silently taking
-  /// points.front().size() as n and mis-evaluating the rest.
-  [[nodiscard]] static EvalRequest general(std::vector<std::vector<double>> points,
-                                           util::Rational t) {
-    EvalRequest request;
-    request.n = points.empty() ? 0 : static_cast<std::uint32_t>(points.front().size());
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      if (points[k].size() != points.front().size()) {
-        throw Error("EvalRequest::general: point " + std::to_string(k) + " has " +
-                    std::to_string(points[k].size()) + " thresholds, expected " +
-                    std::to_string(points.front().size()) + " (ragged batch)");
-      }
-    }
-    request.t = std::move(t);
-    request.points = std::move(points);
-    return request;
-  }
-
-  [[nodiscard]] bool is_symmetric() const noexcept { return points.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return is_symmetric() ? betas.size() : points.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return betas.size(); }
 };
 
 /// The answer to an EvalRequest. `values[k]` corresponds to point k of the
@@ -143,8 +116,8 @@ struct EvalOutcome {
   /// True when the answer was produced by a weaker engine than the request
   /// asked for (deadline pressure or a failing preferred engine made
   /// engine::evaluate_resilient walk its fallback chain). `degradation_note`
-  /// then records the chain walked, e.g. "compiled: lowering failed ->
-  /// batch". Plain Evaluator::evaluate never sets these.
+  /// then records the chain walked, e.g. "compiled: evaluation failed ->
+  /// certified". Plain Evaluator::evaluate never sets these.
   bool degraded = false;
   std::string degradation_note;
 

@@ -34,20 +34,8 @@ struct CacheMetrics {
 // key is spelled num/den explicitly so the canonicalization is this
 // function's contract, not an accident of a remote invariant, and
 // tests/test_engine.cpp pins it with non-canonical inputs.
-//
-// A non-default scenario digest joins the key as a third segment, so a plan
-// lowered for one game can never satisfy a lookup for another. The
-// homogeneous digest (and the legacy empty digest) keeps the two-segment
-// form, so every pre-scenario key — including persisted plan-store entries —
-// stays byte-identical.
-std::string cache_key(std::uint32_t n, const util::Rational& t,
-                      std::string_view scenario_digest) {
-  std::string key = std::to_string(n) + "|" + t.num().to_string() + "/" + t.den().to_string();
-  if (!scenario_digest.empty() && scenario_digest != "homogeneous") {
-    key += '|';
-    key += scenario_digest;
-  }
-  return key;
+std::string cache_key(std::uint32_t n, const util::Rational& t) {
+  return std::to_string(n) + "|" + t.num().to_string() + "/" + t.den().to_string();
 }
 
 }  // namespace
@@ -59,21 +47,21 @@ PlanCache& PlanCache::instance() {
   return *cache;
 }
 
-std::shared_ptr<const poly::CompiledPiecewise> PlanCache::get_or_lower(
-    std::uint32_t n, const util::Rational& t, std::string_view scenario_digest) {
-  return acquire(n, t, scenario_digest, true);
+std::shared_ptr<const poly::CompiledPiecewise> PlanCache::get_or_lower(std::uint32_t n,
+                                                                      const util::Rational& t) {
+  return acquire(n, t, true);
 }
 
 std::shared_ptr<const poly::CompiledPiecewise> PlanCache::find_resident(
-    std::uint32_t n, const util::Rational& t, std::string_view scenario_digest) {
-  return acquire(n, t, scenario_digest, false);
+    std::uint32_t n, const util::Rational& t) {
+  return acquire(n, t, false);
 }
 
-std::shared_ptr<const poly::CompiledPiecewise> PlanCache::acquire(
-    std::uint32_t n, const util::Rational& t, std::string_view scenario_digest, bool lower) {
-  const bool default_scenario = scenario_digest.empty() || scenario_digest == "homogeneous";
+std::shared_ptr<const poly::CompiledPiecewise> PlanCache::acquire(std::uint32_t n,
+                                                                 const util::Rational& t,
+                                                                 bool lower) {
   const CacheMetrics& metrics = CacheMetrics::get();
-  const std::string key = cache_key(n, t, scenario_digest);
+  const std::string key = cache_key(n, t);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto found = index_.find(key);
@@ -91,11 +79,8 @@ std::shared_ptr<const poly::CompiledPiecewise> PlanCache::acquire(
   // lowering path entirely (warm start); version skew and validation
   // failures are counted and fall through to lowering — the store can only
   // ever cost latency, never correctness.
-  // The persistent store holds homogeneous Theorem 5.1 plans only; a
-  // generalized-scenario key never consults it, so the on-disk format needs
-  // no scenario column until a generalized lowering actually exists.
   std::shared_ptr<const poly::CompiledPiecewise> plan;
-  const auto store = default_scenario ? poly::PlanStore::configured() : nullptr;
+  const auto store = poly::PlanStore::configured();
   if (store != nullptr) {
     try {
       plan = store->load(n, t);

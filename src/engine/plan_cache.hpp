@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "poly/compiled.hpp"
@@ -82,15 +81,12 @@ class PlanCache {
   /// the auto selection policy).
   [[nodiscard]] static PlanCache& instance();
 
-  /// Returns the cached plan for (n, t) under `scenario_digest`
-  /// (engine/scenario.hpp), lowering and inserting on miss. The digest joins
-  /// the cache key, so plans for different games never collide; the
-  /// homogeneous digest (or the legacy empty string) maps to the original
-  /// two-segment key, keeping every pre-scenario key and plan-store path
-  /// byte-identical. Exceptions from the lowering (invalid instance,
-  /// injected fault) propagate and leave the cache untouched.
+  /// Returns the cached plan for (n, t), lowering and inserting on miss.
+  /// Every plan is lowered from the homogeneous Theorem 5.1 analysis, the
+  /// one game a compiled plan serves. Exceptions from the lowering (invalid
+  /// instance, injected fault) propagate and leave the cache untouched.
   [[nodiscard]] std::shared_ptr<const poly::CompiledPiecewise> get_or_lower(
-      std::uint32_t n, const util::Rational& t, std::string_view scenario_digest = {});
+      std::uint32_t n, const util::Rational& t);
 
   /// The plan for (n, t) if it is resident — cached, or loadable from the
   /// configured plan store (a store load is inserted and counted exactly as
@@ -98,7 +94,7 @@ class PlanCache {
   /// a lookup; the auto policy admits compiled plans only through it. A
   /// nullptr answer counts no miss.
   [[nodiscard]] std::shared_ptr<const poly::CompiledPiecewise> find_resident(
-      std::uint32_t n, const util::Rational& t, std::string_view scenario_digest = {});
+      std::uint32_t n, const util::Rational& t);
 
   /// Entries currently held.
   [[nodiscard]] std::size_t size() const;
@@ -123,9 +119,7 @@ class PlanCache {
 
   /// Shared lookup path: cache, then store, then (when `lower`) lowering.
   std::shared_ptr<const poly::CompiledPiecewise> acquire(std::uint32_t n,
-                                                         const util::Rational& t,
-                                                         std::string_view scenario_digest,
-                                                         bool lower);
+                                                         const util::Rational& t, bool lower);
   void evict_excess_locked();
 
   mutable std::mutex mutex_;

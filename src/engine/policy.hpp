@@ -8,19 +8,17 @@
 //
 // The auto rule for the homogeneous game has one tolerance in it — the
 // request's own (EvalRequest::tolerance, 1e-9 by default):
-//   * symmetric grids → the compiled plan when one is already RESIDENT
-//     (plan cache or plan store) and its exact certificate is <= the request
-//     tolerance; auto never lowers a plan — lowering costs
-//     O(#breakpoints · n³) exact algebra, more than the ladder spends on
-//     thousands of points;
-//   * every other symmetric grid with n <= kCertifiedAutoMaxN → the
-//     certified ladder, whose answers carry a proven bound — past
-//     kExactRungAutoMaxN only when the tolerance is at or above tier 0's
-//     worst-case bound at (n, t), so that no point can escalate;
-//   * any other symmetric grid with no admissible resident plan → select
-//     throws a ddm::Error naming the cap it passed and the engines that
-//     serve such requests (`exact`, `certified`);
-//   * general (per-player) points → the batch kernel.
+//   * a grid → the compiled plan when one is already RESIDENT (plan cache or
+//     plan store) and its exact certificate is <= the request tolerance;
+//     auto never lowers a plan — lowering costs O(#breakpoints · n³) exact
+//     algebra, more than the ladder spends on thousands of points;
+//   * every other grid with n <= kCertifiedAutoMaxN → the certified ladder,
+//     whose answers carry a proven bound — past kExactRungAutoMaxN only when
+//     the tolerance is at or above tier 0's worst-case bound at (n, t), so
+//     that no point can escalate;
+//   * any other grid with no admissible resident plan → select throws a
+//     ddm::Error naming the cap it passed and the engines that serve such
+//     requests (`exact`, `certified`).
 // A resident plan whose certificate misses the tolerance is a *visible*
 // fallback: the Selection carries a note the caller surfaces (the CLI prints
 // it to stderr and stamps the engine into sweep JSON). Plans become resident

@@ -35,7 +35,7 @@ const Evaluator& select_symmetric(const EvalRequest& request, Registry& registry
                                   Selection& selection) {
   const double tolerance = request.tolerance.to_double();
   const auto plan =
-      PlanCache::instance().find_resident(request.n, request.t, request.scenario.digest());
+      PlanCache::instance().find_resident(request.n, request.t);
   if (plan != nullptr) {
     selection.compiled_bound = plan->max_error_bound();
     if (selection.compiled_bound <= tolerance) return registry.require("compiled");
@@ -169,10 +169,8 @@ Selection select(const EnginePolicy& policy, const EvalRequest& request) {
   selection.auto_mode = true;
   if (!request.scenario.is_default()) {
     selection.evaluator = &select_scenario(request, registry, selection);
-  } else if (request.is_symmetric() && request.n >= 1) {
-    selection.evaluator = &select_symmetric(request, registry, selection);
   } else {
-    selection.evaluator = &registry.require("batch");
+    selection.evaluator = &select_symmetric(request, registry, selection);
   }
   metrics.selects.add();
   if (selection.fallback) metrics.fallbacks.add();
@@ -180,15 +178,6 @@ Selection select(const EnginePolicy& policy, const EvalRequest& request) {
                              {"chosen", selection.evaluator->id().data()},
                              {"fallback", selection.fallback ? std::int64_t{1} : std::int64_t{0}}});
   return selection;
-}
-
-core::BatchObjective batch_objective(std::string_view engine_id) {
-  // Resolve eagerly so a bad id fails at wiring time, not mid-search.
-  const Evaluator& evaluator = Registry::instance().require(engine_id);
-  return [&evaluator](const std::vector<std::vector<double>>& points, double t) {
-    EvalRequest request = EvalRequest::general(points, util::exact_rational(t));
-    return evaluator.evaluate(request).values;
-  };
 }
 
 }  // namespace ddm::engine

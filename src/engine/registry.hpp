@@ -6,18 +6,18 @@
 //   id          determinism     backend
 //   ---------   -------------   ----------------------------------------------
 //   exact       deterministic   exact Rational Theorem 5.1 (O(n²) symmetric)
-//   batch       deterministic   block-amortized parallel Gray-code kernel,
-//                               O(3^n)/point (bitwise equal to the serial
-//                               core::threshold_winning_probability)
+//   batch       deterministic   the serial Gray-code kernel
+//                               core::threshold_winning_probability,
+//                               O(3^n)/point, fanned across the pool
 //   compiled    deterministic   certified Horner plan via the LRU plan cache
 //   certified   certified       escalation ladder (rigorous enclosures)
 //   mc          randomized      seeded Monte Carlo estimation
 //
 // `select` resolves an EnginePolicy against a request: a concrete id is
 // looked up directly, "auto" applies the one rule of engine/policy.hpp —
-// symmetric grids go to a resident compiled plan whose certificate is <= the
+// a grid goes to a resident compiled plan whose certificate is <= the
 // REQUEST tolerance, or else the certified ladder (auto never lowers a
-// plan); general points go to the batch kernel. The selection is returned —
+// plan). The selection is returned —
 // never applied silently: when auto declines a resident plan, the Selection
 // carries a human-readable note so callers can surface the fallback (the CLI
 // prints it to stderr and stamps the winning engine into sweep JSON).
@@ -33,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/threshold_optimizer.hpp"
 #include "engine/evaluator.hpp"
 #include "engine/policy.hpp"
 
@@ -94,11 +93,5 @@ struct Selection {
 /// the message names the cap and the engines that serve it (`exact`,
 /// `certified`) — and for a generalized scenario no engine supports.
 [[nodiscard]] Selection select(const EnginePolicy& policy, const EvalRequest& request);
-
-/// Adapts a registered engine into the threshold optimizer's batch-objective
-/// seam (core::BatchObjective): probe batches evaluate through the engine
-/// instead of a hard-wired kernel call. With the default "batch" id the
-/// iterate sequence is bitwise identical to the built-in objective.
-[[nodiscard]] core::BatchObjective batch_objective(std::string_view engine_id = "batch");
 
 }  // namespace ddm::engine

@@ -16,13 +16,13 @@
 //
 // The canonical digest is a short, whitespace-free text form of the scenario
 // (ranges in lowest terms, comma-separated) that doubles as the wire/CLI
-// descriptor syntax: it keys the plan cache, the cost-model table rows, and
-// the sweep checkpoint header, so no cached
-// artifact computed for one game can ever be replayed for another.
-// Evaluators advertise scenario support through Evaluator::supports(); the
-// engines that cannot serve a generalized game (kernel, batch, compiled)
-// decline honestly, keeping select() and the evaluate_resilient fallback
-// chains correct without special cases.
+// descriptor syntax: it keys ddm_serve's coalescing and the sweep checkpoint
+// header, so no answer computed for one game can ever be replayed for
+// another. Evaluators advertise scenario support through
+// Evaluator::supports(); the engines that cannot serve a generalized game
+// (batch, compiled) decline honestly, keeping select() and the
+// evaluate_resilient fallback chains correct without special cases — so the
+// plan cache, which only compiled reaches, holds homogeneous plans only.
 #pragma once
 
 #include <cstdint>

@@ -13,9 +13,12 @@
 // term covers the vector evaluation order verbatim (docs/performance.md §4).
 // The n % W trailing points run the pinned scalar tail loop.
 //
-// Anonymous namespace for the same reason as core/batch_walk.hpp: each
-// differently-flagged translation unit must keep its own internal-linkage
-// instantiations, or the linker could leak AVX code into the scalar path.
+// The template sits in an anonymous namespace ON PURPOSE: each
+// differently-flagged translation unit (baseline, -mavx2, -mavx512f) must
+// keep its own internal-linkage instantiations. With external linkage the
+// linker could merge e.g. the Pack<2> instantiation across TUs and keep the
+// AVX-compiled copy, executing AVX instructions on the scalar dispatch path
+// and crashing pre-AVX hosts.
 #pragma once
 
 #include <cstddef>

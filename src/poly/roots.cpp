@@ -154,6 +154,17 @@ std::vector<RootInterval> isolate_roots(const QPoly& p, const Rational& lo, cons
   return isolate_roots(clear_denominators(p), lo, hi);
 }
 
+Rational cauchy_root_bound(const QPoly& p) {
+  if (p.is_zero()) throw std::invalid_argument("cauchy_root_bound: zero polynomial");
+  const Rational lead = p.leading_coefficient().abs();
+  Rational max_ratio{0};
+  for (int i = 0; i < p.degree(); ++i) {
+    const Rational ratio = p.coefficient(static_cast<std::size_t>(i)).abs() / lead;
+    if (ratio > max_ratio) max_ratio = ratio;
+  }
+  return Rational{1} + max_ratio;
+}
+
 std::vector<RootInterval> isolate_all_roots(const QPoly& p) {
   if (p.is_zero()) throw std::invalid_argument("isolate_all_roots: zero polynomial");
   if (p.degree() == 0) return {};

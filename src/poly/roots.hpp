@@ -9,15 +9,13 @@
 // Isolation is Descartes' rule of signs on integer Bernstein coefficients
 // with de Casteljau halving (poly/bernstein.hpp); refinement is sign
 // bisection evaluated in integers. Both compute a square-free part — a gcd
-// over Q — only when a multiple root forces it. SturmSequence
-// (poly/sturm.hpp) is kept as the independent oracle the tests count
-// against.
+// over Q — only when a multiple root forces it. The tests count roots
+// against an independent Sturm-sequence oracle (tests/sturm.hpp).
 #pragma once
 
 #include <vector>
 
 #include "poly/polynomial.hpp"
-#include "poly/sturm.hpp"
 #include "util/rational.hpp"
 
 namespace ddm::poly {
@@ -46,6 +44,10 @@ struct RootInterval {
 /// The same for an integer polynomial (no denominators to clear).
 [[nodiscard]] std::vector<RootInterval> isolate_roots(const ZPoly& p, const util::Rational& lo,
                                                       const util::Rational& hi);
+
+/// Cauchy root bound: all real roots of p lie in [-B, B] with
+/// B = 1 + max_i |a_i| / |a_n|. Throws std::invalid_argument on zero input.
+[[nodiscard]] util::Rational cauchy_root_bound(const QPoly& p);
 
 /// Isolate all distinct real roots of p (bounds from cauchy_root_bound).
 [[nodiscard]] std::vector<RootInterval> isolate_all_roots(const QPoly& p);

@@ -34,7 +34,7 @@ bool cpu_supports_avx512() noexcept {
 std::atomic<int> g_resolved{0};
 
 // Test/benchmark override (ScopedForceWidth); 0 = no override. Global, not
-// thread-local: the batch kernels run on pool threads that must observe the
+// thread-local: compiled eval_grid runs on pool threads that must observe the
 // benchmark thread's override.
 std::atomic<int> g_forced{0};
 

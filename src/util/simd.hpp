@@ -5,17 +5,14 @@
 // Design (docs/performance.md §4):
 //
 //   * `Pack<W>` is a W-wide vector of doubles (W = 1, 2, 4, 8) exposing the
-//     handful of IEEE-754 operations the kernels need: load/store,
-//     broadcast, +, -, *, unary -, abs, a positive clamp, and a per-lane
-//     select keyed on |a| >= |b| (the Neumaier compensation branch). Every
-//     operation is an element-wise double op with round-to-nearest
+//     IEEE-754 operations vector Horner needs: load/store, broadcast, + and
+//     *. Every operation is an element-wise double op with round-to-nearest
 //     semantics, so lane l of any Pack expression is BITWISE IDENTICAL to
 //     the same scalar expression on lane l's inputs. That identity — not a
-//     tolerance — is what lets the vectorized subset walk and vector Horner
-//     keep the repo's bitwise-reproducibility contract; the packs therefore
-//     never use fused multiply-add (and the AVX2/AVX-512 translation units
-//     are compiled with -ffp-contract=off so the compiler cannot fuse
-//     behind our back).
+//     tolerance — is what lets compiled eval_grid keep the repo's
+//     bitwise-reproducibility contract; the packs therefore never use fused
+//     multiply-add (and the AVX2/AVX-512 translation units are compiled
+//     with -ffp-contract=off so the compiler cannot fuse behind our back).
 //
 //   * Width availability is decided at COMPILE TIME per translation unit:
 //     Pack<2> maps to SSE2 (x86-64 baseline) or NEON (AArch64 baseline),
@@ -40,7 +37,6 @@
 //     (docs/observability.md).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -91,7 +87,7 @@ enum class SimdMode { kOff, kScalar, kNative, kAvx2, kNeon };
 
 /// Test/benchmark hook: forces dispatch_width() to `width` (clamped to
 /// native_width()) for the lifetime of the object, bypassing DDM_SIMD.
-/// Process-global (the batch kernels run on pool threads), so scopes must
+/// Process-global (compiled eval_grid runs on pool threads), so scopes must
 /// not be nested concurrently with different widths.
 class ScopedForceWidth {
  public:
@@ -119,18 +115,13 @@ void reset_dispatch_cache_for_testing() noexcept;
 //   static Pack load(const double* p);       // unaligned
 //   static Pack broadcast(double x);
 //   void store(double* p) const;             // unaligned
-//   friend Pack operator+/-/* (Pack, Pack);  // IEEE, round-to-nearest
-//   Pack operator-() const;                  // sign flip (exact)
-//   static Pack abs(Pack);
-//   static Pack clamp_positive(Pack);        // x > 0 ? x : +0.0 (never -0.0)
-//   static Pack select_abs_ge(a, b, x, y);   // |a| >= |b| ? x : y per lane
+//   friend Pack operator+/* (Pack, Pack);    // IEEE, round-to-nearest
 
 template <std::size_t W>
 struct Pack;
 
-/// Scalar "pack": the W = 1 fallback. Using it in the generic kernels
-/// reproduces the plain scalar loops exactly (it IS the pinned scalar tail
-/// path the wider kernels use for count % W trailing points).
+/// Scalar "pack": the W = 1 fallback. Using it in the generic kernel
+/// reproduces the plain scalar loop exactly.
 template <>
 struct Pack<1> {
   static constexpr std::size_t width = 1;
@@ -140,17 +131,7 @@ struct Pack<1> {
   static Pack broadcast(double x) noexcept { return {x}; }
   void store(double* p) const noexcept { *p = v; }
   friend Pack operator+(Pack a, Pack b) noexcept { return {a.v + b.v}; }
-  friend Pack operator-(Pack a, Pack b) noexcept { return {a.v - b.v}; }
   friend Pack operator*(Pack a, Pack b) noexcept { return {a.v * b.v}; }
-  Pack operator-() const noexcept { return {-v}; }
-  static Pack abs(Pack a) noexcept { return {std::abs(a.v)}; }
-  // The clamp must produce the literal +0.0 (never -0.0): the batch walk's
-  // power phase relies on infeasible points contributing an exact ±0.0 that
-  // leaves a Neumaier accumulator bitwise unchanged (docs/performance.md).
-  static Pack clamp_positive(Pack a) noexcept { return {a.v > 0.0 ? a.v : 0.0}; }
-  static Pack select_abs_ge(Pack a, Pack b, Pack x, Pack y) noexcept {
-    return {std::abs(a.v) >= std::abs(b.v) ? x.v : y.v};
-  }
 };
 
 #if defined(DDM_SIMD_HAS_SSE2)
@@ -164,21 +145,7 @@ struct Pack<2> {
   static Pack broadcast(double x) noexcept { return {_mm_set1_pd(x)}; }
   void store(double* p) const noexcept { _mm_storeu_pd(p, v); }
   friend Pack operator+(Pack a, Pack b) noexcept { return {_mm_add_pd(a.v, b.v)}; }
-  friend Pack operator-(Pack a, Pack b) noexcept { return {_mm_sub_pd(a.v, b.v)}; }
   friend Pack operator*(Pack a, Pack b) noexcept { return {_mm_mul_pd(a.v, b.v)}; }
-  Pack operator-() const noexcept { return {_mm_xor_pd(v, _mm_set1_pd(-0.0))}; }
-  static Pack abs(Pack a) noexcept {
-    return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
-  }
-  static Pack clamp_positive(Pack a) noexcept {
-    // AND with the x > 0 mask: kept lanes pass through unchanged, dropped
-    // lanes become all-zero bits — the literal +0.0 the contract needs.
-    return {_mm_and_pd(a.v, _mm_cmpgt_pd(a.v, _mm_setzero_pd()))};
-  }
-  static Pack select_abs_ge(Pack a, Pack b, Pack x, Pack y) noexcept {
-    const __m128d mask = _mm_cmpge_pd(abs(a).v, abs(b).v);
-    return {_mm_or_pd(_mm_and_pd(mask, x.v), _mm_andnot_pd(mask, y.v))};
-  }
 };
 #endif  // DDM_SIMD_HAS_SSE2
 
@@ -193,18 +160,7 @@ struct Pack<2> {
   static Pack broadcast(double x) noexcept { return {vdupq_n_f64(x)}; }
   void store(double* p) const noexcept { vst1q_f64(p, v); }
   friend Pack operator+(Pack a, Pack b) noexcept { return {vaddq_f64(a.v, b.v)}; }
-  friend Pack operator-(Pack a, Pack b) noexcept { return {vsubq_f64(a.v, b.v)}; }
   friend Pack operator*(Pack a, Pack b) noexcept { return {vmulq_f64(a.v, b.v)}; }
-  Pack operator-() const noexcept { return {vnegq_f64(v)}; }
-  static Pack abs(Pack a) noexcept { return {vabsq_f64(a.v)}; }
-  static Pack clamp_positive(Pack a) noexcept {
-    const uint64x2_t mask = vcgtq_f64(a.v, vdupq_n_f64(0.0));
-    return {vreinterpretq_f64_u64(
-        vandq_u64(vreinterpretq_u64_f64(a.v), mask))};
-  }
-  static Pack select_abs_ge(Pack a, Pack b, Pack x, Pack y) noexcept {
-    return {vbslq_f64(vcgeq_f64(abs(a).v, abs(b).v), x.v, y.v)};
-  }
 };
 #endif  // DDM_SIMD_HAS_NEON
 
@@ -220,19 +176,7 @@ struct Pack<4> {
   static Pack broadcast(double x) noexcept { return {_mm256_set1_pd(x)}; }
   void store(double* p) const noexcept { _mm256_storeu_pd(p, v); }
   friend Pack operator+(Pack a, Pack b) noexcept { return {_mm256_add_pd(a.v, b.v)}; }
-  friend Pack operator-(Pack a, Pack b) noexcept { return {_mm256_sub_pd(a.v, b.v)}; }
   friend Pack operator*(Pack a, Pack b) noexcept { return {_mm256_mul_pd(a.v, b.v)}; }
-  Pack operator-() const noexcept { return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))}; }
-  static Pack abs(Pack a) noexcept {
-    return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
-  }
-  static Pack clamp_positive(Pack a) noexcept {
-    return {_mm256_and_pd(a.v, _mm256_cmp_pd(a.v, _mm256_setzero_pd(), _CMP_GT_OQ))};
-  }
-  static Pack select_abs_ge(Pack a, Pack b, Pack x, Pack y) noexcept {
-    const __m256d mask = _mm256_cmp_pd(abs(a).v, abs(b).v, _CMP_GE_OQ);
-    return {_mm256_blendv_pd(y.v, x.v, mask)};
-  }
 };
 #endif  // DDM_SIMD_HAS_AVX2
 
@@ -248,21 +192,7 @@ struct Pack<8> {
   static Pack broadcast(double x) noexcept { return {_mm512_set1_pd(x)}; }
   void store(double* p) const noexcept { _mm512_storeu_pd(p, v); }
   friend Pack operator+(Pack a, Pack b) noexcept { return {_mm512_add_pd(a.v, b.v)}; }
-  friend Pack operator-(Pack a, Pack b) noexcept { return {_mm512_sub_pd(a.v, b.v)}; }
   friend Pack operator*(Pack a, Pack b) noexcept { return {_mm512_mul_pd(a.v, b.v)}; }
-  Pack operator-() const noexcept {
-    return {_mm512_castsi512_pd(_mm512_xor_si512(
-        _mm512_castpd_si512(v), _mm512_castpd_si512(_mm512_set1_pd(-0.0))))};
-  }
-  static Pack abs(Pack a) noexcept { return {_mm512_abs_pd(a.v)}; }
-  static Pack clamp_positive(Pack a) noexcept {
-    const __mmask8 mask = _mm512_cmp_pd_mask(a.v, _mm512_setzero_pd(), _CMP_GT_OQ);
-    return {_mm512_maskz_mov_pd(mask, a.v)};
-  }
-  static Pack select_abs_ge(Pack a, Pack b, Pack x, Pack y) noexcept {
-    const __mmask8 mask = _mm512_cmp_pd_mask(abs(a).v, abs(b).v, _CMP_GE_OQ);
-    return {_mm512_mask_blend_pd(mask, y.v, x.v)};
-  }
 };
 #endif  // DDM_SIMD_HAS_AVX512
 

@@ -1,4 +1,4 @@
-#include "poly/sturm.hpp"
+#include "sturm.hpp"
 
 #include <stdexcept>
 
@@ -75,17 +75,6 @@ int SturmSequence::count_roots(const util::Rational& a, const util::Rational& b)
 
 int SturmSequence::count_all_roots() const {
   return sign_changes_at_negative_infinity() - sign_changes_at_positive_infinity();
-}
-
-util::Rational cauchy_root_bound(const QPoly& p) {
-  if (p.is_zero()) throw std::invalid_argument("cauchy_root_bound: zero polynomial");
-  const util::Rational lead = p.leading_coefficient().abs();
-  util::Rational max_ratio{0};
-  for (int i = 0; i < p.degree(); ++i) {
-    const util::Rational ratio = p.coefficient(static_cast<std::size_t>(i)).abs() / lead;
-    if (ratio > max_ratio) max_ratio = ratio;
-  }
-  return util::Rational{1} + max_ratio;
 }
 
 }  // namespace ddm::poly

@@ -1,11 +1,14 @@
-// sturm.hpp — Sturm sequences for exact real-root counting.
+// sturm.hpp — Sturm sequences for exact real-root counting, the tests'
+// independent oracle for poly/roots.hpp.
 //
 // The optimal thresholds of Section 5 are algebraic numbers (roots of the
-// derivative of the piecewise winning-probability polynomial). Sturm's
-// theorem lets us count and isolate them exactly over the rationals, with no
-// floating-point doubt: the number of distinct real roots of a square-free
-// polynomial in (a, b] equals V(a) - V(b), where V(x) counts sign changes
-// along the Sturm chain evaluated at x.
+// derivative of the piecewise winning-probability polynomial). The library
+// isolates them with Descartes' rule on Bernstein coefficients; Sturm's
+// theorem counts them by a different route, exactly over the rationals: the
+// number of distinct real roots of a square-free polynomial in (a, b] equals
+// V(a) - V(b), where V(x) counts sign changes along the Sturm chain
+// evaluated at x. Built into test_sturm, test_roots and
+// test_symmetric_threshold only (tests/CMakeLists.txt).
 #pragma once
 
 #include <vector>
@@ -39,9 +42,5 @@ class SturmSequence {
  private:
   std::vector<QPoly> chain_;
 };
-
-/// Cauchy root bound: all real roots of p lie in [-B, B] with
-/// B = 1 + max_i |a_i| / |a_n|. Throws std::invalid_argument on zero input.
-[[nodiscard]] util::Rational cauchy_root_bound(const QPoly& p);
 
 }  // namespace ddm::poly

@@ -1,10 +1,10 @@
 // ddm::engine — registry, selection policy, plan cache, and fault injection.
 //
 // The selection tests pin the auto policy (engine/policy.hpp): compiled for
-// symmetric grids whose plan is resident and certified to the REQUEST
-// tolerance, the certified O(n²) ladder for every other symmetric grid up to
-// n = 64 — auto never lowers a plan — a named refusal past that cap, batch
-// for general points, and every fallback visible in the Selection. Two
+// grids whose plan is resident and certified to the REQUEST tolerance, the
+// certified O(n²) ladder for every other grid up to n = 64 — auto never
+// lowers a plan — a named refusal past that cap, and every fallback visible
+// in the Selection. Two
 // property tests hold the tolerance contract over random (n, tolerance)
 // draws and every auto answer on the paper's t = n/3 grids to its reported
 // bound. The cache-fault tests pin satellite coverage:
@@ -283,13 +283,6 @@ TEST(EngineSelect, AutoKeepsTheExactRungCapForTightTolerances) {
   EXPECT_EQ(select(EnginePolicy{}, at_cap).id(), "certified");
 }
 
-TEST(EngineSelect, AutoUsesBatchForGeneralPoints) {
-  const auto request = EvalRequest::general({{0.25, 0.5, 0.75}}, Rational{1});
-  const Selection selection = select(EnginePolicy{}, request);
-  EXPECT_EQ(selection.id(), "batch");
-  EXPECT_FALSE(selection.fallback);
-}
-
 // --- the auto contract on the paper's workload (property test) -----------
 
 // For t = n/3 and beta on a 1/1024 grid over [0.05, 0.95] (strided past
@@ -355,33 +348,6 @@ TEST(EngineAutoSymmetric, CapacityAtLeastNIsExactlyOne) {
       EXPECT_EQ(outcome.bound_at(k), 0.0) << "t=" << t << " beta=" << betas[k];
     }
   }
-}
-
-// --- engine-backed optimizer objective ----------------------------------
-
-TEST(EngineBatchObjective, BitwiseEqualToBuiltinObjective) {
-  const std::vector<std::vector<double>> points{{0.4, 0.6, 0.7}, {0.62, 0.62, 0.62}};
-  const auto objective = batch_objective();
-  const auto via_engine = objective(points, 1.0);
-  const auto direct = core::threshold_winning_probability_batch(points, 1.0);
-  ASSERT_EQ(via_engine.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_engine[i], direct[i]) << "point " << i;  // bitwise
-  }
-}
-
-TEST(EngineBatchObjective, SearchIterateSequenceUnchanged) {
-  const auto baseline = core::maximize_thresholds({0.5, 0.5, 0.5}, 1.0, 0.25, 1e-6);
-  const auto via_engine =
-      core::maximize_thresholds({0.5, 0.5, 0.5}, 1.0, batch_objective(), 0.25, 1e-6);
-  EXPECT_EQ(via_engine.thresholds, baseline.thresholds);
-  EXPECT_EQ(via_engine.value, baseline.value);
-  EXPECT_EQ(via_engine.evaluations, baseline.evaluations);
-  EXPECT_EQ(via_engine.final_step, baseline.final_step);
-}
-
-TEST(EngineBatchObjective, UnknownEngineFailsAtWiringTime) {
-  EXPECT_THROW((void)batch_objective("bogus"), Error);
 }
 
 // --- plan cache ----------------------------------------------------------

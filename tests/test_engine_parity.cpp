@@ -109,9 +109,9 @@ TEST(EngineParity, EveryEngineMatchesExactGroundTruth) {
 }
 
 TEST(EngineParity, BatchIsBitwiseEqualToTheSerialKernel) {
-  // The batch kernel's documented contract: block amortization never changes
-  // a bit relative to the serial single-point core::threshold_winning_probability,
-  // at every parity n.
+  // The batch engine's documented contract: blocking and parallelism never
+  // change a bit relative to the serial single-point
+  // core::threshold_winning_probability, at every parity n.
   const Evaluator& batch = Registry::instance().require("batch");
   for (const Instance& instance : parity_instances()) {
     const EvalRequest& request = instance.request;

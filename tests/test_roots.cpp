@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <random>
 
+#include "sturm.hpp"
+
 namespace ddm::poly {
 namespace {
 

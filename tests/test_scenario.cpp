@@ -1,15 +1,13 @@
 // test_scenario.cpp — the first-class Scenario seam, end to end.
 //
 // Covers: digest canonicalization and descriptor parsing (including
-// near-collision ranges that must never share a digest), the ragged
-// EvalRequest::general regression, scenario-keyed caching (the PlanCache
-// must never hand a homogeneous artifact to a generalized digest),
-// exact/mc/certified engine parity against the core/heterogeneous and
-// core/deviating ground truth, the auto-selection and fallback-chain
-// reshaping under generalized games, checkpoint header round-trips, and the
-// ddm_serve NDJSON scenario field. The caching
-// property tests are matrix-run under DDM_THREADS=1/4 (tests/CMakeLists.txt,
-// label "scenario").
+// near-collision ranges that must never share a digest), exact/mc/certified
+// engine parity against the core/heterogeneous and core/deviating ground
+// truth, the homogeneous-only engines (batch, compiled) declining every
+// generalized game, the auto-selection and fallback-chain reshaping under
+// generalized games, checkpoint header round-trips, and the ddm_serve NDJSON
+// scenario field. The engine tests are matrix-run under DDM_THREADS=1/4
+// (tests/CMakeLists.txt, label "scenario").
 #include "engine/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +20,6 @@
 #include "core/deviating.hpp"
 #include "core/heterogeneous.hpp"
 #include "core/nonoblivious.hpp"
-#include "engine/plan_cache.hpp"
 #include "engine/registry.hpp"
 #include "engine/resilient.hpp"
 #include "prob/rng.hpp"
@@ -103,51 +100,6 @@ TEST(ScenarioParse, CheckPlayersValidatesShape) {
   EXPECT_NO_THROW(Scenario{}.check_players(100, "test"));
 }
 
-// --- EvalRequest::general ragged-batch regression ---------------------------
-
-TEST(EvalRequestGeneral, AcceptsUniformBatch) {
-  const EvalRequest request =
-      EvalRequest::general({{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}}, Rational{1});
-  EXPECT_EQ(request.n, 3u);
-  EXPECT_EQ(request.size(), 2u);
-}
-
-TEST(EvalRequestGeneral, RejectsRaggedBatchNamingOffendingPoint) {
-  try {
-    (void)EvalRequest::general({{0.1, 0.2, 0.3}, {0.4, 0.5}, {0.6, 0.7, 0.8}}, Rational{1});
-    FAIL() << "ragged batch must throw";
-  } catch (const Error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("point 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("ragged"), std::string::npos) << what;
-  }
-}
-
-// --- scenario-keyed caching (PlanCache) ------------------------------------
-
-TEST(ScenarioCaching, PlanCacheKeysOnDigest) {
-  engine::PlanCache cache(8);
-  const Rational t{1};
-  const auto homogeneous = cache.get_or_lower(3, t);
-  ASSERT_NE(homogeneous, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-  // The legacy empty digest and the homogeneous digest are the SAME key —
-  // pre-scenario callers and scenario-aware callers share one entry.
-  EXPECT_EQ(cache.get_or_lower(3, t, "homogeneous").get(), homogeneous.get());
-  EXPECT_EQ(cache.size(), 1u);
-  // A generalized digest is a different key: the homogeneous plan must never
-  // satisfy it, even for adversarially similar ranges.
-  const auto het_a = cache.get_or_lower(3, t, "heterogeneous:1/12,2,1");
-  const auto het_b = cache.get_or_lower(3, t, "heterogeneous:1,12/2,1");
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_NE(het_a.get(), homogeneous.get());
-  EXPECT_NE(het_b.get(), homogeneous.get());
-  EXPECT_NE(het_a.get(), het_b.get());
-  // Repeat lookups hit their own entries, never a neighbor's.
-  EXPECT_EQ(cache.get_or_lower(3, t, "heterogeneous:1/12,2,1").get(), het_a.get());
-  EXPECT_EQ(cache.size(), 3u);
-}
-
 // --- engine parity against the core ground truth ----------------------------
 
 TEST(ScenarioEngines, ExactMatchesCoreHeterogeneous) {
@@ -169,21 +121,6 @@ TEST(ScenarioEngines, ExactMatchesCoreHeterogeneous) {
         core::heterogeneous_threshold_winning_probability(thresholds, ranges, t);
     EXPECT_DOUBLE_EQ(outcome.values[k], expected.to_double()) << "k=" << k;
   }
-}
-
-TEST(ScenarioEngines, ExactGeneralPointsAreAbsoluteThresholds) {
-  const Rational t(6, 5);
-  const std::vector<Rational> ranges = ranges3();
-  // General points carry per-player ABSOLUTE thresholds (a_i, not beta).
-  auto request = EvalRequest::general({{0.25, 0.4, 1.0}}, t);
-  request.scenario = Scenario::heterogeneous(ranges);
-  const engine::Evaluator* exact = engine::Registry::instance().find("exact");
-  ASSERT_TRUE(exact->supports(request));
-  const EvalOutcome outcome = exact->evaluate(request);
-  const std::vector<Rational> thresholds{Rational(1, 4), Rational(2, 5), Rational{1}};
-  const Rational expected =
-      core::heterogeneous_threshold_winning_probability(thresholds, ranges, t);
-  EXPECT_DOUBLE_EQ(outcome.values.at(0), expected.to_double());
 }
 
 TEST(ScenarioEngines, MonteCarloTracksExactHeterogeneous) {

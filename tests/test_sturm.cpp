@@ -1,7 +1,9 @@
 // Tests for Sturm sequences — exact real-root counting.
-#include "poly/sturm.hpp"
+#include "sturm.hpp"
 
 #include <gtest/gtest.h>
+
+#include "poly/roots.hpp"
 
 namespace ddm::poly {
 namespace {

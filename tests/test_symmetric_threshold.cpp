@@ -9,8 +9,8 @@
 #include "combinat/binomial.hpp"
 #include "core/nonoblivious.hpp"
 #include "poly/bernstein.hpp"
-#include "poly/sturm.hpp"
 #include "prob/uniform_sum.hpp"
+#include "sturm.hpp"
 
 namespace ddm::core {
 namespace {

@@ -169,11 +169,10 @@ scenarios (--scenario=<desc>, docs/scenarios.md):
   deviating:<k>               k players deviate adversarially; worst case
 
 engines (--engine=<id>, docs/architecture.md):
-  auto       symmetric grids: a resident compiled plan certified to the
-             request tolerance (1e-9), else the certified ladder
-             (n <= 1000); general points: batch kernel — the choice is
-             reported (default)
-  batch      block-amortized parallel Gray-code kernel (n <= 20)
+  auto       a resident compiled plan certified to the request
+             tolerance (1e-9), else the certified ladder (n <= 1000) —
+             the choice is reported (default)
+  batch      parallel O(3^n) Gray-code double kernel (n <= 20)
   certified  escalation ladder with rigorous enclosures (--certify)
   compiled   certified double Horner plan via the LRU plan cache
   exact      exact rational Theorem 5.1 evaluation
