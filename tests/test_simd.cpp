@@ -2,8 +2,10 @@
 // dispatch clamping, and — the heart of the vectorization contract — the
 // lane-width parity matrix: every compiled pack width must produce BITWISE
 // identical results to the scalar kernel in the vector Horner grid
-// evaluator (poly/compiled_detail.hpp), across golden n = 2..6 plans and the
-// n = 12, t = 4 CLI acceptance instance. The matrix is re-run under pinned
+// evaluator (poly/compiled_detail.hpp), and the batch kernel, which
+// dispatches no pack width, must return the serial kernel's bits under every
+// forced width, across golden n = 2..6 grids and the n = 12, t = 4 CLI
+// acceptance instance. The matrix is re-run under pinned
 // DDM_THREADS=1/4 by ctest (simd_parity_threads_*, tests/CMakeLists.txt)
 // and under ASan/UBSan by scripts/run_sanitizers.sh, whose ragged tail
 // counts would flag any lane over-read at a grid tail.
@@ -18,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "core/nonoblivious.hpp"
 #include "core/symmetric_threshold.hpp"
 #include "obs/metrics_registry.hpp"
 #include "poly/compiled.hpp"
+#include "prob/rng.hpp"
 #include "util/rational.hpp"
 #include "util/simd.hpp"
 #include "util/status.hpp"
@@ -153,6 +157,84 @@ TEST_F(SimdDispatch, ScopedForceWidthOverridesEnvAndRestores) {
   EXPECT_EQ(util::simd::dispatch_width(), 1);
 }
 
+// --- lane-width parity: batch kernel -------------------------------------
+
+// The batch kernel evaluates each point of a 16-point chunk with the serial
+// kernel; the vectorized subset walk these tests are named after is gone
+// (docs/performance.md §1.4). No forced width may change a bit of it.
+
+// Golden grids: symmetric sweep points plus asymmetric corners, with point
+// counts chosen to leave partial chunks (29 = 16 + 13 splits into one full
+// chunk and one whose count is no multiple of any pack width).
+std::vector<std::vector<double>> golden_points(std::uint32_t n, std::size_t count,
+                                               prob::Rng& rng) {
+  std::vector<std::vector<double>> points;
+  for (std::size_t k = 0; k < count; ++k) {
+    if (k % 4 == 3) {
+      std::vector<double> p(n);
+      for (double& v : p) v = rng.uniform();
+      points.push_back(std::move(p));
+    } else {
+      points.push_back(std::vector<double>(
+          n, static_cast<double>(k) / static_cast<double>(count > 1 ? count - 1 : 1)));
+    }
+  }
+  return points;
+}
+
+void expect_batch_parity(const std::vector<std::vector<double>>& points, double t) {
+  // Scalar serial evaluator = the ground truth every width must hit bitwise.
+  std::vector<double> serial;
+  serial.reserve(points.size());
+  for (const auto& p : points) {
+    serial.push_back(core::threshold_winning_probability(p, t));
+  }
+  for (const int width : available_widths()) {
+    ScopedForceWidth force{width};
+    const std::vector<double> batch = core::threshold_winning_probability_batch(points, t);
+    ASSERT_EQ(batch.size(), points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      EXPECT_EQ(batch[p], serial[p]) << "width=" << width << " point=" << p;
+    }
+  }
+}
+
+TEST(SimdParity, BatchWalkBitwiseAcrossWidthsOnGoldenGrids) {
+  prob::Rng rng{4242};
+  for (std::uint32_t n = 2; n <= 6; ++n) {
+    expect_batch_parity(golden_points(n, 29, rng), static_cast<double>(n) / 3.0);
+  }
+}
+
+TEST(SimdParity, BatchWalkRaggedTailCounts) {
+  // 1, 5, and 17 points: a lone point, a partial chunk, and one full chunk
+  // plus a single straggler.
+  prob::Rng rng{7};
+  for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{17}}) {
+    expect_batch_parity(golden_points(5, count, rng), 5.0 / 3.0);
+  }
+}
+
+TEST(SimdParity, BatchWalkMixedPointSizesDegradeToScalarRuns) {
+  // Interleaved sizes 2..6 inside one chunk: every point still gets the
+  // serial kernel's bits for its own n.
+  prob::Rng rng{11};
+  std::vector<std::vector<double>> points;
+  for (std::size_t k = 0; k < 18; ++k) {
+    std::vector<double> p(2 + k % 5);
+    for (double& v : p) v = rng.uniform();
+    points.push_back(std::move(p));
+  }
+  expect_batch_parity(points, 1.25);
+}
+
+TEST(SimdParity, BatchWalkAcceptanceInstance) {
+  // The n = 12, t = 4 CLI acceptance instance
+  // (`ddm_cli sweep 12 4 0 1 10000 --engine=batch`).
+  prob::Rng rng{1999};
+  expect_batch_parity(golden_points(12, 29, rng), 4.0);
+}
+
 // --- lane-width parity: compiled vector Horner ---------------------------
 
 CompiledPiecewise lowered_plan(std::uint32_t n, const Rational& t) {
@@ -256,6 +338,33 @@ class SimdMetrics : public ::testing::Test {
   }
 };
 
+TEST_F(SimdMetrics, GaugeReportsDispatchedWidthNotCompiledWidth) {
+  // Only compiled eval_grid dispatches a pack width: a batch run leaves both
+  // width metrics at zero, and the next eval_grid sets the gauge to the
+  // forced width, not the widest one compiled.
+  prob::Rng rng{3};
+  const auto points = golden_points(5, 29, rng);
+  const CompiledPiecewise plan = lowered_plan(5, Rational{5, 3});
+  const std::vector<double> xs = sweep_grid(plan, 64);
+  for (const int width : available_widths()) {
+    obs::Registry::instance().reset();
+    ScopedForceWidth force{width};
+    (void)core::threshold_winning_probability_batch(points, 5.0 / 3.0);
+    auto samples = obs::Registry::instance().scrape();
+    const obs::MetricSample* gauge = find(samples, "engine.simd_width");
+    EXPECT_TRUE(gauge == nullptr || gauge->gauge_value == 0) << width;
+    const obs::MetricSample* lanes = find(samples, "kernel.vector_lanes");
+    EXPECT_TRUE(lanes == nullptr || lanes->counter_value == 0u) << width;
+
+    (void)plan.eval_grid(xs);
+    samples = obs::Registry::instance().scrape();
+    gauge = find(samples, "engine.simd_width");
+    ASSERT_NE(gauge, nullptr) << width;
+    EXPECT_EQ(gauge->kind, obs::MetricSample::Kind::kGauge);
+    EXPECT_EQ(gauge->gauge_value, width);
+  }
+}
+
 TEST_F(SimdMetrics, CompiledEvalGridReportsDispatchedWidth) {
   const CompiledPiecewise plan = lowered_plan(3, Rational{1});
   const std::vector<double> xs = sweep_grid(plan, 64);
@@ -264,11 +373,8 @@ TEST_F(SimdMetrics, CompiledEvalGridReportsDispatchedWidth) {
     ScopedForceWidth force{width};
     (void)plan.eval_grid(xs);
     const auto samples = obs::Registry::instance().scrape();
-    // The gauge reports the width actually dispatched, never the compiled
-    // maximum.
     const obs::MetricSample* gauge = find(samples, "engine.simd_width");
     ASSERT_NE(gauge, nullptr) << width;
-    EXPECT_EQ(gauge->kind, obs::MetricSample::Kind::kGauge);
     EXPECT_EQ(gauge->gauge_value, width);
     // Full-width lanes: every point but the xs.size() % W tail, which runs
     // the scalar loop; none at width 1.
